@@ -17,14 +17,13 @@ import json
 import sys
 
 from .determining import (
-    DeterminingError,
     InitialData,
     UnknownCoefficientField,
     generate_determining,
     symmetry_algebra,
     taylor_from_initial_data,
 )
-from .expr import ParseError, parse_poly, parse_scalar
+from .expr import parse_poly, parse_scalar
 from .jets import JetContext, PDESystem, involutivity_check
 from .lie_alg import FieldBasis, bracket, closure_check, flat_generators
 from .poly import poly_to_str
@@ -38,7 +37,6 @@ from .segre import (
     segre_system,
     totally_real_check,
 )
-from .series import InconsistentBaseError, SingularJacobianError
 
 
 class CliError(ValueError):
@@ -76,21 +74,31 @@ def load_system(path: str, max_jet_order: int = 3) -> PDESystem:
     return PDESystem(ctx, entries)
 
 
-def load_field(path: str, ctx: JetContext | None = None) -> VectorField:
-    doc = _read_json(path)
+def field_from_doc(doc, ctx: JetContext | None = None) -> VectorField:
+    """Build a field from one field document; on ctx, if given, whose shape
+    the document must match."""
     try:
         n, m = int(doc["n"]), int(doc["m"])
-        theta_texts = list(doc["theta"])
-        eta_texts = list(doc["eta"])
+        theta_texts, eta_texts = doc["theta"], doc["eta"]
     except (KeyError, TypeError, ValueError):
-        raise CliError("field file needs 'n', 'm', 'theta', 'eta'") from None
+        raise CliError("field document needs integer 'n', 'm' and arrays 'theta', 'eta'") from None
+    if not (
+        isinstance(theta_texts, list)
+        and isinstance(eta_texts, list)
+        and all(isinstance(t, str) for t in theta_texts + eta_texts)
+    ):
+        raise CliError("field 'theta' and 'eta' must be arrays of expression strings")
     if ctx is None:
         ctx = JetContext.create(n, m)
     elif ctx.n != n or ctx.m != m:
-        raise CliError("field file shape does not match the system")
+        raise CliError(f"field has shape (n={n}, m={m}), expected (n={ctx.n}, m={ctx.m})")
     theta = tuple(parse_poly(t, ctx.table) for t in theta_texts)
     eta = tuple(parse_poly(t, ctx.table) for t in eta_texts)
     return VectorField(ctx, theta, eta)
+
+
+def load_field(path: str, ctx: JetContext | None = None) -> VectorField:
+    return field_from_doc(_read_json(path), ctx)
 
 
 def parse_point(text: str | None, ctx: JetContext) -> dict:
@@ -256,13 +264,8 @@ def cmd_closure(args):
         docs = _read_json(args.basis)
         if not isinstance(docs, list) or not docs:
             raise CliError("basis file must be a nonempty JSON array of field objects")
-        first = docs[0]
-        ctx = JetContext.create(int(first["n"]), int(first["m"]))
-        fields = []
-        for doc in docs:
-            theta = tuple(parse_poly(t, ctx.table) for t in doc["theta"])
-            eta = tuple(parse_poly(t, ctx.table) for t in doc["eta"])
-            fields.append(VectorField(ctx, theta, eta))
+        first = field_from_doc(docs[0])
+        fields = [first] + [field_from_doc(doc, first.ctx) for doc in docs[1:]]
         basis = FieldBasis(fields)
     else:
         if args.n is None or args.m is None:
@@ -439,15 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, lines = args.handler(args)
-    except (
-        CliError,
-        ParseError,
-        DeterminingError,
-        SingularJacobianError,
-        InconsistentBaseError,
-        ValueError,
-        ArithmeticError,
-    ) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     emit(report, args.format, lines)

@@ -215,6 +215,27 @@ class DeterminingSystem:
         return len(self.rows)
 
 
+def split_unknown(mono, unknown_at: dict):
+    """Split a term's monomial into (ordinary monomial, unknown id).
+
+    unknown_at maps the table positions of the unknowns to their ids.  The
+    term must be linear in the unknowns: exactly one unknown, to the first
+    power, else ArithmeticError.
+    """
+    unknown = None
+    ordinary = []
+    for p, e in mono:
+        if p in unknown_at:
+            if unknown is not None or e != 1:
+                raise ArithmeticError("term is not linear in the unknowns")
+            unknown = unknown_at[p]
+        else:
+            ordinary.append((p, e))
+    if unknown is None:
+        raise ArithmeticError("term has no unknown")
+    return tuple(ordinary), unknown
+
+
 def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> DeterminingSystem:
     """Expand the symmetry criterion for the ansatz and collect one equation
     per complete monomial coefficient."""
@@ -234,18 +255,7 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
                 f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
             )
         for mono, coeff in r.terms.items():
-            coef_entry = None
-            ordinary = []
-            for p, e in mono:
-                if p in coef_pos:
-                    if coef_entry is not None or e != 1:
-                        raise ArithmeticError("criterion residual is not linear in the unknowns")
-                    coef_entry = coef_pos[p]
-                else:
-                    ordinary.append((p, e))
-            if coef_entry is None:
-                raise ArithmeticError("criterion residual has an unknown-free term")
-            ordinary = tuple(ordinary)
+            ordinary, coef_entry = split_unknown(mono, coef_pos)
             xu_deg = sum(
                 e for p, e in ordinary if ext_table.ids[p][0] in (rings.X, rings.U)
             )
@@ -382,16 +392,6 @@ def initial_data_of(X: VectorField, point: dict | None = None) -> InitialData:
 # ---------------------------------------------------------------------------
 
 
-def _lin_add_scaled(target: dict, form: dict, s: GaussScalar):
-    for k, v in form.items():
-        acc = target.get(k)
-        nv = (acc + v * s) if acc is not None else v * s
-        if nv.is_zero():
-            target.pop(k, None)
-        else:
-            target[k] = nv
-
-
 def solve_second_order(det: DeterminingSystem) -> dict:
     """Express every second derivative of theta_j, eta^mu at the base point
     as an exact affine combination of the gamma components and lower-order
@@ -408,74 +408,50 @@ def solve_second_order(det: DeterminingSystem) -> dict:
     gamma = set(field.gamma_ids())
     layer2 = [cid for cid in field.unknowns if field.layer_of(cid) == 2]
     vprime = [cid for cid in layer2 if cid not in gamma]
-    vidx = {cid: k for k, cid in enumerate(vprime)}
     params = [cid for cid in field.unknowns if field.layer_of(cid) <= 1] + sorted(
         gamma, key=field.col.get
     )
-    param_set = set(params)
+    # The k second-derivative columns come first and the parameters after
+    # them, so the reduced square subsystem reads x_c + sum_p a_cp * param_p.
+    k = len(vprime)
+    col = {cid: c for c, cid in enumerate(vprime + params)}
 
     reducer = _Reducer()
-    selected = []
     for row, prov in zip(det.rows, det.provenance):
         if prov.xu_degree != 0:
             continue
-        projected = {}
-        rest = {}
-        for col, v in row.items():
-            cid = field.unknowns[col]
-            if cid in vidx:
-                projected[vidx[cid]] = v
-            elif cid in param_set:
-                rest[cid] = v
-            else:
+        full = {}
+        for c, v in row.items():
+            cid = field.unknowns[c]
+            if cid not in col:
                 raise SingularSubsystemError(
                     f"row {prov} involves an unexpected unknown {field.label(cid)}"
                 )
-        if not projected:
-            continue
-        if reducer.insert(dict(projected), ZERO):
-            selected.append((projected, rest))
-            if len(selected) == len(vprime):
+            full[col[cid]] = v
+        reduced, _ = reducer.reduce(full, ZERO)
+        if reduced and min(reduced) < k:
+            reducer.insert(reduced, ZERO)
+            if len(reducer.pivots) == k:
                 break
-    if len(selected) != len(vprime):
+    if len(reducer.pivots) != k:
         raise SingularSubsystemError(
             "no invertible square subsystem for the second-order layer "
             "(system not involutive or malformed)"
         )
-
-    # Dense Gauss-Jordan with linear forms over the parameters as right sides.
-    k = len(vprime)
-    mat = [[ZERO] * k for _ in range(k)]
-    rhs: list[dict] = []
-    for r, (projected, rest) in enumerate(selected):
-        for c, v in projected.items():
-            mat[r][c] = v
-        rhs.append({cid: -v for cid, v in rest.items()})
-    for c in range(k):
-        p = next(r for r in range(c, k) if not mat[r][c].is_zero())
-        mat[c], mat[p] = mat[p], mat[c]
-        rhs[c], rhs[p] = rhs[p], rhs[c]
-        inv = mat[c][c].inverse()
-        mat[c] = [v * inv for v in mat[c]]
-        rhs[c] = {key: v * inv for key, v in rhs[c].items()}
-        for r in range(k):
-            if r == c or mat[r][c].is_zero():
-                continue
-            f = mat[r][c]
-            mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
-            _lin_add_scaled(rhs[r], rhs[c], -f)
 
     # Convert coefficient-space forms into derivative-space forms.
     def deriv_key(cid):
         return (cid[1], cid[2])
 
     out = {}
-    for r, cid in enumerate(vprime):
+    for c, cid in enumerate(vprime):
         fact = GaussScalar(alpha_factorial(cid[2]))
         form = {}
-        for pid, v in rhs[r].items():
-            pf = GaussScalar(alpha_factorial(pid[2]))
-            form[deriv_key(pid)] = v * fact / pf
+        for p, v in reducer.pivots[c][0].items():
+            if p < k:
+                continue
+            pid = params[p - k]
+            form[deriv_key(pid)] = -v * fact / GaussScalar(alpha_factorial(pid[2]))
         out[deriv_key(cid)] = form
     for cid in gamma:
         out[deriv_key(cid)] = {deriv_key(cid): ONE}

@@ -68,10 +68,6 @@ def jet_order_of_poly(f: Poly) -> int:
     return max((f.table.jet_order_of(v) for v in f.variables()), default=0)
 
 
-def xu_only(f: Poly) -> bool:
-    return all(v[0] in (rings.X, rings.U, rings.COEF) for v in f.variables())
-
-
 class PDESystem:
     """The table F^k_{ij}, i <= j, of jet functions in (x, u, u^(1)) only."""
 

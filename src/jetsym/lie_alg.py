@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jets import JetContext
-from .linalg import express_in_span, sparse_rank
-from .poly import mono_sort_key
+from .linalg import span_coordinates, sparse_rank
+from .poly import coefficient_rows
 from .prolong import VectorField
 
 
@@ -31,25 +31,7 @@ def field_rows(fields):
     Columns are (coefficient slot, monomial) pairs; the frame covers exactly
     the monomials present in the given fields, ordered degree first.
     """
-    if not fields:
-        return [], []
-    ctx = fields[0].ctx
-    nv = len(ctx.table)
-    keys = set()
-    for X in fields:
-        for slot, f in enumerate(X.theta + X.eta):
-            for mono in f.terms:
-                keys.add((slot, mono))
-    frame = sorted(keys, key=lambda sm: (sm[0], mono_sort_key(sm[1], nv)))
-    index = {key: c for c, key in enumerate(frame)}
-    rows = []
-    for X in fields:
-        row = {}
-        for slot, f in enumerate(X.theta + X.eta):
-            for mono, coeff in f.terms.items():
-                row[index[(slot, mono)]] = coeff
-        rows.append(row)
-    return rows, frame
+    return coefficient_rows([X.theta + X.eta for X in fields])
 
 
 def span_dimension(fields) -> int:
@@ -165,16 +147,18 @@ def closure_check(basis: FieldBasis) -> ClosureResult:
     """Expand every pairwise bracket in the basis, exactly.
 
     Returns the structure constants, or the first pair whose bracket falls
-    outside the span together with the bracket itself.
+    outside the span together with the bracket itself.  One frame covers the
+    basis and all brackets, and the basis is reduced once for every pair.
     """
     fields = basis.fields
+    d = len(fields)
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    brackets = [bracket(fields[a], fields[b]) for a, b in pairs]
+    rows, frame = field_rows(fields + brackets)
     constants = {}
-    for a in range(len(fields)):
-        for b in range(a + 1, len(fields)):
-            br = bracket(fields[a], fields[b])
-            rows, frame = field_rows(fields + [br])
-            coords = express_in_span(rows[:-1], rows[-1])
-            if coords is None:
-                return ClosureResult(False, constants, failure=(a, b, br))
-            constants[(a, b)] = tuple(coords)
+    coords = span_coordinates(rows[:d], rows[d:], len(frame))
+    for (a, b), br, c in zip(pairs, brackets, coords):
+        if c is None:
+            return ClosureResult(False, constants, failure=(a, b, br))
+        constants[(a, b)] = tuple(c)
     return ClosureResult(True, constants)

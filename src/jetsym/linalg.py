@@ -181,23 +181,35 @@ def sparse_rank(rows) -> int:
     return rank
 
 
+def span_coordinates(basis_rows, targets, ncols: int):
+    """Exact coordinates of each target in the span of the basis rows, or
+    None for a target outside the span; yields one result per target.
+
+    All rows are sparse {column: GaussScalar} vectors (nonzero entries only)
+    with columns below ncols.  The basis is reduced once: basis row k carries
+    a tag column ncols + k holding 1, so every pivot row records which
+    combination of basis rows it is, and a target reduced against the pivots
+    keeps minus its coordinates in the tag columns.  For a dependent basis
+    the coordinates are one solution among many; they still reproduce the
+    target exactly.
+    """
+    red = _Reducer()
+    for k, row in enumerate(basis_rows):
+        red.insert({**row, ncols + k: ONE}, ZERO)
+    for target in targets:
+        row, _ = red.reduce(target, ZERO)
+        if any(c < ncols for c in row):
+            yield None
+        else:
+            yield [-row.get(ncols + k, ZERO) for k in range(len(basis_rows))]
+
+
 def express_in_span(basis_rows, target_row):
     """Exact coordinates of target in the span of basis rows, or None.
 
-    basis_rows and target_row are sparse {column: GaussScalar} vectors.
+    basis_rows and target_row are sparse {column: GaussScalar} vectors
+    (nonzero entries only).  For a dependent basis the coordinates are one
+    solution among many; they still reproduce the target exactly.
     """
-    cols = set(target_row)
-    for r in basis_rows:
-        cols.update(r)
-    col_list = sorted(cols)
-    # One linear system: sum_k a_k * basis_k = target, unknowns a_k.
-    rows = []
-    rhs = []
-    for c in col_list:
-        rows.append({k: br[c] for k, br in enumerate(basis_rows) if c in br})
-        rhs.append(target_row.get(c, ZERO))
-    sys = LinearSystemExact(rows, rhs, ncols=len(basis_rows))
-    result = solve_linear_exact(sys)
-    if not result.consistent:
-        return None
-    return result.particular
+    ncols = 1 + max((c for row in [target_row, *basis_rows] for c in row), default=-1)
+    return next(span_coordinates(basis_rows, [target_row], ncols))

@@ -127,6 +127,12 @@ class Poly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        bound = _min_bound(self.bound, other.bound)
+        # An operand with a larger bound may hold terms the sum cannot keep.
+        if self.bound != bound:
+            return self.truncate(bound) + other
+        if other.bound != bound:
+            return self + other.truncate(bound)
         out = dict(self.terms)
         for m, c in other.terms.items():
             acc = out.get(m)
@@ -139,7 +145,7 @@ class Poly:
                     del out[m]
                 else:
                     out[m] = s
-        return Poly(self.table, out, _min_bound(self.bound, other.bound))
+        return Poly(self.table, out, bound)
 
     def __neg__(self) -> "Poly":
         return Poly(self.table, {m: -c for m, c in self.terms.items()}, self.bound)
@@ -319,24 +325,6 @@ class Poly:
             total = total + term
         return total
 
-    def inverse_series(self, order: int) -> "Poly":
-        """Multiplicative inverse as a series truncated at the given order.
-
-        Requires an invertible constant term.  Newton iteration
-        g <- g*(2 - f*g) doubles the correct valuation each step.
-        """
-        c0 = self.constant_term()
-        if c0.is_zero():
-            raise ValueError("series with zero constant term has no inverse")
-        f = self.truncate(order)
-        g = Poly.const(self.table, c0.inverse(), order)
-        two = Poly.const(self.table, GaussScalar(2), order)
-        correct = 1
-        while correct <= order:
-            g = (g * (two - f * g)).truncate(order)
-            correct *= 2
-        return g
-
     def convert(self, target: VarTable) -> "Poly":
         """Re-key this polynomial against another table (matching by variable id)."""
         if target is self.table:
@@ -359,6 +347,26 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"<Poly {poly_to_str(self)}>"
+
+
+def coefficient_rows(families):
+    """Sparse coefficient vectors of polynomial tuples in one shared frame.
+
+    Each family is a sequence of Polys over one table.  Columns are (slot,
+    monomial) pairs covering exactly the monomials present, ordered by slot
+    and then graded-lex.  Returns (rows, frame), one row per family.
+    """
+    if not families:
+        return [], []
+    nv = len(families[0][0].table)
+    keys = {(slot, mono) for fam in families for slot, f in enumerate(fam) for mono in f.terms}
+    frame = sorted(keys, key=lambda sm: (sm[0], mono_sort_key(sm[1], nv)))
+    index = {key: c for c, key in enumerate(frame)}
+    rows = [
+        {index[(slot, mono)]: coeff for slot, f in enumerate(fam) for mono, coeff in f.terms.items()}
+        for fam in families
+    ]
+    return rows, frame
 
 
 def poly_to_str(f: Poly) -> str:

@@ -129,10 +129,6 @@ class VarTable:
 
     # -- jet structure ---------------------------------------------------
 
-    def jet_indices(self, order: int):
-        """All sorted multi-indices of exactly the given order over 1..n."""
-        return combinations_with_replacement(range(1, self.n + 1), order)
-
     def jet_order_of(self, vid: VarId) -> int:
         """0 for x and u variables, |I| for jet variables, 0 for auxiliaries."""
         return len(vid[2]) if vid[0] == JET else 0

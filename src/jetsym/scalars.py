@@ -22,12 +22,6 @@ class GaussScalar:
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_rational(num: int, den: int = 1) -> "GaussScalar":
-        return GaussScalar(Fraction(num, den))
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:

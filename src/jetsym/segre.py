@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rings
-from .determining import monomials_up_to
+from .determining import monomials_up_to, split_unknown
 from .jets import JetContext, PDESystem, total_derivative
 from .linalg import LinearSystemExact, solve_linear_exact, sparse_rank
-from .poly import Poly, mono_degree, mono_sort_key
+from .poly import Poly, coefficient_rows, mono_degree, mono_sort_key
 from .rings import COEF, VarTable, W, Z, conjugate_id, cr_table, jet_table, jet_var, u_var, x_var, zeta_var
 from .scalars import GaussScalar, I, ONE, ZERO
 from .series import implicit_series_solve
@@ -242,52 +242,21 @@ class HoloField:
 
 
 def reduce_by_rho(f: Poly, rho: Poly) -> Poly:
-    """Remainder of f under exact division by rho, eliminating w.
+    """Normal form of f modulo rho, eliminating w.
 
-    rho must contain the monomial w with invertible coefficient; since rho
-    is then monic in w after normalization, the remainder is the unique
-    normal form with no w, and it vanishes exactly when f lies in the ideal
-    (rho).  If the rest of rho also involves w, a truncation bound is
-    required for termination and membership is modulo the bound.
+    rho must be unit*w + tail with an invertible unit and a tail free of w.
+    The normal form is then the substitution w -> -tail/unit: the unique
+    representative of f modulo (rho) with no w, which vanishes exactly when
+    f lies in the ideal (rho).
     """
-    table = f.table
-    wpos = table.index((W,))
-    wmono = ((wpos, 1),)
+    wmono = ((f.table.index((W,)), 1),)
     unit = rho.terms.get(wmono, ZERO)
     if unit.is_zero():
-        raise ValueError("division inapplicable: defining polynomial has no leading w term")
-    rho = rho.scale(unit.inverse())
-    tail_has_w = any(
-        any(p == wpos for p, _ in mono) for mono in rho.terms if mono != wmono
-    )
-    if tail_has_w and f.bound is None and rho.bound is None:
-        raise ValueError(
-            "reduction requires a truncation bound when the tail of rho involves w"
-        )
-
-    def pick(poly: Poly):
-        best = None
-        for mono in poly.terms:
-            wexp = next((e for p, e in mono if p == wpos), 0)
-            if wexp == 0:
-                continue
-            key = (mono_degree(mono), -wexp, mono)
-            if best is None or key < best[0]:
-                best = (key, mono, wexp)
-        return best
-
-    current = f
-    while True:
-        found = pick(current)
-        if found is None:
-            return current
-        _, mono, wexp = found
-        coeff = current.terms[mono]
-        cof_pairs = tuple(
-            (p, e - 1 if p == wpos else e) for p, e in mono if not (p == wpos and e == 1)
-        )
-        cofactor = Poly(current.table, {cof_pairs: coeff}, current.bound)
-        current = current - cofactor * rho
+        raise ValueError("reduction inapplicable: defining polynomial has no w term")
+    tail = rho - Poly(rho.table, {wmono: unit})
+    if (W,) in tail.variables():
+        raise ValueError("reduction inapplicable: the tail of the defining polynomial involves w")
+    return f.substitute({(W,): tail.scale(-unit.inverse())})
 
 
 def cr_tangency_check(X: HoloField, rho: RealDefiningPolynomial) -> bool:
@@ -348,18 +317,8 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
     coef_pos = {table.index(cid): cid for cid in coef_ids}
     buckets: dict[tuple, dict[int, GaussScalar]] = {}
     for mono, coeff in remainder.terms.items():
-        cid = None
-        ordinary = []
-        for p, e in mono:
-            if p in coef_pos:
-                if cid is not None or e != 1:
-                    raise ArithmeticError("tangency condition is not linear in the unknowns")
-                cid = coef_pos[p]
-            else:
-                ordinary.append((p, e))
-        if cid is None:
-            raise ArithmeticError("tangency condition has an unknown-free term")
-        row = buckets.setdefault(tuple(ordinary), {})
+        ordinary, cid = split_unknown(mono, coef_pos)
+        row = buckets.setdefault(ordinary, {})
         c = col[cid]
         row[c] = row.get(c, ZERO) + coeff
 
@@ -399,34 +358,22 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
 
 def totally_real_check(fields) -> bool:
     """True iff the real span A of the fields satisfies A meet iA = {0}."""
-    fields = list(fields)
-    if not fields:
-        return True
-    table = fields[0].table
-    nv = len(table)
-    keys = set()
-    for X in fields:
-        for comp, f in enumerate(X.coeffs):
-            for mono in f.terms:
-                keys.add((comp, mono))
-    frame = sorted(keys, key=lambda cm: (cm[0], mono_sort_key(cm[1], nv)))
-    index = {key: 2 * c for c, key in enumerate(frame)}
+    rows, _ = coefficient_rows([X.coeffs for X in fields])
 
-    def realify(X: HoloField, times_i: bool):
-        row = {}
-        for comp, f in enumerate(X.coeffs):
-            for mono, v in f.terms.items():
-                if times_i:
-                    v = v * I
-                c = index[(comp, mono)]
-                if v.re:
-                    row[c] = GaussScalar(v.re)
-                if v.im:
-                    row[c + 1] = GaussScalar(v.im)
-        return row
+    def realify(row, times_i: bool):
+        # Complex column c becomes the real columns 2c (real part) and 2c+1.
+        out = {}
+        for c, v in row.items():
+            if times_i:
+                v = v * I
+            if v.re:
+                out[2 * c] = GaussScalar(v.re)
+            if v.im:
+                out[2 * c + 1] = GaussScalar(v.im)
+        return out
 
-    plain = [realify(X, False) for X in fields]
-    with_i = [realify(X, True) for X in fields]
+    plain = [realify(row, False) for row in rows]
+    with_i = [realify(row, True) for row in rows]
     r = sparse_rank(plain)
     return sparse_rank(plain + with_i) == 2 * r
 

@@ -9,7 +9,7 @@ suffice.  The result is verified by back-substitution before it is returned.
 
 from __future__ import annotations
 
-from .linalg import LinearSystemExact, solve_linear_exact
+from .linalg import span_coordinates
 from .poly import Poly
 from .scalars import GaussScalar, ZERO, ONE
 
@@ -23,16 +23,15 @@ class InconsistentBaseError(ValueError):
 
 
 def _invert_matrix(rows: list[list[GaussScalar]]) -> list[list[GaussScalar]]:
+    """Inverse of a square matrix from one reduction of (J | I): row i of the
+    inverse is the coordinate vector of the unit vector e_i in the row space
+    of J, and some e_i falls outside that space exactly when J is singular."""
     k = len(rows)
-    inv_cols = []
-    for col in range(k):
-        rhs = [ONE if r == col else ZERO for r in range(k)]
-        result = solve_linear_exact(LinearSystemExact([list(r) for r in rows], rhs, ncols=k))
-        if not result.consistent or result.nullspace:
-            raise SingularJacobianError("Jacobian with respect to the unknowns is singular")
-        inv_cols.append(result.particular)
-    # inv_cols[j][i] is entry (i, j) of the inverse.
-    return [[inv_cols[j][i] for j in range(k)] for i in range(k)]
+    sparse = [{c: v for c, v in enumerate(row) if not v.is_zero()} for row in rows]
+    inverse = list(span_coordinates(sparse, [{i: ONE} for i in range(k)], k))
+    if any(row is None for row in inverse):
+        raise SingularJacobianError("Jacobian with respect to the unknowns is singular")
+    return inverse
 
 
 def implicit_series_solve(equations, unknowns, order: int, base: dict | None = None):

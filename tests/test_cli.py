@@ -155,6 +155,28 @@ def test_closure_failure(capsys, tmp_path):
     assert doc["failure"]["pair"] == ["X1", "X2"]
 
 
+@pytest.mark.parametrize(
+    "docs",
+    [
+        [{"n": 1, "theta": ["1"], "eta": ["0"]}],
+        [{"n": 1, "m": 1, "theta": "x1", "eta": ["0"]}],
+        [{"n": 1, "m": 1, "theta": [1], "eta": ["0"]}],
+        [5],
+        [
+            {"n": 1, "m": 1, "theta": ["1"], "eta": ["0"]},
+            {"n": 2, "m": 1, "theta": ["1", "0"], "eta": ["0"]},
+        ],
+    ],
+    ids=["missing-m", "theta-not-array", "theta-not-strings", "not-an-object", "shape-differs"],
+)
+def test_closure_malformed_basis_exits_one(capsys, tmp_path, docs):
+    basis = write_json(tmp_path / "basis.json", docs)
+    rc, out, err = run_cli(capsys, ["closure", "--basis", basis])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_segre_derive(capsys):
     rc, out, _ = run_cli(capsys, ["segre-derive", "--signature", "+", "--format", "json"])
     assert rc == 0

@@ -1,4 +1,7 @@
+from fractions import Fraction
 from random import Random
+
+from hypothesis import given, settings, strategies as st
 
 from jetsym.linalg import LinearSystemExact, express_in_span, solve_linear_exact, sparse_rank
 from jetsym.scalars import GaussScalar, I, ONE, ZERO
@@ -68,3 +71,67 @@ def test_express_in_span():
     coords = express_in_span(basis, target)
     assert coords == [G(2), G(3)]
     assert express_in_span(basis, {2: ONE}) is None
+
+
+# -- express_in_span against a transposed solve ------------------------------------
+
+small_scalars = st.builds(
+    lambda a, b, c: GaussScalar(Fraction(a, b), c),
+    st.integers(-2, 2),
+    st.integers(1, 3),
+    st.sampled_from([0, 0, 1, -1]),
+)
+
+
+def sparse(vec):
+    return {c: v for c, v in enumerate(vec) if not v.is_zero()}
+
+
+def span_reference(basis_rows, target_row):
+    """sum_k a_k * basis_k = target solved as one system, one row per column."""
+    cols = sorted(set(target_row).union(*basis_rows))
+    rows = [{k: b[c] for k, b in enumerate(basis_rows) if c in b} for c in cols]
+    rhs = [target_row.get(c, ZERO) for c in cols]
+    res = solve_linear_exact(LinearSystemExact(rows, rhs, ncols=len(basis_rows)))
+    return res.particular if res.consistent else None
+
+
+@st.composite
+def basis_and_target(draw):
+    """Random basis rows, and a target that lies in their span half the time."""
+    ncols = draw(st.integers(1, 5))
+    vector = st.lists(small_scalars, min_size=ncols, max_size=ncols)
+    basis = [sparse(draw(vector)) for _ in range(draw(st.integers(1, ncols + 1)))]
+    if draw(st.booleans()):
+        target = {}
+        for row in basis:
+            a = draw(small_scalars)
+            for c, v in row.items():
+                target[c] = target.get(c, ZERO) + a * v
+        target = {c: v for c, v in target.items() if not v.is_zero()}
+    else:
+        target = sparse(draw(vector))
+    return basis, target
+
+
+def combination(basis_rows, coords):
+    out = {}
+    for a, row in zip(coords, basis_rows):
+        for c, v in row.items():
+            out[c] = out.get(c, ZERO) + a * v
+    return {c: v for c, v in out.items() if not v.is_zero()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_and_target())
+def test_express_in_span_matches_transposed_solve(case):
+    basis, target = case
+    got = express_in_span(basis, target)
+    expected = span_reference(basis, target)
+    assert (got is None) == (expected is None)
+    if got is None:
+        return
+    assert combination(basis, got) == target
+    if sparse_rank(basis) == len(basis):
+        # independent basis: the coordinates are unique
+        assert got == expected

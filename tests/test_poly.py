@@ -100,6 +100,17 @@ def test_truncation_multiplication():
     assert all(sum(e for _, e in mono) <= 2 for mono in h.terms)
 
 
+def test_sum_drops_terms_above_the_smaller_bound():
+    ctx = make_ctx()
+    x1 = ctx.x(1)
+    high = (x1 ** 11 + x1).truncate(12)
+    low = (ctx.const(1) + x1 ** 10).truncate(10)
+    for total in (high + low, low + high):
+        assert total.bound == 10
+        assert total == ctx.const(1) + x1 + x1 ** 10
+        assert all(sum(e for _, e in mono) <= 10 for mono in total.terms)
+
+
 def test_truncated_substitution_requires_positive_valuation():
     ctx = make_ctx()
     x1 = ctx.x(1)
@@ -112,16 +123,6 @@ def test_differentiate_lowers_bound():
     ctx = make_ctx()
     f = (ctx.x(1) ** 3).truncate(3)
     assert f.differentiate(x_var(1)).bound == 2
-
-
-def test_inverse_series():
-    ctx = make_ctx()
-    x1 = ctx.x(1)
-    f = ctx.const(1) + x1
-    inv = f.inverse_series(5)
-    assert (f * inv).truncate(5) == ctx.const(1).truncate(5)
-    with pytest.raises(ValueError):
-        x1.inverse_series(3)
 
 
 def test_sorted_terms_graded_lex():

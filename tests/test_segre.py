@@ -1,12 +1,13 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetsym.determining import symmetry_algebra
 from jetsym.jets import involutivity_check
 from jetsym.poly import Poly
 from jetsym.prolong import lie_criterion_check
-from jetsym.rings import W, Z, cr_table, jet_var, u_var, x_var, zeta_var
+from jetsym.rings import W, WBAR, Z, ZBAR, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, I, ONE
 from jetsym.segre import (
     DefiningSeries,
@@ -18,11 +19,14 @@ from jetsym.segre import (
     defining_table,
     hyperquadric,
     hyperquadric_rho,
+    reduce_by_rho,
     segre_system,
     to_xu_field,
     totally_real_check,
 )
 from jetsym.series import implicit_series_solve
+
+from helpers import random_poly
 
 
 def cubic_perturbation():
@@ -186,6 +190,26 @@ def test_division_requires_leading_w():
     X = HoloField(t, [z, Poly.zero(t)])
     with pytest.raises(ValueError):
         cr_tangency_check(X, no_w)
+
+
+def test_reduction_requires_w_free_tail():
+    t = cr_table(1)
+    w, wb = Poly.var(t, (W,)), Poly.var(t, (WBAR,))
+    rho = RealDefiningPolynomial(w + wb + w * wb).rho
+    with pytest.raises(ValueError):
+        reduce_by_rho(w * w, rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["+", "-", "+-", "++-"]), st.randoms(use_true_random=False))
+def test_reduction_returns_the_w_free_part(sig, rng):
+    sig = Signature.parse(sig)
+    rho = hyperquadric_rho(sig).rho
+    t = rho.table
+    zs = [(Z, j) for j in range(1, sig.n + 1)] + [(ZBAR, j) for j in range(1, sig.n + 1)]
+    q = random_poly(rng, t, zs + [(W,), (WBAR,)])
+    h = random_poly(rng, t, zs + [(WBAR,)])
+    assert reduce_by_rho(q * rho + h, rho) == h
 
 
 # -- automorphism algebras ----------------------------------------------------------

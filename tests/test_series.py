@@ -1,14 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jetsym.linalg import sparse_rank
 from jetsym.poly import Poly
 from jetsym.rings import AUX, VarTable, jet_var, zeta_var
-from jetsym.scalars import GaussScalar
+from jetsym.scalars import ONE, ZERO, GaussScalar
 from jetsym.segre import defining_table
 from jetsym.series import (
     InconsistentBaseError,
     SingularJacobianError,
+    _invert_matrix,
     implicit_series_solve,
 )
 
@@ -99,3 +102,32 @@ def test_nonzero_base_for_unknown():
         + (x * x * x).scale(GaussScalar(Fraction(1, 16)))
     )
     assert sol == expected
+
+
+# -- Jacobian inverse ---------------------------------------------------------------
+
+entries = st.builds(
+    lambda a, b, c: GaussScalar(Fraction(a, b), c),
+    st.integers(-2, 2),
+    st.integers(1, 2),
+    st.sampled_from([0, 0, 1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k
+)))
+def test_invert_matrix(J):
+    k = len(J)
+    if sparse_rank({c: v for c, v in enumerate(row) if not v.is_zero()} for row in J) < k:
+        with pytest.raises(SingularJacobianError):
+            _invert_matrix(J)
+        return
+    inv = _invert_matrix(J)
+    for i in range(k):
+        for j in range(k):
+            entry = ZERO
+            for t in range(k):
+                entry = entry + inv[i][t] * J[t][j]
+            assert entry == (ONE if i == j else ZERO)
