@@ -59,15 +59,23 @@ def load_system(path: str, max_jet_order: int = 3) -> PDESystem:
         n, m = int(doc["n"]), int(doc["m"])
     except (KeyError, TypeError, ValueError):
         raise CliError("system file needs integer fields 'n' and 'm'") from None
-    order = int(doc.get("max_jet_order", max_jet_order))
+    try:
+        order = int(doc.get("max_jet_order", max_jet_order))
+    except (TypeError, ValueError):
+        raise CliError("system field 'max_jet_order' must be an integer") from None
+    entry_docs = doc.get("entries", [])
+    if not isinstance(entry_docs, list):
+        raise CliError("system field 'entries' must be an array")
     ctx = JetContext.create(n, m, order)
     entries = {}
-    for entry in doc.get("entries", []):
+    for entry in entry_docs:
         try:
             k, i, j = int(entry["k"]), int(entry["i"]), int(entry["j"])
             text = entry["F"]
+            if not isinstance(text, str):
+                raise TypeError
         except (KeyError, TypeError, ValueError):
-            raise CliError("system entry needs fields 'k', 'i', 'j', 'F'") from None
+            raise CliError("system entry needs integer fields 'k', 'i', 'j' and an expression string 'F'") from None
         if i > j:
             raise CliError(f"system entry ({k},{i},{j}) must have i <= j")
         entries[(k, i, j)] = parse_poly(text, ctx.table)

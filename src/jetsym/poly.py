@@ -11,7 +11,9 @@ Truncation bookkeeping: sums and products keep the minimum bound of their
 operands, differentiation lowers the bound by one, and substitution into a
 truncated series requires every replaced variable's binding to vanish at
 the origin (otherwise discarded high-degree terms could influence low
-degrees and no bound would be valid).
+degrees and no bound would be valid).  A product under a bound groups each
+operand's terms by weighted degree and multiplies only the groups whose
+degrees sum to at most the bound, so no term pair above it is formed.
 """
 
 from __future__ import annotations
@@ -67,6 +69,16 @@ def mono_sort_key(mono: Mono, nvars: int):
 def _min_bound(*bounds):
     present = [b for b in bounds if b is not None]
     return min(present) if present else None
+
+
+def _by_degree(terms: dict, weights, bound: int) -> dict:
+    """Terms of weighted degree at most ``bound``, as lists keyed by degree."""
+    buckets: dict[int, list] = {}
+    for m, c in terms.items():
+        d = mono_weighted_degree(m, weights)
+        if d <= bound:
+            buckets.setdefault(d, []).append((m, c))
+    return buckets
 
 
 class Poly:
@@ -165,27 +177,33 @@ class Poly:
             return self.scale(other)
         bound = _min_bound(self.bound, other.bound)
         out: dict[Mono, GaussScalar] = {}
-        w = self.table.weights
         if len(self.terms) > len(other.terms):
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                m = mono_mul(m1, m2)
-                if bound is not None and mono_weighted_degree(m, w) > bound:
-                    continue
-                c = c1 * c2
-                acc = out.get(m)
-                if acc is None:
-                    if not c.is_zero():
-                        out[m] = c
-                else:
-                    s = acc + c
-                    if s.is_zero():
-                        del out[m]
+        if bound is None:
+            blocks = [(small.items(), big.items())]
+        else:
+            # Weighted degrees add under multiplication, so only the degree
+            # buckets whose sum stays within the bound can contribute.
+            lo = _by_degree(small, self.table.weights, bound)
+            hi = _by_degree(big, self.table.weights, bound)
+            blocks = [(t1, t2) for d1, t1 in lo.items() for d2, t2 in hi.items() if d1 + d2 <= bound]
+        for terms1, terms2 in blocks:
+            for m1, c1 in terms1:
+                for m2, c2 in terms2:
+                    m = mono_mul(m1, m2)
+                    c = c1 * c2
+                    acc = out.get(m)
+                    if acc is None:
+                        if not c.is_zero():
+                            out[m] = c
                     else:
-                        out[m] = s
+                        s = acc + c
+                        if s.is_zero():
+                            del out[m]
+                        else:
+                            out[m] = s
         return Poly(self.table, out, bound)
 
     def __rmul__(self, other) -> "Poly":
@@ -286,18 +304,20 @@ class Poly:
         def power(pos: int, e: int) -> Poly:
             cache = powers.setdefault(pos, [Poly.const(table, ONE, bound), polys[pos].truncate(bound)])
             while len(cache) <= e:
-                cache.append((cache[-1] * polys[pos]).truncate(bound))
+                cache.append(cache[-1] * polys[pos])
             return cache[e]
 
         total = Poly.zero(table, bound)
         for m, c in self.terms.items():
             kept = tuple(pe for pe in m if pe[0] not in occurring)
-            factor = Poly(table, {kept: c}, bound)
+            # Truncated here: a term with no replaced variable is never
+            # multiplied, and the bound may be lower than this polynomial's.
+            factor = Poly(table, {kept: c}).truncate(bound)
             for p, e in m:
                 if p in occurring:
-                    factor = (factor * power(p, e)).truncate(bound)
+                    factor = factor * power(p, e)
             total = total + factor
-        return total.truncate(bound)
+        return total
 
     def evaluate(self, point: dict, missing_zero: bool = True) -> GaussScalar:
         """Evaluate at a point given as {variable id: GaussScalar}.

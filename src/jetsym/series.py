@@ -2,9 +2,18 @@
 invertible Jacobian in the unknowns, expand zeta as a truncated power series
 in the remaining variables.
 
-The iteration is simplified Newton with the constant Jacobian at the base
-point; each sweep gains at least one degree of accuracy, so ``order`` sweeps
-suffice.  The result is verified by back-substitution before it is returned.
+The solution is built one degree layer at a time (the relaxed update of van
+der Hoeven, "Relax, but don't be too lazy", 2002) with the constant Jacobian
+J at the base point.  Sweep b = 1 .. order substitutes the series known so
+far, truncated at b, into the equations at bound b.  The series is exact
+below degree b, so that residual is its degree-b layer, and subtracting
+J^-1 times the layer completes degree b.  A sweep therefore costs products
+at bound b, not at the full order.
+
+This needs the remaining variables to have positive weight: a weight-0
+variable lets lower layers reappear in later residuals.  The result is
+verified by a back-substitution at the full order before it is returned,
+which catches any case where the layers do not close.
 """
 
 from __future__ import annotations
@@ -87,15 +96,16 @@ def implicit_series_solve(equations, unknowns, order: int, base: dict | None = N
     jac_inv = _invert_matrix(jac)
 
     current = {v: Poly.zero(table, eff_order) for v in unknowns}
-    for _ in range(eff_order + 1):
-        residuals = [g.substitute(current).truncate(eff_order) for g in shifted]
-        if all(r.is_zero() for r in residuals):
-            break
+    for b in range(1, eff_order + 1):
+        # The residual at bound b is the degree-b layer (see the module
+        # docstring); taken as exact, it leaves current's bound as it is.
+        below = {v: s.truncate(b) for v, s in current.items()}
+        layers = [Poly(table, g.substitute(below).truncate(b).terms) for g in shifted]
         for k, v in enumerate(unknowns):
-            corr = Poly.zero(table, eff_order)
-            for i, r in enumerate(residuals):
+            corr = Poly.zero(table)
+            for i, r in enumerate(layers):
                 corr = corr + r.scale(jac_inv[k][i])
-            current[v] = (current[v] - corr).truncate(eff_order)
+            current[v] = current[v] - corr
 
     residuals = [g.substitute(current).truncate(eff_order) for g in shifted]
     for idx, r in enumerate(residuals):

@@ -177,6 +177,23 @@ def test_closure_malformed_basis_exits_one(capsys, tmp_path, docs):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 1, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": 5}]},
+        {"n": 1, "m": 1, "entries": 5},
+        {"n": 1, "m": 1, "max_jet_order": None, "entries": []},
+    ],
+    ids=["F-not-string", "entries-not-array", "max-jet-order-null"],
+)
+def test_involutive_malformed_system_exits_one(capsys, tmp_path, doc):
+    system = write_json(tmp_path / "system.json", doc)
+    rc, out, err = run_cli(capsys, ["involutive", "--system", system])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_segre_derive(capsys):
     rc, out, _ = run_cli(capsys, ["segre-derive", "--signature", "+", "--format", "json"])
     assert rc == 0

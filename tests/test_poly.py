@@ -1,10 +1,13 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetsym.jets import JetContext
-from jetsym.rings import jet_var, u_var, x_var
-from jetsym.scalars import GaussScalar
+from jetsym.poly import Poly
+from jetsym.rings import AUX, VarTable, jet_var, u_var, x_var
+from jetsym.scalars import GaussScalar, ZERO
 
 from helpers import random_poly
 
@@ -109,6 +112,70 @@ def test_sum_drops_terms_above_the_smaller_bound():
         assert total.bound == 10
         assert total == ctx.const(1) + x1 + x1 ** 10
         assert all(sum(e for _, e in mono) <= 10 for mono in total.terms)
+
+
+def test_substitute_drops_unreplaced_terms_above_a_lowered_bound():
+    ctx = make_ctx()
+    x1, x2 = ctx.x(1), ctx.x(2)
+    out = (x2 ** 5 + x1).substitute({x_var(1): (x1 * x1).truncate(3)})
+    assert out.bound == 3
+    assert out == x1 * x1
+
+
+# -- bucketed product against the naive one ---------------------------------------
+
+NVARS = 4
+
+
+def naive_product(f, g):
+    """Form every term pair on dense exponent vectors, then drop the products
+    above the smaller bound."""
+    w = f.table.weights
+    bound = min((b for b in (f.bound, g.bound) if b is not None), default=None)
+    dense = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            exps = [0] * NVARS
+            for p, e in m1 + m2:
+                exps[p] += e
+            key = tuple(exps)
+            dense[key] = dense.get(key, ZERO) + c1 * c2
+    out = {}
+    for exps, c in dense.items():
+        if c.is_zero() or (bound is not None and sum(e * wp for e, wp in zip(exps, w)) > bound):
+            continue
+        out[tuple((p, e) for p, e in enumerate(exps) if e)] = c
+    return out, bound
+
+
+monomials = st.lists(st.integers(0, 3), min_size=NVARS, max_size=NVARS).map(
+    lambda exps: tuple((p, e) for p, e in enumerate(exps) if e)
+)
+coefficients = st.builds(
+    lambda a, b, c: GaussScalar(Fraction(a, b), c),
+    st.integers(-3, 3),
+    st.integers(1, 2),
+    st.sampled_from([0, 0, 1]),
+).filter(lambda c: not c.is_zero())
+bounds = st.one_of(st.none(), st.integers(0, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS),
+    st.dictionaries(monomials, coefficients, max_size=8),
+    st.dictionaries(monomials, coefficients, max_size=8),
+    bounds,
+    bounds,
+)
+def test_bucketed_product_matches_naive(weights, terms_f, terms_g, bound_f, bound_g):
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    f = Poly(table, terms_f).truncate(bound_f)
+    g = Poly(table, terms_g).truncate(bound_g)
+    expected, bound = naive_product(f, g)
+    for product in (f * g, g * f):
+        assert product.bound == bound
+        assert product.terms == expected
 
 
 def test_truncated_substitution_requires_positive_valuation():

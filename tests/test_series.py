@@ -131,3 +131,71 @@ def test_invert_matrix(J):
             for t in range(k):
                 entry = entry + inv[i][t] * J[t][j]
             assert entry == (ONE if i == j else ZERO)
+
+
+# -- layered solve against full re-substitution ------------------------------------
+
+
+def full_resubstitution_solve(equations, unknowns, order):
+    """Simplified Newton that re-substitutes the whole series at the full
+    bound in each of up to order + 1 sweeps."""
+    table = equations[0].table
+    jac_inv = _invert_matrix([[g.differentiate(v).evaluate({}) for v in unknowns] for g in equations])
+    current = {v: Poly.zero(table, order) for v in unknowns}
+    for _ in range(order + 1):
+        residuals = [g.substitute(current).truncate(order) for g in equations]
+        if all(r.is_zero() for r in residuals):
+            break
+        for k, v in enumerate(unknowns):
+            corr = Poly.zero(table, order)
+            for i, r in enumerate(residuals):
+                corr = corr + r.scale(jac_inv[k][i])
+            current[v] = (current[v] - corr).truncate(order)
+    return current
+
+
+small_ints = st.integers(-2, 2)
+
+
+@st.composite
+def implicit_systems(draw):
+    """1 or 2 unknowns z_k in the remaining variables x, y of weight 1 or 2:
+    a random linear part in z (a singular one must be refused) plus terms of
+    degree >= 2 or linear in x and y."""
+    k = draw(st.integers(1, 2))
+    names = [f"z{i}" for i in range(k)] + ["x", "y"]
+    weights = (1,) * k + tuple(draw(st.lists(st.integers(1, 2), min_size=2, max_size=2)))
+    t = VarTable(tuple((AUX, n) for n in names), weights)
+    variables = [Poly.var(t, (AUX, n)) for n in names]
+    J = draw(st.lists(st.lists(small_ints, min_size=k, max_size=k), min_size=k, max_size=k))
+    equations = []
+    for i in range(k):
+        g = Poly.zero(t)
+        for j in range(k):
+            g = g + variables[j].scale(GaussScalar(J[i][j]))
+        for _ in range(draw(st.integers(0, 4))):
+            exps = draw(st.lists(st.integers(0, 2), min_size=k + 2, max_size=k + 2))
+            if sum(exps) == 0 or (sum(exps) == 1 and any(exps[:k])):
+                continue
+            term = Poly.const(t, GaussScalar(draw(small_ints), draw(st.sampled_from([0, 0, 1]))))
+            for var, e in zip(variables, exps):
+                term = term * var ** e
+            g = g + term
+        equations.append(g)
+    return equations, [(AUX, f"z{i}") for i in range(k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(implicit_systems(), st.integers(1, 5))
+def test_layered_solve_matches_full_resubstitution(system, order):
+    equations, unknowns = system
+    try:
+        expected = full_resubstitution_solve(equations, unknowns, order)
+    except SingularJacobianError:
+        with pytest.raises(SingularJacobianError):
+            implicit_series_solve(equations, unknowns, order)
+        return
+    got = implicit_series_solve(equations, unknowns, order)
+    for v in unknowns:
+        assert got[v] == expected[v]
+        assert got[v].bound == expected[v].bound == order
