@@ -78,7 +78,10 @@ def load_system(path: str, max_jet_order: int = 3) -> PDESystem:
             raise CliError("system entry needs integer fields 'k', 'i', 'j' and an expression string 'F'") from None
         if i > j:
             raise CliError(f"system entry ({k},{i},{j}) must have i <= j")
-        entries[(k, i, j)] = parse_poly(text, ctx.table)
+        f = parse_poly(text, ctx.table)
+        if (k, i, j) in entries and entries[(k, i, j)] != f:
+            raise CliError(f"system entry ({k},{i},{j}) is given twice with different right sides")
+        entries[(k, i, j)] = f
     return PDESystem(ctx, entries)
 
 

@@ -7,7 +7,8 @@ the coefficient of every monomial (in x, u, and the first-jet variables)
 yields one homogeneous linear equation per monomial.  Rows whose (x, u)
 degree exceeds N - 2 are discarded: they would also constrain Taylor
 coefficients beyond the ansatz order, so for a degree-N truncation they are
-incomplete.
+incomplete.  The ansatz itself is a ``LinearAnsatz``, the same builder,
+row collector and realizer that the CR automorphism solve uses.
 
 Two independent algorithms are provided on top of the generated rows and
 are tested against each other:
@@ -81,11 +82,81 @@ THETA = "theta"
 ETA = "eta"
 
 
-class UnknownCoefficientField:
+class LinearAnsatz:
+    """Polynomials in ``wvars`` whose coefficients are formal unknowns.
+
+    ``unknowns`` lists (COEF, name, alpha) ids in column order, alpha a dense
+    exponent tuple over wvars; the unknowns of one name make up the ansatz
+    polynomial sum_alpha c_alpha * w^alpha of that name.  They are appended
+    to the table as weight-zero variables, so every expression built from
+    the ansatz stays ordinary polynomial arithmetic, linear in the unknowns.
+    The extended table keeps the base positions, so one monomial in wvars
+    serves both tables.
+    """
+
+    def __init__(self, table, wvars, unknowns):
+        self.table = table
+        self.wvars = list(wvars)
+        self.unknowns = list(unknowns)
+        self.col = {cid: c for c, cid in enumerate(self.unknowns)}
+        self.ext_table = table.extend(self.unknowns, (0,) * len(self.unknowns))
+        wpos = [table.index(v) for v in self.wvars]
+        # name -> [(monomial in wvars, column)], in column order
+        self._terms: dict = {}
+        for c, (_, name, alpha) in enumerate(self.unknowns):
+            mono = tuple(sorted((p, e) for p, e in zip(wpos, alpha) if e))
+            self._terms.setdefault(name, []).append((mono, c))
+
+    def poly(self, name) -> Poly:
+        """The ansatz polynomial of ``name`` over the extended table."""
+        offset = len(self.table)
+        return Poly(self.ext_table, {mono + ((offset + c, 1),): ONE for mono, c in self._terms[name]})
+
+    def collect(self, polys: dict) -> dict:
+        """One linear equation per (slot, ordinary monomial) of polynomials
+        that are linear in the unknowns.
+
+        polys maps sortable slot keys to Polys over the extended table.
+        Returns {(slot, monomial): {column: coefficient}} in slot, then
+        graded-lex order.
+        """
+        offset = len(self.table)
+        rows: dict[tuple, dict[int, GaussScalar]] = {}
+        for slot, f in polys.items():
+            for mono, coeff in f.terms.items():
+                ordinary, c = split_unknown(mono, offset)
+                # Each (monomial, column) pair is a distinct term of f, so
+                # no entry is written twice.
+                rows.setdefault((slot, ordinary), {})[c] = coeff
+        return {key: rows[key] for key in sorted(rows, key=lambda k: (k[0], mono_sort_key(k[1])))}
+
+    def realize(self, name, values) -> Poly:
+        """The ansatz polynomial of ``name`` over the base table, with the
+        unknown of column c replaced by values[c]."""
+        terms = {mono: values[c] for mono, c in self._terms[name] if not values[c].is_zero()}
+        return Poly(self.table, terms)
+
+
+def split_unknown(mono, offset: int):
+    """Split a term's monomial into (ordinary monomial, unknown's column).
+
+    The unknowns sit at table positions offset, offset + 1, ... in column
+    order, after every ordinary variable, so a term's unknown is its last
+    factor.  The term must be linear in the unknowns: exactly one unknown,
+    to the first power, else ArithmeticError.
+    """
+    if not mono or mono[-1][0] < offset:
+        raise ArithmeticError("term has no unknown")
+    p, e = mono[-1]
+    if e != 1 or (len(mono) > 1 and mono[-2][0] >= offset):
+        raise ArithmeticError("term is not linear in the unknowns")
+    return mono[:-1], p - offset
+
+
+class UnknownCoefficientField(LinearAnsatz):
     """Degree-N ansatz for (theta, eta) with one formal unknown per Taylor
-    coefficient, realized as weight-zero auxiliary variables of an extended
-    jet table so every downstream operation stays ordinary polynomial
-    arithmetic (and automatically linear in the unknowns)."""
+    coefficient; columns are ordered by Taylor degree, then function, then
+    exponent."""
 
     def __init__(self, ctx: JetContext, order: int):
         if order < 2:
@@ -93,31 +164,14 @@ class UnknownCoefficientField:
         self.ctx = ctx
         self.order = order
         n, m = ctx.n, ctx.m
-        self.wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
-        self.funcs = [(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)]
-        self.alphas = monomials_up_to(n + m, order)
-        self.unknowns = [
-            (COEF, func, alpha)
-            for alpha in self.alphas
-            for func in self.funcs
-        ]
-        # Column order: Taylor degree, then function, then exponent.
-        self.unknowns.sort(key=lambda cid: (sum(cid[2]), self.funcs.index(cid[1]), cid[2]))
-        self.col = {cid: k for k, cid in enumerate(self.unknowns)}
-        self.ext_table = ctx.table.extend(self.unknowns, (0,) * len(self.unknowns))
+        wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
+        funcs = [(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)]
+        unknowns = [(COEF, func, alpha) for alpha in monomials_up_to(n + m, order) for func in funcs]
+        unknowns.sort(key=lambda cid: (sum(cid[2]), funcs.index(cid[1]), cid[2]))
+        super().__init__(ctx.table, wvars, unknowns)
         self.ext_ctx = JetContext(self.ext_table)
-        self._w_pos = [self.ext_table.index(v) for v in self.wvars]
-        self.theta = tuple(self._ansatz_poly((THETA, j)) for j in range(1, n + 1))
-        self.eta = tuple(self._ansatz_poly((ETA, mu)) for mu in range(1, m + 1))
-
-    def _ansatz_poly(self, func) -> Poly:
-        terms = {}
-        for alpha in self.alphas:
-            cid = (COEF, func, alpha)
-            pairs = [(p, e) for p, e in zip(self._w_pos, alpha) if e]
-            pairs.append((self.ext_table.index(cid), 1))
-            terms[tuple(sorted(pairs))] = ONE
-        return Poly(self.ext_table, terms)
+        self.theta = tuple(self.poly((THETA, j)) for j in range(1, n + 1))
+        self.eta = tuple(self.poly((ETA, mu)) for mu in range(1, m + 1))
 
     def ansatz_field(self) -> VectorField:
         return VectorField(self.ext_ctx, self.theta, self.eta)
@@ -154,23 +208,10 @@ class UnknownCoefficientField:
         values: mapping from unknown id to GaussScalar, or a flat sequence
         aligned with the unknown ordering.
         """
-        if not isinstance(values, dict):
-            values = dict(zip(self.unknowns, values))
-        table = self.ctx.table
-        wpos = [table.index(v) for v in self.wvars]
-
-        def build(func) -> Poly:
-            terms = {}
-            for alpha in self.alphas:
-                c = values.get((COEF, func, alpha), ZERO)
-                if c.is_zero():
-                    continue
-                mono = tuple(sorted((p, e) for p, e in zip(wpos, alpha) if e))
-                terms[mono] = c
-            return Poly(table, terms)
-
-        theta = tuple(build((THETA, j)) for j in range(1, self.ctx.n + 1))
-        eta = tuple(build((ETA, mu)) for mu in range(1, self.ctx.m + 1))
+        if isinstance(values, dict):
+            values = [values.get(cid, ZERO) for cid in self.unknowns]
+        theta = tuple(self.realize((THETA, j), values) for j in range(1, self.ctx.n + 1))
+        eta = tuple(self.realize((ETA, mu), values) for mu in range(1, self.ctx.m + 1))
         return VectorField(self.ctx, theta, eta)
 
 
@@ -200,11 +241,10 @@ class DeterminingSystem:
         self.field = field
         self.rows = rows  # list of {column: GaussScalar}
         self.provenance: list[RowProvenance] = provenance
-        self.system = LinearSystemExact(
-            rows,
-            [ZERO] * len(rows),
-            column_labels=[field.label(cid) for cid in field.unknowns],
-        )
+
+    @property
+    def system(self) -> LinearSystemExact:
+        return LinearSystemExact(self.rows, [ZERO] * len(self.rows), ncols=self.unknown_count)
 
     @property
     def unknown_count(self) -> int:
@@ -215,38 +255,14 @@ class DeterminingSystem:
         return len(self.rows)
 
 
-def split_unknown(mono, unknown_at: dict):
-    """Split a term's monomial into (ordinary monomial, unknown id).
-
-    unknown_at maps the table positions of the unknowns to their ids.  The
-    term must be linear in the unknowns: exactly one unknown, to the first
-    power, else ArithmeticError.
-    """
-    unknown = None
-    ordinary = []
-    for p, e in mono:
-        if p in unknown_at:
-            if unknown is not None or e != 1:
-                raise ArithmeticError("term is not linear in the unknowns")
-            unknown = unknown_at[p]
-        else:
-            ordinary.append((p, e))
-    if unknown is None:
-        raise ArithmeticError("term has no unknown")
-    return tuple(ordinary), unknown
-
-
 def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> DeterminingSystem:
     """Expand the symmetry criterion for the ansatz and collect one equation
     per complete monomial coefficient."""
-    ext_ctx = field.ext_ctx
     ext_table = field.ext_table
-    ext_sys = PDESystem(ext_ctx, {key: f.convert(ext_table) for key, f in sys.entries.items()})
+    ext_sys = PDESystem(field.ext_ctx, {key: f.convert(ext_table) for key, f in sys.entries.items()})
     residuals = lie_criterion_check(field.ansatz_field(), ext_sys)
 
     N = field.order
-    coef_pos = {ext_table.index(cid): cid for cid in field.unknowns}
-    buckets: dict[tuple, dict[int, GaussScalar]] = {}
     for (mu, i, j) in sorted(residuals):
         r = residuals[(mu, i, j)]
         if r.bound is not None and r.bound < N + 1:
@@ -254,29 +270,15 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
                 f"residual for (mu={mu}, i={i}, j={j}) is only valid to degree "
                 f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
             )
-        for mono, coeff in r.terms.items():
-            ordinary, coef_entry = split_unknown(mono, coef_pos)
-            xu_deg = sum(
-                e for p, e in ordinary if ext_table.ids[p][0] in (rings.X, rings.U)
-            )
-            if xu_deg > N - 2:
-                continue
-            key = (mu, i, j, ordinary)
-            row = buckets.setdefault(key, {})
-            col = field.col[coef_entry]
-            acc = row.get(col)
-            row[col] = coeff if acc is None else acc + coeff
 
-    nv = len(ext_table)
-    ordered = sorted(buckets, key=lambda k: (k[0], k[1], k[2], mono_sort_key(k[3], nv)))
+    kinds = [vid[0] for vid in ext_table.ids]
     rows = []
     provenance = []
-    for mu, i, j, mono in ordered:
-        row = {c: v for c, v in buckets[(mu, i, j, mono)].items() if not v.is_zero()}
-        if not row:
+    for ((mu, i, j), mono), row in field.collect(residuals).items():
+        xu_deg = sum(e for p, e in mono if kinds[p] in (rings.X, rings.U))
+        if xu_deg > N - 2:
             continue
-        xu_deg = sum(e for p, e in mono if ext_table.ids[p][0] in (rings.X, rings.U))
-        jet_deg = sum(e for p, e in mono if ext_table.ids[p][0] == rings.JET)
+        jet_deg = sum(e for p, e in mono if kinds[p] == rings.JET)
         rows.append(row)
         provenance.append(RowProvenance(mu, i, j, mono, xu_deg, jet_deg))
     return DeterminingSystem(field, rows, provenance)

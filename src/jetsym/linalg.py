@@ -16,9 +16,10 @@ from .scalars import GaussScalar, ZERO, ONE
 
 
 class LinearSystemExact:
-    """An exact linear system matrix*x = rhs with labeled columns."""
+    """An exact linear system matrix*x = rhs; ncols defaults to one past the
+    largest column present."""
 
-    def __init__(self, rows, rhs, column_labels=None, ncols=None):
+    def __init__(self, rows, rhs, ncols=None):
         self.rows: list[dict[int, GaussScalar]] = []
         for row in rows:
             if isinstance(row, dict):
@@ -28,16 +29,9 @@ class LinearSystemExact:
         self.rhs: list[GaussScalar] = list(rhs)
         if len(self.rhs) != len(self.rows):
             raise ValueError("rhs length does not match row count")
-        if column_labels is not None:
-            self.column_labels = list(column_labels)
-            self.ncols = len(self.column_labels)
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols disagrees with column_labels")
-        else:
-            if ncols is None:
-                ncols = 1 + max((max(r) for r in self.rows if r), default=-1)
-            self.ncols = ncols
-            self.column_labels = list(range(ncols))
+        if ncols is None:
+            ncols = 1 + max((max(r) for r in self.rows if r), default=-1)
+        self.ncols = ncols
 
     def residual(self, x: list[GaussScalar]) -> list[GaussScalar]:
         out = []

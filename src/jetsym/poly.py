@@ -58,12 +58,15 @@ def mono_weighted_degree(mono: Mono, weights) -> int:
     return sum(e * weights[p] for p, e in mono)
 
 
-def mono_sort_key(mono: Mono, nvars: int):
-    """Graded-lex key: total degree first, earlier variables dominant."""
-    dense = [0] * nvars
-    for p, e in mono:
-        dense[p] = e
-    return (mono_degree(mono), tuple(-e for e in dense))
+def mono_sort_key(mono: Mono):
+    """Graded-lex key: total degree first, earlier variables dominant.
+
+    At equal degree the first differing pair decides: a smaller position is
+    a variable the other monomial lacks there, and at one position the
+    larger exponent comes first.  Neither monomial can be a strict prefix of
+    the other, since both have the same degree.
+    """
+    return (mono_degree(mono), tuple((p, -e) for p, e in mono))
 
 
 def _min_bound(*bounds):
@@ -359,8 +362,7 @@ class Poly:
 
     def sorted_terms(self):
         """Terms in graded-lex order (degree ascending, earlier variables first)."""
-        nv = len(self.table)
-        return sorted(self.terms.items(), key=lambda mc: mono_sort_key(mc[0], nv))
+        return sorted(self.terms.items(), key=lambda mc: mono_sort_key(mc[0]))
 
     def __str__(self) -> str:
         return poly_to_str(self)
@@ -378,9 +380,8 @@ def coefficient_rows(families):
     """
     if not families:
         return [], []
-    nv = len(families[0][0].table)
     keys = {(slot, mono) for fam in families for slot, f in enumerate(fam) for mono in f.terms}
-    frame = sorted(keys, key=lambda sm: (sm[0], mono_sort_key(sm[1], nv)))
+    frame = sorted(keys, key=lambda sm: (sm[0], mono_sort_key(sm[1])))
     index = {key: c for c, key in enumerate(frame)}
     rows = [
         {index[(slot, mono)]: coeff for slot, f in enumerate(fam) for mono, coeff in f.terms.items()}

@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rings
-from .determining import monomials_up_to, split_unknown
+from .determining import LinearAnsatz, monomials_up_to
 from .jets import JetContext, PDESystem, total_derivative
 from .linalg import LinearSystemExact, solve_linear_exact, sparse_rank
-from .poly import Poly, coefficient_rows, mono_degree, mono_sort_key
+from .poly import Poly, coefficient_rows, mono_degree
 from .rings import COEF, VarTable, W, Z, conjugate_id, cr_table, jet_table, jet_var, u_var, x_var, zeta_var
-from .scalars import GaussScalar, I, ONE, ZERO
+from .scalars import GaussScalar, I, ZERO
 from .series import implicit_series_solve
 
 
@@ -289,70 +289,39 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
     n = signature.n
     base = cr_table(n)
     zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
-    alphas = monomials_up_to(n + 1, 2)
-    coef_ids = []
-    for comp in range(n + 1):
-        for alpha in alphas:
-            coef_ids.append((COEF, ("aR", comp), alpha))
-            coef_ids.append((COEF, ("aI", comp), alpha))
-    table = base.extend(coef_ids, (0,) * len(coef_ids))
-    zw_pos = [table.index(v) for v in zw]
-
-    def ansatz(comp: int) -> Poly:
-        terms = {}
-        for alpha in alphas:
-            pairs = tuple((p, e) for p, e in zip(zw_pos, alpha) if e)
-            re_id = (COEF, ("aR", comp), alpha)
-            im_id = (COEF, ("aI", comp), alpha)
-            terms[tuple(sorted(pairs + ((table.index(re_id), 1),)))] = ONE
-            terms[tuple(sorted(pairs + ((table.index(im_id), 1),)))] = I
-        return Poly(table, terms)
-
-    X = HoloField(table, [ansatz(comp) for comp in range(n + 1)])
+    # Columns: component, then exponent, then real and imaginary part.
+    unknowns = [
+        (COEF, (part, comp), alpha)
+        for comp in range(n + 1)
+        for alpha in monomials_up_to(n + 1, 2)
+        for part in ("aR", "aI")
+    ]
+    ansatz = LinearAnsatz(base, zw, unknowns)
+    table = ansatz.ext_table
+    X = HoloField(table, [ansatz.poly(("aR", c)) + ansatz.poly(("aI", c)).scale(I) for c in range(n + 1)])
     rho = hyperquadric_rho(signature, table)
     xrho = X.apply_to(rho.rho)
     remainder = reduce_by_rho(xrho + conjugate_poly(xrho), rho.rho)
 
-    col = {cid: k for k, cid in enumerate(coef_ids)}
-    coef_pos = {table.index(cid): cid for cid in coef_ids}
-    buckets: dict[tuple, dict[int, GaussScalar]] = {}
-    for mono, coeff in remainder.terms.items():
-        ordinary, cid = split_unknown(mono, coef_pos)
-        row = buckets.setdefault(ordinary, {})
-        c = col[cid]
-        row[c] = row.get(c, ZERO) + coeff
-
-    nv = len(table)
     rows = []
-    for mono in sorted(buckets, key=lambda mn: mono_sort_key(mn, nv)):
-        complex_row = buckets[mono]
-        re_row = {c: GaussScalar(v.re) for c, v in complex_row.items() if v.re}
-        im_row = {c: GaussScalar(v.im) for c, v in complex_row.items() if v.im}
+    for row in ansatz.collect({0: remainder}).values():
+        re_row = {c: GaussScalar(v.re) for c, v in row.items() if v.re}
+        im_row = {c: GaussScalar(v.im) for c, v in row.items() if v.im}
         if re_row:
             rows.append(re_row)
         if im_row:
             rows.append(im_row)
 
     result = solve_linear_exact(
-        LinearSystemExact(rows, [ZERO] * len(rows), ncols=len(coef_ids))
+        LinearSystemExact(rows, [ZERO] * len(rows), ncols=len(unknowns))
     )
-    basis = []
-    for vec in result.nullspace:
-        coeffs = []
-        for comp in range(n + 1):
-            terms = {}
-            for alpha in alphas:
-                re_v = vec[col[(COEF, ("aR", comp), alpha)]]
-                im_v = vec[col[(COEF, ("aI", comp), alpha)]]
-                value = re_v + im_v * I
-                if value.is_zero():
-                    continue
-                mono = tuple(
-                    sorted((base.index(v), e) for v, e in zip(zw, alpha) if e)
-                )
-                terms[mono] = value
-            coeffs.append(Poly(base, terms))
-        basis.append(HoloField(base, coeffs))
+    basis = [
+        HoloField(
+            base,
+            [ansatz.realize(("aR", c), vec) + ansatz.realize(("aI", c), vec).scale(I) for c in range(n + 1)],
+        )
+        for vec in result.nullspace
+    ]
     return CRAutomorphismAlgebra(signature, basis, base)
 
 

@@ -57,6 +57,8 @@ def implicit_series_solve(equations, unknowns, order: int, base: dict | None = N
     Returns {unknown id: Poly} with G(solution) == 0 up to the effective
     truncation order (the minimum of ``order`` and the equations' bounds).
     """
+    if order < 0:
+        raise ValueError(f"series order must be nonnegative, got {order}")
     if len(equations) != len(unknowns):
         raise ValueError("need exactly one equation per unknown")
     if not equations:

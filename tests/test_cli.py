@@ -183,8 +183,13 @@ def test_closure_malformed_basis_exits_one(capsys, tmp_path, docs):
         {"n": 1, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": 5}]},
         {"n": 1, "m": 1, "entries": 5},
         {"n": 1, "m": 1, "max_jet_order": None, "entries": []},
+        {
+            "n": 1,
+            "m": 1,
+            "entries": [{"k": 1, "i": 1, "j": 1, "F": "p1_1"}, {"k": 1, "i": 1, "j": 1, "F": "2*p1_1"}],
+        },
     ],
-    ids=["F-not-string", "entries-not-array", "max-jet-order-null"],
+    ids=["F-not-string", "entries-not-array", "max-jet-order-null", "repeated-entry"],
 )
 def test_involutive_malformed_system_exits_one(capsys, tmp_path, doc):
     system = write_json(tmp_path / "system.json", doc)
@@ -209,6 +214,21 @@ def test_segre_derive(capsys):
     doc = json.loads(out)
     assert doc["involutive"] is True
     assert doc["entries"][0]["F"].startswith("-2*p1_1^2")
+
+
+def test_repeated_equal_entry_accepted(capsys, tmp_path):
+    entry = {"k": 1, "i": 1, "j": 1, "F": "p1_1^2"}
+    doc = {"n": 1, "m": 1, "entries": [entry, dict(entry, F="p1_1*p1_1")]}
+    rc, out, _ = run_cli(capsys, ["involutive", "--system", write_json(tmp_path / "system.json", doc)])
+    assert rc == 0
+    assert out.startswith("involutive: ")
+
+
+def test_segre_derive_negative_order_exits_one(capsys):
+    rc, out, err = run_cli(capsys, ["segre-derive", "--signature", "+", "--order", "-3"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_cr_aut_dimensions(capsys):

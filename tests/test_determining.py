@@ -1,26 +1,31 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetsym.determining import (
     ETA,
     THETA,
     InconsistentLayerError,
     InitialData,
+    LinearAnsatz,
     TruncationOrderError,
     UnknownCoefficientField,
     generate_determining,
     initial_data_of,
+    monomials_up_to,
     omega_basis,
     solve_second_order,
     symmetry_algebra,
     taylor_from_initial_data,
 )
 from jetsym.jets import JetContext, PDESystem
+from jetsym.linalg import LinearSystemExact, solve_linear_exact
 from jetsym.lie_alg import flat_generators, span_equal
 from jetsym.poly import Poly
 from jetsym.prolong import VectorField, lie_criterion_check
-from jetsym.rings import COEF, u_var, x_var, zeta_var
+from jetsym.rings import COEF, W, Z, cr_table, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, segre_system
 
@@ -101,6 +106,62 @@ def test_truncation_too_small_rejected():
     field = UnknownCoefficientField(sys_.ctx, 3)
     with pytest.raises(TruncationOrderError):
         generate_determining(sys_, field)
+
+
+# -- LinearAnsatz -----------------------------------------------------------------
+
+
+def ansatz_round_trip(ansatz, targets):
+    """Solve poly(name) = P for every (name, P), one equation per collected
+    row with P's coefficient as its right side, and realize the solution."""
+    names = list(targets)
+    collected = ansatz.collect({k: ansatz.poly(name) for k, name in enumerate(names)})
+    rhs = [targets[names[k]].terms.get(mono, ZERO) for k, mono in collected]
+    system = LinearSystemExact(list(collected.values()), rhs, ncols=len(ansatz.unknowns))
+    values = solve_linear_exact(system).unique()
+    return {name: ansatz.realize(name, values) for name in names}
+
+
+def random_target(data, table, wvars, order):
+    """A polynomial of degree <= order in wvars with random Gaussian coefficients."""
+    alphas = monomials_up_to(len(wvars), order)
+    coefficient = st.builds(
+        lambda a, b, c: GaussScalar(Fraction(a, b), c), st.integers(-3, 3), st.integers(1, 3), st.integers(-1, 1)
+    )
+    terms = data.draw(st.dictionaries(st.sampled_from(alphas), coefficient, max_size=6))
+    pos = [table.index(v) for v in wvars]
+    return Poly(
+        table,
+        {tuple(sorted((p, e) for p, e in zip(pos, a) if e)): c for a, c in terms.items() if not c.is_zero()},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3)]), st.data())
+def test_lie_ansatz_round_trip(shape, data):
+    # Columns ordered by Taylor degree, then function, then exponent.
+    n, m, order = shape
+    field = UnknownCoefficientField(JetContext.create(n, m), order)
+    names = [(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)]
+    targets = {name: random_target(data, field.table, field.wvars, order) for name in names}
+    assert ansatz_round_trip(field, targets) == targets
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), st.data())
+def test_cr_ansatz_round_trip(n, data):
+    # Columns ordered by component, then exponent, then real/imaginary part.
+    table = cr_table(n)
+    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
+    unknowns = [
+        (COEF, (part, comp), alpha)
+        for comp in range(n + 1)
+        for alpha in monomials_up_to(n + 1, 2)
+        for part in ("aR", "aI")
+    ]
+    ansatz = LinearAnsatz(table, zw, unknowns)
+    targets = {(part, comp): random_target(data, table, zw, 2) for comp in range(n + 1) for part in ("aR", "aI")}
+    assert ansatz_round_trip(ansatz, targets) == targets
 
 
 # -- solve_second_order ----------------------------------------------------------

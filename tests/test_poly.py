@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetsym.jets import JetContext
-from jetsym.poly import Poly
+from jetsym.poly import Poly, mono_sort_key
 from jetsym.rings import AUX, VarTable, jet_var, u_var, x_var
 from jetsym.scalars import GaussScalar, ZERO
 
@@ -176,6 +176,20 @@ def test_bucketed_product_matches_naive(weights, terms_f, terms_g, bound_f, boun
     for product in (f * g, g * f):
         assert product.bound == bound
         assert product.terms == expected
+
+
+def dense_sort_key(mono, nvars):
+    """The graded-lex key on a dense exponent vector over every table position."""
+    dense = [0] * nvars
+    for p, e in mono:
+        dense[p] = e
+    return (sum(dense), tuple(-e for e in dense))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(monomials, max_size=12))
+def test_sparse_sort_key_matches_dense(monos):
+    assert sorted(monos, key=mono_sort_key) == sorted(monos, key=lambda m: dense_sort_key(m, NVARS))
 
 
 def test_truncated_substitution_requires_positive_valuation():
