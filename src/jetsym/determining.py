@@ -15,14 +15,21 @@ are tested against each other:
 
 * ``symmetry_algebra``: the exact nullspace of all rows at once;
 * ``taylor_from_initial_data``: the layer-by-layer recursion that rebuilds
-  a symmetry from its initial data (values, first derivatives, and the
-  distinguished second-derivative slice gamma), solving one small linear
-  system per Taylor degree and checking every remaining row of the layer.
+  a symmetry from its initial data omega (values, first derivatives, and
+  the distinguished second-derivative slice gamma).  The recursion is
+  linear in omega, so a ``TaylorPropagator``, built once per determining
+  system on first use of ``DeterminingSystem.propagator``, reduces each
+  Taylor layer a single time with omega kept symbolic: every unknown
+  becomes a linear form in omega, and every row of a layer that its
+  targets do not absorb becomes a compatibility condition C.omega = 0.
+  One call checks those conditions and evaluates the forms.  The
+  propagator reads ``det.rows`` once; a later change to them is not seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -242,6 +249,13 @@ class DeterminingSystem:
         self.rows = rows  # list of {column: GaussScalar}
         self.provenance: list[RowProvenance] = provenance
 
+    @cached_property
+    def propagator(self) -> "TaylorPropagator":
+        """The Taylor layer recursion for symbolic initial data, built on
+        first use from the rows as they are then; a later change to ``rows``
+        is not seen by it."""
+        return TaylorPropagator(self)
+
     @property
     def system(self) -> LinearSystemExact:
         return LinearSystemExact(self.rows, [ZERO] * len(self.rows), ncols=self.unknown_count)
@@ -396,92 +410,168 @@ def initial_data_of(X: VectorField, point: dict | None = None) -> InitialData:
 
 def solve_second_order(det: DeterminingSystem) -> dict:
     """Express every second derivative of theta_j, eta^mu at the base point
-    as an exact affine combination of the gamma components and lower-order
-    data.
+    as an exact linear combination of the initial data.
 
     Returns {(func, beta): linear form} where beta is a second-derivative
     exponent tuple over (x, u) and the linear form maps derivative keys
-    (func, alpha), |alpha| <= 2, to GaussScalar coefficients.  The square
-    subsystem is chosen deterministically: rows in provenance order are
-    kept whenever they increase the rank on the non-gamma second-derivative
-    columns.
+    (func, alpha), |alpha| <= 2, to GaussScalar coefficients: first
+    derivatives, values and the gamma components, whose forms map them to
+    themselves.  This is layer 2 of ``det.propagator`` written in
+    derivatives rather than Taylor coefficients; its compatibility
+    conditions are not checked here.
     """
-    field = det.field
-    gamma = set(field.gamma_ids())
-    layer2 = [cid for cid in field.unknowns if field.layer_of(cid) == 2]
-    vprime = [cid for cid in layer2 if cid not in gamma]
-    params = [cid for cid in field.unknowns if field.layer_of(cid) <= 1] + sorted(
-        gamma, key=field.col.get
-    )
-    # The k second-derivative columns come first and the parameters after
-    # them, so the reduced square subsystem reads x_c + sum_p a_cp * param_p.
-    k = len(vprime)
-    col = {cid: c for c, cid in enumerate(vprime + params)}
-
-    reducer = _Reducer()
-    for row, prov in zip(det.rows, det.provenance):
-        if prov.xu_degree != 0:
-            continue
-        full = {}
-        for c, v in row.items():
-            cid = field.unknowns[c]
-            if cid not in col:
-                raise SingularSubsystemError(
-                    f"row {prov} involves an unexpected unknown {field.label(cid)}"
-                )
-            full[col[cid]] = v
-        reduced, _ = reducer.reduce(full, ZERO)
-        if reduced and min(reduced) < k:
-            reducer.insert(reduced, ZERO)
-            if len(reducer.pivots) == k:
-                break
-    if len(reducer.pivots) != k:
+    step = det.propagator.layers[0]
+    if step.failure is not None:
         raise SingularSubsystemError(
-            "no invertible square subsystem for the second-order layer "
-            "(system not involutive or malformed)"
+            f"no invertible square subsystem for the second-order layer: {step.failure()}"
         )
-
-    # Convert coefficient-space forms into derivative-space forms.
-    def deriv_key(cid):
-        return (cid[1], cid[2])
-
+    field = det.field
+    keys = [field.unknowns[c][1:] for c, _ in det.propagator.omega_columns]
     out = {}
-    for c, cid in enumerate(vprime):
-        fact = GaussScalar(alpha_factorial(cid[2]))
-        form = {}
-        for p, v in reducer.pivots[c][0].items():
-            if p < k:
-                continue
-            pid = params[p - k]
-            form[deriv_key(pid)] = -v * fact / GaussScalar(alpha_factorial(pid[2]))
-        out[deriv_key(cid)] = form
-    for cid in gamma:
-        out[deriv_key(cid)] = {deriv_key(cid): ONE}
+    for c, cid in enumerate(field.unknowns):
+        if field.layer_of(cid) == 2:
+            fact = GaussScalar(alpha_factorial(cid[2]))
+            out[cid[1:]] = {keys[k]: v * fact for k, v in det.propagator.forms[c].items()}
     return out
 
 
-def _known_from_omega(field: UnknownCoefficientField, omega: InitialData) -> dict:
+def _omega_columns(field: UnknownCoefficientField) -> list[tuple[int, GaussScalar]]:
+    """(column, scale) of each initial-data coordinate omega_k, in
+    ``InitialData.flat`` order: the unknown of that column is scale * omega_k.
+    The scale is 1/alpha! for a gamma entry, a second derivative, and 1 for
+    every first derivative and value."""
     n, m = field.ctx.n, field.ctx.m
     q = n + m
-    known: dict[tuple, GaussScalar] = {}
-    zero_alpha = (0,) * q
-    for j in range(n):
-        known[(COEF, (THETA, j + 1), zero_alpha)] = omega.epsilon[j]
-    for k in range(m):
-        known[(COEF, (ETA, k + 1), zero_alpha)] = omega.delta[k]
-    for l in range(q):
-        e_l = tuple(1 if t == l else 0 for t in range(q))
-        for j in range(n):
-            known[(COEF, (THETA, j + 1), e_l)] = omega.alpha[j][l]
-        for k in range(m):
-            known[(COEF, (ETA, k + 1), e_l)] = omega.beta[k][l]
-    for l in range(q):
-        alpha = [0] * q
-        alpha[0] += 1
-        alpha[l] += 1
-        fact = GaussScalar(alpha_factorial(alpha))
-        known[(COEF, (THETA, 1), tuple(alpha))] = omega.gamma[l] / fact
-    return known
+
+    def unit(l):
+        return tuple(1 if t == l else 0 for t in range(q))
+
+    cids = [(COEF, (THETA, j), unit(l)) for j in range(1, n + 1) for l in range(q)]
+    cids += [(COEF, (ETA, k), unit(l)) for k in range(1, m + 1) for l in range(q)]
+    cids += field.gamma_ids()
+    cids += [(COEF, (ETA, k), (0,) * q) for k in range(1, m + 1)]
+    cids += [(COEF, (THETA, j), (0,) * q) for j in range(1, n + 1)]
+    return [(field.col[cid], ONE / GaussScalar(alpha_factorial(cid[2]))) for cid in cids]
+
+
+@dataclass
+class _Layer:
+    """One Taylor layer of a propagator: its compatibility forms
+    (row index, {omega index: coefficient}) in provenance order, and the
+    error to raise once they hold, if the layer cannot be solved."""
+
+    layer: int
+    checks: list
+    failure: object  # a zero-argument DeterminingError factory, or None
+
+
+class TaylorPropagator:
+    """The layer recursion of ``taylor_from_initial_data``, solved once for
+    symbolic initial data.
+
+    Every unknown is carried as a sparse linear form {k: coefficient} over
+    the flat initial-data vector omega (``InitialData.flat`` order).  Layer L
+    (the rows of (x, u)-degree L - 2) is reduced once, with the L-th degree
+    unknowns that omega does not fix as the leading columns and one column
+    per omega coordinate after them, so each target becomes a linear form in
+    omega.  A row that reduces to omega columns only is not inserted: it is a
+    compatibility condition C.omega = 0 that the data must meet.  Building
+    stops at the first layer that cannot be solved (a row touching a higher
+    unknown, or a rank deficit); that layer records the error.
+    """
+
+    def __init__(self, det: DeterminingSystem):
+        fld = det.field
+        self.provenance = det.provenance
+        self.table = fld.ext_table
+        self.omega_columns = _omega_columns(fld)
+        # column -> linear form over omega, None while unknown
+        self.forms: list[dict | None] = [None] * len(fld.unknowns)
+        for k, (c, scale) in enumerate(self.omega_columns):
+            self.forms[c] = {k: scale}
+        by_degree: dict[int, list[int]] = {}
+        for idx, prov in enumerate(det.provenance):
+            by_degree.setdefault(prov.xu_degree, []).append(idx)
+        self.layers: list[_Layer] = []
+        for layer in range(2, fld.order + 1):
+            step = _Layer(layer, [], None)
+            self.layers.append(step)
+            if not self._solve_layer(det, step, by_degree.get(layer - 2, [])):
+                break
+
+    def _solve_layer(self, det, step: _Layer, row_ids) -> bool:
+        """Reduce the layer's rows once; returns False if the layer fails."""
+        fld, forms = det.field, self.forms
+        targets = [
+            c for c, cid in enumerate(fld.unknowns) if fld.layer_of(cid) == step.layer and forms[c] is None
+        ]
+        tcol = {c: t for t, c in enumerate(targets)}
+        k0 = len(targets)  # omega coordinate k sits in column k0 + k
+        red = _Reducer()
+        for idx in row_ids:
+            row: dict[int, GaussScalar] = {}
+            for c, v in det.rows[idx].items():
+                if forms[c] is not None:
+                    for k, f in forms[c].items():
+                        acc = row.get(k0 + k)
+                        row[k0 + k] = v * f if acc is None else acc + v * f
+                elif c in tcol:
+                    row[tcol[c]] = v
+                else:
+                    label = fld.label(fld.unknowns[c])
+                    step.checks = []
+                    step.failure = lambda: InconsistentLayerError(
+                        step.layer, f"row touches unknown {label} outside the layer"
+                    )
+                    return False
+            row = {c: v for c, v in row.items() if not v.is_zero()}
+            reduced, _ = red.reduce(row, ZERO)
+            if reduced and min(reduced) < k0:
+                red.insert(reduced, ZERO)
+            elif reduced:
+                step.checks.append((idx, {c - k0: v for c, v in reduced.items()}))
+        if len(red.pivots) < k0:
+            step.failure = lambda: UnderdeterminedLayerError(step.layer)
+            return False
+        # Full Gauss-Jordan form: pivot row t reads target_t + (omega part) = 0.
+        for t, c in enumerate(targets):
+            forms[c] = {p - k0: -v for p, v in red.pivots[t][0].items() if p >= k0}
+        return True
+
+    def values(self, omega: InitialData) -> list[GaussScalar]:
+        """Every unknown's value for the initial data omega, in column order.
+
+        The compatibility conditions are checked layer by layer in
+        provenance order; the first one omega violates raises
+        InconsistentLayerError naming its residual and monomial.
+        """
+        flat = omega.flat()
+        if len(flat) != len(self.omega_columns):
+            raise ValueError(
+                f"initial data must have length {len(self.omega_columns)}, got {len(flat)}"
+            )
+        nonzero = [(k, v) for k, v in enumerate(flat) if not v.is_zero()]
+
+        def at(form) -> GaussScalar:
+            acc = ZERO
+            for k, v in nonzero:
+                f = form.get(k)
+                if f is not None:
+                    acc = acc + f * v
+            return acc
+
+        for step in self.layers:
+            for idx, form in step.checks:
+                if not at(form).is_zero():
+                    prov = self.provenance[idx]
+                    raise InconsistentLayerError(
+                        step.layer,
+                        f"residual (mu={prov.mu}, i={prov.i}, j={prov.j}) at monomial "
+                        f"{prov.monomial_str(self.table)}",
+                    )
+            if step.failure is not None:
+                raise step.failure()
+        return [at(form) for form in self.forms]
 
 
 def taylor_from_initial_data(
@@ -492,13 +582,13 @@ def taylor_from_initial_data(
     det: DeterminingSystem | None = None,
 ) -> VectorField:
     """Rebuild the degree-``order`` Taylor truncation of the symmetry with
-    the given initial data, one layer at a time.
+    the given initial data.
 
     Degrees 0 and 1 and the gamma slice come straight from omega; every
-    higher layer is solved exactly from the determining rows whose (x, u)
-    degree matches, and all remaining rows of the layer are verified, so an
-    inconsistency (non-involutive system, inadmissible data) is reported
-    with its layer.
+    higher layer is read off ``det.propagator``, which solves each layer
+    once for all omega.  Every compatibility condition the determining rows
+    put on omega is checked first, so an inconsistency (non-involutive
+    system, inadmissible data) is reported with its layer.
     """
     if det is not None and point:
         raise ValueError("pass either a precomputed determining system or a point, not both")
@@ -506,57 +596,9 @@ def taylor_from_initial_data(
         raise ValueError("precomputed determining system was generated at a different order")
     if point:
         sys = sys.translated(point)
-    field = det.field if det is not None else UnknownCoefficientField(sys.ctx, order)
     if det is None:
-        det = generate_determining(sys, field)
-    known = _known_from_omega(field, omega)
-
-    by_degree: dict[int, list[int]] = {}
-    for idx, prov in enumerate(det.provenance):
-        by_degree.setdefault(prov.xu_degree, []).append(idx)
-
-    for layer in range(2, order + 1):
-        targets = [
-            cid
-            for cid in field.unknowns
-            if field.layer_of(cid) == layer and cid not in known
-        ]
-        tidx = {cid: k for k, cid in enumerate(targets)}
-        rows = []
-        rhs = []
-        prov_used = []
-        for idx in by_degree.get(layer - 2, []):
-            row = det.rows[idx]
-            new_row = {}
-            acc = ZERO
-            for col, v in row.items():
-                cid = field.unknowns[col]
-                if cid in known:
-                    acc = acc + v * known[cid]
-                elif cid in tidx:
-                    new_row[tidx[cid]] = v
-                else:
-                    raise InconsistentLayerError(
-                        layer,
-                        f"row touches unknown {field.label(cid)} outside the layer",
-                    )
-            rows.append(new_row)
-            rhs.append(-acc)
-            prov_used.append(det.provenance[idx])
-        result = solve_linear_exact(LinearSystemExact(rows, rhs, ncols=len(targets)))
-        if not result.consistent:
-            prov = prov_used[result.inconsistent_row]
-            raise InconsistentLayerError(
-                layer,
-                f"residual (mu={prov.mu}, i={prov.i}, j={prov.j}) at monomial "
-                f"{prov.monomial_str(field.ext_table)}",
-            )
-        if result.nullspace:
-            raise UnderdeterminedLayerError(layer)
-        for cid, val in zip(targets, result.particular):
-            known[cid] = val
-
-    X = field.field_from_values(known)
+        det = generate_determining(sys, UnknownCoefficientField(sys.ctx, order))
+    X = det.field.field_from_values(det.propagator.values(omega))
     if point:
         X = _shift_field(X, point, back=True)
     return X

@@ -4,7 +4,7 @@ Grammar (whitespace insignificant, offsets are 0-based character positions):
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := '-' factor | primary ('^' uint)?
+    factor   := '-' factor | primary ('^' uint)?      (uint <= MAX_EXPONENT)
     primary  := rational | 'i' | variable | '(' expr ')'
     rational := uint ('/' uint)?
 
@@ -21,6 +21,12 @@ from fractions import Fraction
 from .poly import Poly
 from .rings import VarTable
 from .scalars import GaussScalar, I
+
+
+# The largest exponent '^' accepts.  Every input of the golden corpus and the
+# benchmark uses at most 2.  The cap stops a typo such as x1^99999999 before
+# it is expanded; it bounds each power, not the size of a whole expression.
+MAX_EXPONENT = 32
 
 
 class ParseError(ValueError):
@@ -154,6 +160,8 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("num")
+            if len(tok.text) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
+                raise ParseError(f"exponent {tok.text} exceeds the limit {MAX_EXPONENT}", tok.pos)
             node = Power(node, int(tok.text))
         return node
 

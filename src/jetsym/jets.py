@@ -100,9 +100,6 @@ class PDESystem:
             i, j = j, i
         return self.entries[(k, i, j)]
 
-    def is_flat(self) -> bool:
-        return all(f.is_zero() for f in self.entries.values())
-
     def second_jet_bindings(self) -> dict:
         """The substitution u^k_{ij} -> F^k_{ij} over this context's table."""
         out = {}

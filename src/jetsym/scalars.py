@@ -30,9 +30,6 @@ class GaussScalar:
     def is_one(self) -> bool:
         return self.re == 1 and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "GaussScalar") -> "GaussScalar":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .linalg import span_coordinates
 from .poly import Poly
-from .scalars import GaussScalar, ZERO, ONE
+from .scalars import GaussScalar, ONE
 
 
 class SingularJacobianError(ValueError):
@@ -43,16 +43,13 @@ def _invert_matrix(rows: list[list[GaussScalar]]) -> list[list[GaussScalar]]:
     return inverse
 
 
-def implicit_series_solve(equations, unknowns, order: int, base: dict | None = None):
-    """Solve G = 0 for the unknowns as series in the remaining variables.
+def implicit_series_solve(equations, unknowns, order: int):
+    """Solve G = 0 for the unknowns as series in the remaining variables,
+    centered at the origin, where G must vanish.
 
     equations: list of Poly, all over one table, as many as unknowns.
     unknowns:  list of variable ids to solve for.
     order:     total-degree truncation of the result.
-    base:      optional {variable id: GaussScalar} base point (default origin).
-               With a nonzero base the equations are shifted internally and
-               the returned series are centered at the base, i.e. written in
-               offsets of the remaining variables from their base values.
 
     Returns {unknown id: Poly} with G(solution) == 0 up to the effective
     truncation order (the minimum of ``order`` and the equations' bounds).
@@ -75,25 +72,13 @@ def implicit_series_solve(equations, unknowns, order: int, base: dict | None = N
         if g.bound is not None:
             eff_order = min(eff_order, g.bound)
 
-    base = dict(base) if base else {}
-    base = {v: val if isinstance(val, GaussScalar) else GaussScalar(val) for v, val in base.items()}
-    base_unknown = {v: base.get(v, ZERO) for v in unknowns}
-    shifted = []
-    nontrivial_shift = {v: val for v, val in base.items() if not val.is_zero()}
-    for g in equations:
-        if nontrivial_shift:
-            g = g.substitute(
-                {v: Poly.var(table, v) + Poly.const(table, val) for v, val in nontrivial_shift.items()}
-            )
-        shifted.append(g)
-
-    for idx, g in enumerate(shifted):
+    for idx, g in enumerate(equations):
         if not g.evaluate({}).is_zero():
             raise InconsistentBaseError(f"equation {idx + 1} does not vanish at the base point")
 
     jac = [
         [g.differentiate(v).evaluate({}) for v in unknowns]
-        for g in shifted
+        for g in equations
     ]
     jac_inv = _invert_matrix(jac)
 
@@ -102,23 +87,17 @@ def implicit_series_solve(equations, unknowns, order: int, base: dict | None = N
         # The residual at bound b is the degree-b layer (see the module
         # docstring); taken as exact, it leaves current's bound as it is.
         below = {v: s.truncate(b) for v, s in current.items()}
-        layers = [Poly(table, g.substitute(below).truncate(b).terms) for g in shifted]
+        layers = [Poly(table, g.substitute(below).truncate(b).terms) for g in equations]
         for k, v in enumerate(unknowns):
             corr = Poly.zero(table)
             for i, r in enumerate(layers):
                 corr = corr + r.scale(jac_inv[k][i])
             current[v] = current[v] - corr
 
-    residuals = [g.substitute(current).truncate(eff_order) for g in shifted]
+    residuals = [g.substitute(current).truncate(eff_order) for g in equations]
     for idx, r in enumerate(residuals):
         if not r.is_zero():
             raise ArithmeticError(
                 f"implicit solve failed back-substitution at equation {idx + 1}"
             )
-
-    out = {}
-    for v in unknowns:
-        s = current[v]
-        c0 = base_unknown[v]
-        out[v] = s + Poly.const(table, c0, s.bound) if not c0.is_zero() else s
-    return out
+    return current

@@ -80,6 +80,22 @@ def test_symmetry_check(capsys, up_system_file, tmp_path):
     assert doc["nonzero_residuals"]
 
 
+@pytest.mark.parametrize("where", ["system", "field"])
+def test_symmetry_check_oversized_exponent_exits_one(capsys, tmp_path, where):
+    big = "x1^99999999"
+    system = write_json(
+        tmp_path / "sys.json",
+        {"n": 1, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": big if where == "system" else "p1_1"}]},
+    )
+    field = write_json(
+        tmp_path / "field.json", {"n": 1, "m": 1, "theta": ["1"], "eta": [big if where == "field" else "0"]}
+    )
+    rc, out, err = run_cli(capsys, ["symmetry-check", "--system", system, "--field", field])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: exponent 99999999 exceeds the limit 32 at offset 3")
+
+
 def test_determining_flat(capsys, flat_system_file):
     rc, out, _ = run_cli(capsys, ["determining", "--system", flat_system_file, "--order", "2", "--format", "json"])
     assert rc == 0

@@ -7,11 +7,15 @@ from hypothesis import given, settings, strategies as st
 from jetsym.determining import (
     ETA,
     THETA,
+    DeterminingSystem,
     InconsistentLayerError,
     InitialData,
     LinearAnsatz,
+    SingularSubsystemError,
     TruncationOrderError,
+    UnderdeterminedLayerError,
     UnknownCoefficientField,
+    alpha_factorial,
     generate_determining,
     initial_data_of,
     monomials_up_to,
@@ -21,13 +25,15 @@ from jetsym.determining import (
     taylor_from_initial_data,
 )
 from jetsym.jets import JetContext, PDESystem
-from jetsym.linalg import LinearSystemExact, solve_linear_exact
+from jetsym.linalg import LinearSystemExact, _Reducer, solve_linear_exact
 from jetsym.lie_alg import flat_generators, span_equal
 from jetsym.poly import Poly
 from jetsym.prolong import VectorField, lie_criterion_check
-from jetsym.rings import COEF, W, Z, cr_table, u_var, x_var, zeta_var
+from jetsym.rings import COEF, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, segre_system
+
+from helpers import random_poly
 
 
 def flat_system(n, m):
@@ -298,6 +304,135 @@ def test_taylor_rejects_inconsistent_layer_data():
     with pytest.raises(InconsistentLayerError) as err:
         taylor_from_initial_data(bad, om, order=3)
     assert err.value.layer == 3
+
+
+def reference_taylor(det, omega):
+    """The per-omega layer recursion the propagator replaced: substitute the
+    known values into the rows of each layer and solve them afresh."""
+    field = det.field
+    n, m = field.ctx.n, field.ctx.m
+    q = n + m
+    zero_alpha = (0,) * q
+    known = {}
+    for j in range(n):
+        known[(COEF, (THETA, j + 1), zero_alpha)] = omega.epsilon[j]
+    for k in range(m):
+        known[(COEF, (ETA, k + 1), zero_alpha)] = omega.delta[k]
+    for l in range(q):
+        e_l = tuple(1 if t == l else 0 for t in range(q))
+        for j in range(n):
+            known[(COEF, (THETA, j + 1), e_l)] = omega.alpha[j][l]
+        for k in range(m):
+            known[(COEF, (ETA, k + 1), e_l)] = omega.beta[k][l]
+    for l, cid in enumerate(field.gamma_ids()):
+        known[cid] = omega.gamma[l] / GaussScalar(alpha_factorial(cid[2]))
+    for layer in range(2, field.order + 1):
+        targets = [cid for cid in field.unknowns if field.layer_of(cid) == layer and cid not in known]
+        tidx = {cid: k for k, cid in enumerate(targets)}
+        rows, rhs, used = [], [], []
+        for row, prov in zip(det.rows, det.provenance):
+            if prov.xu_degree != layer - 2:
+                continue
+            new_row, acc = {}, ZERO
+            for col, v in row.items():
+                cid = field.unknowns[col]
+                if cid in known:
+                    acc = acc + v * known[cid]
+                elif cid in tidx:
+                    new_row[tidx[cid]] = v
+                else:
+                    raise InconsistentLayerError(layer, f"row touches unknown {field.label(cid)} outside the layer")
+            rows.append(new_row)
+            rhs.append(-acc)
+            used.append(prov)
+        result = solve_linear_exact(LinearSystemExact(rows, rhs, ncols=len(targets)))
+        if not result.consistent:
+            prov = used[result.inconsistent_row]
+            raise InconsistentLayerError(
+                layer,
+                f"residual (mu={prov.mu}, i={prov.i}, j={prov.j}) at monomial "
+                f"{prov.monomial_str(field.ext_table)}",
+            )
+        if result.nullspace:
+            raise UnderdeterminedLayerError(layer)
+        known.update(zip(targets, result.particular))
+    return field.field_from_values(known)
+
+
+def outcome(run):
+    try:
+        return run()
+    except (InconsistentLayerError, UnderdeterminedLayerError) as exc:
+        return (type(exc), exc.layer, str(exc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(1, 1, 3), (1, 1, 4), (1, 2, 3), (2, 1, 3), (2, 1, 4), (2, 2, 3)]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_propagator_matches_per_omega_recursion(shape, seed, data):
+    # Random F in (x, u, first jets): with n = 1 every system is involutive,
+    # with n = 2 most are not, so both fields and inconsistent layers occur.
+    n, m, order = shape
+    rng = Random(seed)
+    ctx = JetContext.create(n, m)
+    vids = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
+    vids += [jet_var(mu, (i,)) for mu in range(1, m + 1) for i in range(1, n + 1)]
+    entries = {
+        (k, i, j): random_poly(rng, ctx.table, vids, max_terms=2, max_degree=2)
+        for k in range(1, m + 1)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+        if rng.random() < 0.7
+    }
+    sys_ = PDESystem(ctx, entries)
+    det = generate_determining(sys_, UnknownCoefficientField(ctx, order))
+    dim = InitialData.dimension(n, m)
+    scalars = st.sampled_from([ZERO, ZERO, ONE, GaussScalar(-2), GaussScalar(Fraction(1, 3), 1)])
+    for _ in range(3):
+        omega = InitialData.from_flat(data.draw(st.lists(scalars, min_size=dim, max_size=dim)), n, m)
+        expected = outcome(lambda: reference_taylor(det, omega))
+        assert outcome(lambda: taylor_from_initial_data(sys_, omega, order=order, det=det)) == expected
+
+
+def test_taylor_underdetermined_layer():
+    # Flat (1,1) at order 2 without the row eta_xx = 0: the second layer
+    # then leaves eta_xx free.
+    sys_ = flat_system(1, 1)
+    full = generate_determining(sys_, UnknownCoefficientField(sys_.ctx, 2))
+    assert full.rows[0] == {full.field.col[(COEF, (ETA, 1), (2, 0))]: GaussScalar(2)}
+    det = DeterminingSystem(full.field, full.rows[1:], full.provenance[1:])
+    with pytest.raises(UnderdeterminedLayerError) as err:
+        taylor_from_initial_data(sys_, InitialData.zero(1, 1), order=2, det=det)
+    assert err.value.layer == 2
+    assert str(err.value) == "Taylor layer 2 is not determined (system not involutive?)"
+    assert outcome(lambda: reference_taylor(det, InitialData.zero(1, 1))) == (
+        UnderdeterminedLayerError, 2, str(err.value)
+    )
+    with pytest.raises(SingularSubsystemError):
+        solve_second_order(det)
+
+
+def test_sweep_reduces_each_layer_once(monkeypatch):
+    inserts = []
+    original = _Reducer.insert
+
+    def counting(self, row, b):
+        inserts.append(len(row))
+        return original(self, row, b)
+
+    monkeypatch.setattr(_Reducer, "insert", counting)
+    sys_ = flat_system(2, 1)
+    det = generate_determining(sys_, UnknownCoefficientField(sys_.ctx, 3))
+    basis = omega_basis(2, 1)
+    taylor_from_initial_data(sys_, basis[0], order=3, det=det)
+    first = len(inserts)
+    assert 0 < first <= det.row_count
+    for om in basis[1:]:
+        taylor_from_initial_data(sys_, om, order=3, det=det)
+    assert len(inserts) == first
 
 
 # -- symmetry_algebra ------------------------------------------------------------

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from jetsym.expr import ParseError, parse_expression, parse_poly, parse_scalar
+from jetsym.expr import MAX_EXPONENT, ParseError, parse_expression, parse_poly, parse_scalar
 from jetsym.jets import JetContext
 from jetsym.poly import poly_to_str
 from jetsym.rings import jet_var, u_var, x_var
@@ -30,6 +30,16 @@ def test_parse_examples():
 
     sq = parse_poly("(x1+u1)^2", t)
     assert sq == (ctx.x(1) + ctx.u(1)) ** 2
+
+
+def test_exponent_cap():
+    ctx = JetContext.create(1, 1)
+    assert parse_poly(f"x1^{MAX_EXPONENT}", ctx.table) == ctx.x(1) ** MAX_EXPONENT
+    for text in [f"x1^{MAX_EXPONENT + 1}", "(x1+u1)^99999", "x1^" + "9" * 5000]:
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, ctx.table)
+        assert err.value.offset == text.index("^") + 1
+        assert "exceeds the limit" in str(err.value)
 
 
 def test_parse_error_positions():

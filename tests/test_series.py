@@ -88,13 +88,12 @@ def test_inconsistent_base():
 
 
 def test_nonzero_base_for_unknown():
-    # zz^2 - 1 - x = 0 with zz(0) = 1: zz = 1 + x/2 - x^2/8 + ...
-    t = plain_table("zz", "x")
-    zz, x = Poly.var(t, (AUX, "zz")), Poly.var(t, (AUX, "x"))
+    # zz^2 - 1 - x = 0 with zz(0) = 1: zz = 1 + x/2 - x^2/8 + ...  The shift
+    # y = zz - 1 moves the branch to the origin: (y + 1)^2 - 1 - x = 0.
+    t = plain_table("y", "x")
+    y, x = Poly.var(t, (AUX, "y")), Poly.var(t, (AUX, "x"))
     one = Poly.const(t, GaussScalar(1))
-    sol = implicit_series_solve(
-        [zz * zz - one - x], [(AUX, "zz")], 3, base={(AUX, "zz"): GaussScalar(1)}
-    )[(AUX, "zz")]
+    sol = one + implicit_series_solve([(y + one) * (y + one) - one - x], [(AUX, "y")], 3)[(AUX, "y")]
     expected = (
         one
         + x.scale(GaussScalar(Fraction(1, 2)))
