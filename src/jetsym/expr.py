@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .poly import Poly
 from .rings import VarTable
@@ -27,6 +28,11 @@ from .scalars import GaussScalar, I
 # benchmark uses at most 2.  The cap stops a typo such as x1^99999999 before
 # it is expanded; it bounds each power, not the size of a whole expression.
 MAX_EXPONENT = 32
+
+# The expansion budget of ``lower``, checked before each '*' and '^': the
+# term pairs a product forms, or the C(t + e - 1, e) terms a power of a
+# t-term base may have.
+MAX_TERMS = 5000
 
 
 class ParseError(ValueError):
@@ -58,12 +64,14 @@ class BinOp:
     op: str  # '+', '-', '*'
     left: object
     right: object
+    pos: int = 0  # offset of the operator
 
 
 @dataclass
 class Power:
     base: object
     exponent: int
+    pos: int = 0  # offset of the '^'
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -148,8 +156,8 @@ class _Parser:
     def term(self):
         node = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            node = BinOp("*", node, self.factor())
+            pos = self.advance().pos
+            node = BinOp("*", node, self.factor(), pos)
         return node
 
     def factor(self):
@@ -158,11 +166,11 @@ class _Parser:
             return Neg(self.factor())
         node = self.primary()
         if self.peek().kind == "^":
-            self.advance()
+            pos = self.advance().pos
             tok = self.expect("num")
             if len(tok.text) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
                 raise ParseError(f"exponent {tok.text} exceeds the limit {MAX_EXPONENT}", tok.pos)
-            node = Power(node, int(tok.text))
+            node = Power(node, int(tok.text), pos)
         return node
 
     def primary(self):
@@ -202,7 +210,8 @@ def parse_expression(text: str, table: VarTable):
 
 
 def lower(node, table: VarTable) -> Poly:
-    """Evaluate an AST into an exact polynomial over the table."""
+    """Evaluate an AST into an exact polynomial over the table (ParseError
+    before a product or power over MAX_TERMS)."""
     if isinstance(node, Const):
         return Poly.const(table, node.value)
     if isinstance(node, VarRef):
@@ -210,7 +219,12 @@ def lower(node, table: VarTable) -> Poly:
     if isinstance(node, Neg):
         return -lower(node.child, table)
     if isinstance(node, Power):
-        return lower(node.base, table) ** node.exponent
+        base = lower(node.base, table)
+        t, e = len(base.terms), node.exponent
+        size = comb(t + e - 1, e) if t else 0
+        if size > MAX_TERMS:
+            raise ParseError(f"power may have {size} terms, over the limit {MAX_TERMS}", node.pos)
+        return base ** e
     if isinstance(node, BinOp):
         left = lower(node.left, table)
         right = lower(node.right, table)
@@ -218,6 +232,9 @@ def lower(node, table: VarTable) -> Poly:
             return left + right
         if node.op == "-":
             return left - right
+        pairs = len(left.terms) * len(right.terms)
+        if pairs > MAX_TERMS:
+            raise ParseError(f"product forms {pairs} term pairs, over the limit {MAX_TERMS}", node.pos)
         return left * right
     raise TypeError(f"not an AST node: {node!r}")
 

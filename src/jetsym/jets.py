@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import rings
 from .poly import Poly
 from .rings import VarTable, jet_table, jet_var, u_var, x_var
-from .scalars import GaussScalar
+from .scalars import GaussScalar, ONE
 
 
 class JetOrderError(ValueError):
@@ -123,41 +123,34 @@ class PDESystem:
         return PDESystem(self.ctx, moved)
 
 
+def _total_vector(f: Poly, i: int, lift) -> dict:
+    """D_i on f's variables as a derivation vector: x_i -> 1, u^mu -> u^mu_i
+    and a jet u^mu_I -> lift(mu, I); auxiliary variables are constant."""
+    table = f.table
+    vector = {}
+    for vid in f.variables():
+        kind = vid[0]
+        if kind == rings.X and vid[1] == i:
+            vector[vid] = Poly.const(table, ONE)
+        elif kind == rings.U:
+            vector[vid] = Poly.var(table, jet_var(vid[1], (i,)))
+        elif kind == rings.JET:
+            vector[vid] = lift(vid[1], vid[2])
+    return vector
+
+
 def total_derivative(ctx: JetContext, f: Poly, i: int) -> Poly:
     """D_i f, treating u and all jet variables as functions of x.
 
     Raises JetOrderError if the result would need jets beyond the table's
     maximum order.  Auxiliary (non-jet) variables are treated as constants.
     """
-    table = f.table
     if not (1 <= i <= ctx.n):
         raise ValueError(f"direction {i} out of range")
-    out = Poly.zero(table, None if f.bound is None else f.bound - 1)
-    for vid in f.variables():
-        kind = vid[0]
-        if kind == rings.X:
-            if vid[1] == i:
-                out = out + f.differentiate(vid)
-            continue
-        if kind == rings.U:
-            lift = jet_var(vid[1], (i,))
-        elif kind == rings.JET:
-            mu, idx = vid[1], vid[2]
-            if len(idx) + 1 > ctx.max_jet_order:
-                d = f.differentiate(vid)
-                if d.is_zero():
-                    continue
-                raise JetOrderError(
-                    f"D_{i} needs jet order {len(idx) + 1}, table allows {ctx.max_jet_order}"
-                )
-            lift = jet_var(mu, idx + (i,))
-        else:
-            continue  # auxiliary variables are constant under D_i
-        d = f.differentiate(vid)
-        if d.is_zero():
-            continue
-        out = out + Poly.var(table, lift) * d
-    return out
+    top = ctx.max_jet_order
+    if jet_order_of_poly(f) >= top:
+        raise JetOrderError(f"D_{i} needs jet order {top + 1}, table allows {top}")
+    return f.derivation(_total_vector(f, i, lambda mu, idx: Poly.var(f.table, jet_var(mu, idx + (i,)))))
 
 
 def restricted_total_derivative(sys: PDESystem, f: Poly, i: int) -> Poly:
@@ -165,30 +158,9 @@ def restricted_total_derivative(sys: PDESystem, f: Poly, i: int) -> Poly:
 
     f must involve only (x, u, first-jet) variables; so does the result.
     """
-    table = f.table
     if jet_order_of_poly(f) > 1:
         raise ValueError("restricted total derivative needs a first-order jet function")
-    out = Poly.zero(table, None if f.bound is None else f.bound - 1)
-    for vid in f.variables():
-        kind = vid[0]
-        if kind == rings.X:
-            if vid[1] == i:
-                out = out + f.differentiate(vid)
-            continue
-        if kind == rings.U:
-            lift = Poly.var(table, jet_var(vid[1], (i,)))
-        elif kind == rings.JET:
-            mu, (j,) = vid[1], vid[2]
-            lift = sys.F(mu, i, j)
-            if lift.table is not table:
-                lift = lift.convert(table)
-        else:
-            continue
-        d = f.differentiate(vid)
-        if d.is_zero():
-            continue
-        out = out + lift * d
-    return out
+    return f.derivation(_total_vector(f, i, lambda mu, idx: sys.F(mu, i, idx[0]).convert(f.table)))
 
 
 @dataclass

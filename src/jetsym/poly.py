@@ -8,12 +8,14 @@ degree exceeds the bound are unknown and never stored.  ``bound=None``
 means the polynomial is exact.
 
 Truncation bookkeeping: sums and products keep the minimum bound of their
-operands, differentiation lowers the bound by one, and substitution into a
-truncated series requires every replaced variable's binding to vanish at
-the origin (otherwise discarded high-degree terms could influence low
-degrees and no bound would be valid).  A product under a bound groups each
-operand's terms by weighted degree and multiplies only the groups whose
-degrees sum to at most the bound, so no term pair above it is formed.
+operands; a derivation sum_v a_v d/dv (``Poly.derivation``) has bound
+min(bound - 1, bounds of the a_v with a nonzero partial), one less even if
+every partial vanishes; and substitution into a truncated series requires
+every replaced variable's binding to vanish at the origin (otherwise
+discarded high-degree terms could influence low degrees and no bound would
+be valid).  A product under a bound groups each operand's terms by weighted
+degree and multiplies only the groups whose degrees sum to at most the
+bound, so no term pair above it is formed.
 """
 
 from __future__ import annotations
@@ -84,6 +86,21 @@ def _by_degree(terms: dict, weights, bound: int) -> dict:
     return buckets
 
 
+def _add_into(out: dict, terms: dict) -> None:
+    """Add the terms into ``out`` in place, dropping sums that vanish."""
+    for m, c in terms.items():
+        acc = out.get(m)
+        if acc is None:
+            if not c.is_zero():
+                out[m] = c
+        else:
+            s = acc + c
+            if s.is_zero():
+                del out[m]
+            else:
+                out[m] = s
+
+
 class Poly:
     __slots__ = ("table", "terms", "bound")
 
@@ -149,17 +166,7 @@ class Poly:
         if other.bound != bound:
             return self + other.truncate(bound)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            if acc is None:
-                if not c.is_zero():
-                    out[m] = c
-            else:
-                s = acc + c
-                if s.is_zero():
-                    del out[m]
-                else:
-                    out[m] = s
+        _add_into(out, other.terms)
         return Poly(self.table, out, bound)
 
     def __neg__(self) -> "Poly":
@@ -194,19 +201,13 @@ class Poly:
             blocks = [(t1, t2) for d1, t1 in lo.items() for d2, t2 in hi.items() if d1 + d2 <= bound]
         for terms1, terms2 in blocks:
             for m1, c1 in terms1:
-                for m2, c2 in terms2:
-                    m = mono_mul(m1, m2)
-                    c = c1 * c2
-                    acc = out.get(m)
-                    if acc is None:
-                        if not c.is_zero():
-                            out[m] = c
-                    else:
-                        s = acc + c
-                        if s.is_zero():
-                            del out[m]
-                        else:
-                            out[m] = s
+                # m2 -> m1*m2 is one-to-one, so one factor's products never
+                # collide; a bare variable (such as a jet lift) needs no
+                # scalar product.
+                if c1 is ONE:
+                    _add_into(out, {mono_mul(m1, m2): c2 for m2, c2 in terms2})
+                else:
+                    _add_into(out, {mono_mul(m1, m2): c1 * c2 for m2, c2 in terms2})
         return Poly(self.table, out, bound)
 
     def __rmul__(self, other) -> "Poly":
@@ -248,22 +249,36 @@ class Poly:
     # -- calculus ----------------------------------------------------------------
 
     def differentiate(self, vid) -> "Poly":
-        pos = self.table.index(vid)
-        out: dict[Mono, GaussScalar] = {}
+        return self.derivation({vid: Poly.const(self.table, ONE)})
+
+    def derivation(self, vector: dict) -> "Poly":
+        """sum_v vector[v] * d(self)/dv, for a map from variable ids to Polys
+        on this table.
+
+        One pass over the terms collects every partial; each nonzero one is
+        multiplied by its coefficient under the result bound (see the module
+        docstring) and summed into one dict.
+        """
+        table = self.table
+        coeffs = {table.index(vid): a for vid, a in vector.items()}
+        partials: dict[int, dict] = {}
         for m, c in self.terms.items():
             for k, (p, e) in enumerate(m):
-                if p == pos:
+                if p in coeffs:
                     if e == 1:
-                        nm = m[:k] + m[k + 1:]
+                        nm, nc = m[:k] + m[k + 1:], c
                     else:
-                        nm = m[:k] + ((p, e - 1),) + m[k + 1:]
-                    nc = c * GaussScalar(e)
-                    acc = out.get(nm)
-                    out[nm] = nc if acc is None else acc + nc
-                    break
-        out = {m: c for m, c in out.items() if not c.is_zero()}
-        bound = None if self.bound is None else self.bound - 1
-        return Poly(self.table, out, bound)
+                        nm, nc = m[:k] + ((p, e - 1),) + m[k + 1:], c * GaussScalar(e)
+                    # m -> nm is one-to-one for a fixed p, so nothing collides.
+                    partials.setdefault(p, {})[nm] = nc
+        bound = _min_bound(
+            None if self.bound is None else self.bound - 1, *(coeffs[p].bound for p in partials)
+        )
+        out: dict[Mono, GaussScalar] = {}
+        for p, d in partials.items():
+            if not coeffs[p].is_zero():
+                _add_into(out, (Poly(table, d, bound) * coeffs[p]).terms)
+        return Poly(table, out, bound)
 
     def substitute(self, bindings: dict) -> "Poly":
         """Simultaneously replace variables by polynomials (same table).
@@ -310,7 +325,7 @@ class Poly:
                 cache.append(cache[-1] * polys[pos])
             return cache[e]
 
-        total = Poly.zero(table, bound)
+        total: dict[Mono, GaussScalar] = {}
         for m, c in self.terms.items():
             kept = tuple(pe for pe in m if pe[0] not in occurring)
             # Truncated here: a term with no replaced variable is never
@@ -319,8 +334,8 @@ class Poly:
             for p, e in m:
                 if p in occurring:
                     factor = factor * power(p, e)
-            total = total + factor
-        return total
+            _add_into(total, factor.terms)
+        return Poly(table, total, bound)
 
     def evaluate(self, point: dict, missing_zero: bool = True) -> GaussScalar:
         """Evaluate at a point given as {variable id: GaussScalar}.

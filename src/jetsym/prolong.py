@@ -43,18 +43,15 @@ class VectorField:
         z = Poly.zero(ctx.table)
         return VectorField(ctx, (z,) * ctx.n, (z,) * ctx.m)
 
+    def vector(self) -> dict:
+        """The field as a map from (x, u) variable ids to coefficients."""
+        out = {rings.x_var(j): f for j, f in enumerate(self.theta, start=1)}
+        out.update((rings.u_var(mu), f) for mu, f in enumerate(self.eta, start=1))
+        return out
+
     def apply_to(self, f: Poly) -> Poly:
         """Derivation action on a jet-free function of (x, u)."""
-        out = Poly.zero(f.table, f.bound)
-        for j in range(1, self.ctx.n + 1):
-            d = f.differentiate(rings.x_var(j))
-            if not d.is_zero():
-                out = out + self.theta[j - 1] * d
-        for mu in range(1, self.ctx.m + 1):
-            d = f.differentiate(rings.u_var(mu))
-            if not d.is_zero():
-                out = out + self.eta[mu - 1] * d
-        return out
+        return f.derivation(self.vector())
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(
@@ -134,12 +131,9 @@ def apply_prolonged(Xp: ProlongedField, f: Poly) -> Poly:
     """Derivation action of the prolonged field on a jet function."""
     if jet_order_of_poly(f) > Xp.order:
         raise ValueError("jet order of the function exceeds the prolongation order")
-    out = Xp.base.apply_to(f)
-    for (mu, idx), coeff in Xp.eta_jet.items():
-        d = f.differentiate(jet_var(mu, idx))
-        if not d.is_zero():
-            out = out + coeff * d
-    return out
+    vector = Xp.base.vector()
+    vector.update((jet_var(mu, idx), coeff) for (mu, idx), coeff in Xp.eta_jet.items())
+    return f.derivation(vector)
 
 
 def lie_criterion_check(X: VectorField, sys: PDESystem) -> dict:

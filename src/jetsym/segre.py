@@ -218,15 +218,9 @@ class HoloField:
         return len(self.coeffs) - 1
 
     def apply_to(self, f: Poly) -> Poly:
-        out = Poly.zero(f.table, f.bound)
-        for j in range(1, self.n + 1):
-            d = f.differentiate((Z, j))
-            if not d.is_zero():
-                out = out + self.coeffs[j - 1] * d
-        d = f.differentiate((W,))
-        if not d.is_zero():
-            out = out + self.coeffs[-1] * d
-        return out
+        vector = {(Z, j): a for j, a in enumerate(self.coeffs[:-1], start=1)}
+        vector[(W,)] = self.coeffs[-1]
+        return f.derivation(vector)
 
     def scale(self, s: GaussScalar) -> "HoloField":
         return HoloField(self.table, tuple(f.scale(s) for f in self.coeffs))

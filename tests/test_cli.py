@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,22 @@ def test_symmetry_check_oversized_exponent_exits_one(capsys, tmp_path, where):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: exponent 99999999 exceeds the limit 32 at offset 3")
+
+
+@pytest.mark.parametrize("exponent, rc", [(16, 1), (8, 0)])
+def test_oversized_expansion_exits_one_quickly(capsys, tmp_path, exponent, rc):
+    F = f"(x1+x2+u1+u2+p1_1+p2_2)^{exponent}"
+    system = write_json(tmp_path / "sys.json", {"n": 2, "m": 2, "entries": [{"k": 1, "i": 1, "j": 1, "F": F}]})
+    field = write_json(tmp_path / "field.json", {"n": 2, "m": 2, "theta": ["1", "0"], "eta": ["0", "0"]})
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, ["symmetry-check", "--system", system, "--field", field])
+    assert got == rc
+    if rc:
+        assert time.perf_counter() - start < 1.0
+        assert out == ""
+        assert err.startswith("error: power may have 20349 terms, over the limit")
+    else:
+        assert out.startswith("symmetry: ")
 
 
 def test_determining_flat(capsys, flat_system_file):

@@ -31,7 +31,7 @@ from jetsym.poly import Poly
 from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import COEF, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
-from jetsym.segre import DefiningSeries, Signature, defining_table, segre_system
+from jetsym.segre import DefiningSeries, Signature, defining_table, hyperquadric, segre_system
 
 from helpers import random_poly
 
@@ -109,6 +109,15 @@ def test_unknown_count_formula():
 
 def test_truncation_too_small_rejected():
     sys_ = perturbed_segre_system(order=3)
+    field = UnknownCoefficientField(sys_.ctx, 3)
+    with pytest.raises(TruncationOrderError):
+        generate_determining(sys_, field)
+
+
+def test_truncation_too_small_rejected_for_the_hyperquadric():
+    # Every F is 0 + O(4), so the residuals hold to degree 3 only, as for the
+    # perturbed system: the degree-3 ansatz needs degree 4.
+    sys_ = segre_system(hyperquadric(Signature.parse("++")), order=4)
     field = UnknownCoefficientField(sys_.ctx, 3)
     with pytest.raises(TruncationOrderError):
         generate_determining(sys_, field)

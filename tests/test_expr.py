@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from jetsym.expr import MAX_EXPONENT, ParseError, parse_expression, parse_poly, parse_scalar
+from jetsym.expr import MAX_EXPONENT, MAX_TERMS, ParseError, parse_expression, parse_poly, parse_scalar
 from jetsym.jets import JetContext
 from jetsym.poly import poly_to_str
 from jetsym.rings import jet_var, u_var, x_var
@@ -40,6 +40,24 @@ def test_exponent_cap():
             parse_expression(text, ctx.table)
         assert err.value.offset == text.index("^") + 1
         assert "exceeds the limit" in str(err.value)
+
+
+SUM6 = "(x1+x2+u1+u2+p1_1+p2_2)"
+
+
+def test_expansion_budget():
+    t = JetContext.create(2, 2).table
+    assert len(parse_poly(f"{SUM6}^8", t).terms) == 1287
+    assert len(parse_poly(f"{SUM6}^5*{SUM6}", t).terms) == 462
+    for text, offset in [
+        (f"{SUM6}^12", len(SUM6)),
+        (f"{SUM6}^16", len(SUM6)),
+        (f"{SUM6}^6*{SUM6}^6", len(SUM6) + 2),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, t)
+        assert err.value.offset == offset
+        assert f"over the limit {MAX_TERMS}" in str(err.value)
 
 
 def test_parse_error_positions():

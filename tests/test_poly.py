@@ -178,6 +178,60 @@ def test_bucketed_product_matches_naive(weights, terms_f, terms_g, bound_f, boun
         assert product.terms == expected
 
 
+# -- derivation against the per-variable loop ---------------------------------------
+
+
+def loop_differentiate(f, pos):
+    """The per-variable partial: one scan of the terms for one variable."""
+    out = {}
+    for m, c in f.terms.items():
+        for k, (p, e) in enumerate(m):
+            if p == pos:
+                nm = m[:k] + m[k + 1:] if e == 1 else m[:k] + ((p, e - 1),) + m[k + 1:]
+                out[nm] = c * GaussScalar(e)
+                break
+    return Poly(f.table, out, None if f.bound is None else f.bound - 1)
+
+
+def loop_derivation(f, vector):
+    """Differentiate once per variable, multiply by the coefficient, add.
+    Its bound is the rule Poly.derivation states: the minimum of
+    f.bound - 1 and the bounds of the coefficients of nonzero partials."""
+    out = Poly.zero(f.table, None if f.bound is None else f.bound - 1)
+    for vid, a in vector.items():
+        d = loop_differentiate(f, f.table.index(vid))
+        if not d.is_zero():
+            out = out + a * d
+    return out
+
+
+small_bounds = st.one_of(st.none(), st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS),
+    st.dictionaries(monomials, coefficients, max_size=8),
+    small_bounds,
+    st.dictionaries(
+        st.integers(0, NVARS - 1),
+        st.tuples(st.dictionaries(monomials, coefficients, max_size=4), small_bounds),
+    ),
+)
+def test_derivation_matches_per_variable_loop(weights, terms_f, bound_f, vector_terms):
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    f = Poly(table, terms_f).truncate(bound_f)
+    vector = {table.ids[p]: Poly(table, t).truncate(b) for p, (t, b) in vector_terms.items()}
+    expected = loop_derivation(f, vector)
+    got = f.derivation(vector)
+    assert got.terms == expected.terms
+    assert got.bound == expected.bound
+    for vid in table.ids:
+        one = loop_derivation(f, {vid: Poly.const(table, 1)})
+        d = f.differentiate(vid)
+        assert (d.terms, d.bound) == (one.terms, one.bound)
+
+
 def dense_sort_key(mono, nvars):
     """The graded-lex key on a dense exponent vector over every table position."""
     dense = [0] * nvars
@@ -204,6 +258,8 @@ def test_differentiate_lowers_bound():
     ctx = make_ctx()
     f = (ctx.x(1) ** 3).truncate(3)
     assert f.differentiate(x_var(1)).bound == 2
+    # Also when the partial vanishes: the constant is known to degree 3 only.
+    assert Poly.const(ctx.table, 5, bound=3).differentiate(x_var(1)).bound == 2
 
 
 def test_sorted_terms_graded_lex():

@@ -6,8 +6,9 @@ from jetsym.jets import JetContext, PDESystem, total_derivative
 from jetsym.lie_alg import bracket
 from jetsym.poly import Poly
 from jetsym.prolong import VectorField, apply_prolonged, lie_criterion_check, prolong
-from jetsym.rings import JET, jet_var, u_var
+from jetsym.rings import JET, W, cr_table, jet_var, u_var
 from jetsym.scalars import GaussScalar
+from jetsym.segre import HoloField
 
 from helpers import random_point_field
 
@@ -57,6 +58,20 @@ def test_apply_prolonged_order_mismatch():
     Xp = prolong(X, 1)
     with pytest.raises(ValueError):
         apply_prolonged(Xp, ctx.jet(1, 1, 1))
+
+
+def test_derivations_lower_the_bound_of_a_constant():
+    """A constant known to degree 4 has derivatives known to degree 3,
+    whatever the field, as total_derivative already says."""
+    ctx = JetContext.create(2, 1)
+    X = VectorField(ctx, (ctx.x(2), ctx.const(1)), (ctx.u(1),))
+    c = Poly.const(ctx.table, 5, bound=4)
+    assert X.apply_to(c).bound == 3
+    assert apply_prolonged(prolong(X, 2), c).bound == 3
+    assert total_derivative(ctx, c, 1).bound == 3
+    t = cr_table(1)
+    holo = HoloField(t, (Poly.var(t, (W,)),) * 2)
+    assert holo.apply_to(Poly.const(t, 5, bound=4)).bound == 3
 
 
 def test_lie_criterion_examples():
