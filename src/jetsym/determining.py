@@ -31,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 from . import rings
 from .jets import JetContext, PDESystem
 from .linalg import LinearSystemExact, _Reducer, solve_linear_exact
 from .poly import Poly, mono_sort_key
 from .prolong import VectorField, lie_criterion_check
-from .rings import COEF, u_var, x_var
+from .rings import COEF, check_size, u_var, x_var
 from .scalars import GaussScalar, ZERO, ONE
 
 
@@ -168,9 +168,10 @@ class UnknownCoefficientField(LinearAnsatz):
     def __init__(self, ctx: JetContext, order: int):
         if order < 2:
             raise ValueError("ansatz order must be at least 2")
+        n, m = ctx.n, ctx.m
+        check_size("symmetry ansatz", (n + m) * comb(n + m + order, order))
         self.ctx = ctx
         self.order = order
-        n, m = ctx.n, ctx.m
         wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
         funcs = [(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)]
         unknowns = [(COEF, func, alpha) for alpha in monomials_up_to(n + m, order) for func in funcs]
@@ -525,9 +526,9 @@ class TaylorPropagator:
                     )
                     return False
             row = {c: v for c, v in row.items() if not v.is_zero()}
-            reduced, _ = red.reduce(row, ZERO)
+            reduced = red.reduce(row)
             if reduced and min(reduced) < k0:
-                red.insert(reduced, ZERO)
+                red.insert(reduced)
             elif reduced:
                 step.checks.append((idx, {c - k0: v for c, v in reduced.items()}))
         if len(red.pivots) < k0:
@@ -535,7 +536,7 @@ class TaylorPropagator:
             return False
         # Full Gauss-Jordan form: pivot row t reads target_t + (omega part) = 0.
         for t, c in enumerate(targets):
-            forms[c] = {p - k0: -v for p, v in red.pivots[t][0].items() if p >= k0}
+            forms[c] = {p - k0: -v for p, v in red.pivots[t].items() if p >= k0}
         return True
 
     def values(self, omega: InitialData) -> list[GaussScalar]:

@@ -100,13 +100,6 @@ class PDESystem:
             i, j = j, i
         return self.entries[(k, i, j)]
 
-    def second_jet_bindings(self) -> dict:
-        """The substitution u^k_{ij} -> F^k_{ij} over this context's table."""
-        out = {}
-        for (k, i, j), f in self.entries.items():
-            out[jet_var(k, (i, j))] = f
-        return out
-
     def translated(self, point: dict) -> "PDESystem":
         """The system recentered so that the given (x, u) point becomes the origin."""
         shift = {}
@@ -124,15 +117,14 @@ class PDESystem:
 
 
 def _total_vector(f: Poly, i: int, lift) -> dict:
-    """D_i on f's variables as a derivation vector: x_i -> 1, u^mu -> u^mu_i
-    and a jet u^mu_I -> lift(mu, I); auxiliary variables are constant."""
+    """D_i as a derivation vector: x_i -> 1, and on f's variables u^mu ->
+    u^mu_i and a jet u^mu_I -> lift(mu, I); auxiliary variables are constant.
+    x_i is always present, so D_i lowers the bound even of a constant."""
     table = f.table
-    vector = {}
+    vector = {x_var(i): Poly.const(table, ONE)}
     for vid in f.variables():
         kind = vid[0]
-        if kind == rings.X and vid[1] == i:
-            vector[vid] = Poly.const(table, ONE)
-        elif kind == rings.U:
+        if kind == rings.U:
             vector[vid] = Poly.var(table, jet_var(vid[1], (i,)))
         elif kind == rings.JET:
             vector[vid] = lift(vid[1], vid[2])

@@ -10,6 +10,7 @@ from .jets import JetContext
 from .linalg import span_coordinates, sparse_rank
 from .poly import coefficient_rows
 from .prolong import VectorField
+from .rings import check_size
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -79,6 +80,7 @@ def flat_generators(n: int, m: int, ctx: JetContext | None = None) -> FieldBasis
         X_j = sum_k x_j x_k d/dx_k + sum_mu x_j u^mu d/du^mu
         Y_nu = sum_k x_k u^nu d/dx_k + sum_mu u^nu u^mu d/du^mu
     """
+    check_size("flat generator list", (n + m + 2) * (n + m))
     if ctx is None:
         ctx = JetContext.create(n, m)
     if ctx.n != n or ctx.m != m:

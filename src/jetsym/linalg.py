@@ -5,7 +5,9 @@ Pivoting is deterministic (first nonzero entry in column order), and since
 the reduced row echelon form of a matrix is unique, every result here is
 bit-stable across runs.  Rows are held sparsely as {column: coefficient}
 dictionaries; the reduction keeps full Gauss-Jordan form incrementally, so
-inserting a row only ever touches columns that are actually populated.
+inserting a row only ever touches columns that are actually populated.  The
+reducer works on homogeneous rows only: a right side b is carried as one
+extra column, past the unknowns, holding -b.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ class LinearSystemExact:
             raise ValueError("rhs length does not match row count")
         if ncols is None:
             ncols = 1 + max((max(r) for r in self.rows if r), default=-1)
+        elif any(r and max(r) >= ncols for r in self.rows):
+            raise ValueError("a row has an entry at or past column ncols")
         self.ncols = ncols
 
     def residual(self, x: list[GaussScalar]) -> list[GaussScalar]:
@@ -69,21 +73,17 @@ class LinearSolveResult:
 
 
 class _Reducer:
-    """Incrementally maintained reduced row echelon form of inserted rows."""
+    """Incrementally maintained reduced row echelon form of homogeneous rows."""
 
     def __init__(self):
-        self.pivots: dict[int, tuple[dict[int, GaussScalar], GaussScalar]] = {}
+        self.pivots: dict[int, dict[int, GaussScalar]] = {}  # pivot column -> row
 
-    def reduce(self, row: dict[int, GaussScalar], b: GaussScalar):
-        """Reduce (row | b) against the current pivots, in place semantics."""
+    def reduce(self, row: dict[int, GaussScalar]) -> dict[int, GaussScalar]:
+        """The row reduced against the current pivots, as a new dict."""
         row = dict(row)
-        hit = sorted(c for c in row if c in self.pivots)
-        for c in hit:
+        for c in sorted(c for c in row if c in self.pivots):
             factor = row.pop(c)
-            if factor.is_zero():
-                continue
-            prow, pb = self.pivots[c]
-            for cc, vv in prow.items():
+            for cc, vv in self.pivots[c].items():
                 if cc == c:
                     continue
                 acc = row.get(cc)
@@ -92,29 +92,22 @@ class _Reducer:
                     row.pop(cc, None)
                 else:
                     row[cc] = nv
-            b = b - factor * pb
-        return row, b
+        return row
 
-    def insert(self, row: dict[int, GaussScalar], b: GaussScalar) -> bool:
-        """Insert a row; returns True if it added a new pivot.
-
-        Raises _Inconsistent if the row reduces to 0 = nonzero.
-        """
-        row, b = self.reduce(row, b)
+    def insert(self, row: dict[int, GaussScalar]) -> int | None:
+        """Insert a row; returns its new pivot column, or None if it reduces
+        to zero."""
+        row = self.reduce(row)
         if not row:
-            if not b.is_zero():
-                raise _Inconsistent()
-            return False
+            return None
         pc = min(row)
         inv = row[pc].inverse()
         row = {c: v * inv for c, v in row.items()}
-        b = b * inv
         # Keep full Gauss-Jordan form: clear this column from earlier pivots.
-        for c, (prow, pb) in self.pivots.items():
-            f = prow.get(pc)
+        for prow in self.pivots.values():
+            f = prow.pop(pc, None)
             if f is None:
                 continue
-            del prow[pc]
             for cc, vv in row.items():
                 if cc == pc:
                     continue
@@ -124,36 +117,32 @@ class _Reducer:
                     prow.pop(cc, None)
                 else:
                     prow[cc] = nv
-            self.pivots[c] = (prow, pb - f * b)
-        self.pivots[pc] = (row, b)
-        return True
-
-
-class _Inconsistent(Exception):
-    pass
+        self.pivots[pc] = row
+        return pc
 
 
 def solve_linear_exact(system: LinearSystemExact) -> LinearSolveResult:
     """Solve exactly: particular solution plus a nullspace basis, or an
-    inconsistency report naming the offending input row."""
+    inconsistency report naming the offending input row.
+
+    The right side rides along as column ncols holding -b, so each row reads
+    row . (x, 1) = 0; a pivot in that column is a row 0 = nonzero."""
+    ncols = system.ncols
     red = _Reducer()
     for idx, (row, b) in enumerate(zip(system.rows, system.rhs)):
-        try:
-            red.insert(row, b)
-        except _Inconsistent:
+        if red.insert({**row, ncols: -b} if not b.is_zero() else row) == ncols:
             return LinearSolveResult(consistent=False, inconsistent_row=idx)
-    ncols = system.ncols
     pivot_cols = sorted(red.pivots)
     free_cols = [c for c in range(ncols) if c not in red.pivots]
     particular = [ZERO] * ncols
     for c in pivot_cols:
-        particular[c] = red.pivots[c][1]
+        particular[c] = -red.pivots[c].get(ncols, ZERO)
     nullspace = []
     for f in free_cols:
         vec = [ZERO] * ncols
         vec[f] = ONE
         for c in pivot_cols:
-            entry = red.pivots[c][0].get(f)
+            entry = red.pivots[c].get(f)
             if entry is not None:
                 vec[c] = -entry
         nullspace.append(vec)
@@ -168,11 +157,9 @@ def solve_linear_exact(system: LinearSystemExact) -> LinearSolveResult:
 def sparse_rank(rows) -> int:
     """Rank of a collection of sparse {column: coefficient} rows."""
     red = _Reducer()
-    rank = 0
     for row in rows:
-        if red.insert(dict(row), ZERO):
-            rank += 1
-    return rank
+        red.insert(row)
+    return len(red.pivots)
 
 
 def span_coordinates(basis_rows, targets, ncols: int):
@@ -189,9 +176,9 @@ def span_coordinates(basis_rows, targets, ncols: int):
     """
     red = _Reducer()
     for k, row in enumerate(basis_rows):
-        red.insert({**row, ncols + k: ONE}, ZERO)
+        red.insert({**row, ncols + k: ONE})
     for target in targets:
-        row, _ = red.reduce(target, ZERO)
+        row = red.reduce(target)
         if any(c < ncols for c in row):
             yield None
         else:

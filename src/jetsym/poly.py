@@ -9,11 +9,11 @@ means the polynomial is exact.
 
 Truncation bookkeeping: sums and products keep the minimum bound of their
 operands; a derivation sum_v a_v d/dv (``Poly.derivation``) has bound
-min(bound - 1, bounds of the a_v with a nonzero partial), one less even if
-every partial vanishes; and substitution into a truncated series requires
-every replaced variable's binding to vanish at the origin (otherwise
-discarded high-degree terms could influence low degrees and no bound would
-be valid).  A product under a bound groups each operand's terms by weighted
+min(bound - weight(v) over the vector's variables v, bounds of the a_v with
+a nonzero partial), lower even if every partial vanishes; and substitution
+into a truncated series requires every replaced variable's binding to
+vanish at the origin (otherwise discarded high-degree terms could influence
+low degrees and no bound would be valid).  A product under a bound groups each operand's terms by weighted
 degree and multiplies only the groups whose degrees sum to at most the
 bound, so no term pair above it is formed.
 """
@@ -271,9 +271,8 @@ class Poly:
                         nm, nc = m[:k] + ((p, e - 1),) + m[k + 1:], c * GaussScalar(e)
                     # m -> nm is one-to-one for a fixed p, so nothing collides.
                     partials.setdefault(p, {})[nm] = nc
-        bound = _min_bound(
-            None if self.bound is None else self.bound - 1, *(coeffs[p].bound for p in partials)
-        )
+        own = None if self.bound is None or not coeffs else self.bound - max(table.weights[p] for p in coeffs)
+        bound = _min_bound(own, *(coeffs[p].bound for p in partials))
         out: dict[Mono, GaussScalar] = {}
         for p, d in partials.items():
             if not coeffs[p].is_zero():

@@ -7,7 +7,10 @@ The prolongation coefficients follow the total-derivative recursion
     eta^mu_{I,i} = D_i eta^mu_I - sum_j (D_i theta_j) u^mu_{I,j}
 
 which is symmetric in the multi-index, so coefficients are stored against
-sorted indices only.
+sorted indices only.  The symmetry criterion needs only the first
+prolongation: it takes the last step of the recursion on the equation
+manifold, with the restricted total derivative and F in place of the
+second jets.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from . import rings
-from .jets import JetContext, PDESystem, jet_order_of_poly, total_derivative
+from .jets import JetContext, PDESystem, jet_order_of_poly, restricted_total_derivative, total_derivative
 from .poly import Poly
 from .rings import jet_var
 from .scalars import GaussScalar
@@ -87,10 +90,11 @@ class VectorField:
 class ProlongedField:
     """A vector field together with its jet coefficients up to some order."""
 
-    def __init__(self, base: VectorField, order: int, eta_jet: dict):
+    def __init__(self, base: VectorField, order: int, eta_jet: dict, d_theta: dict):
         self.base = base
         self.order = order
         self.eta_jet = eta_jet  # (mu, sorted index tuple) -> Poly
+        self.d_theta = d_theta  # (i, j) -> D_i theta_j
 
     def coefficient(self, mu: int, indices: tuple[int, ...]) -> Poly:
         return self.eta_jet[(mu, tuple(sorted(indices)))]
@@ -124,7 +128,7 @@ def prolong(X: VectorField, order: int) -> ProlongedField:
                 eta_jet[(mu, idx)] = value
     for mu in range(1, ctx.m + 1):
         del eta_jet[(mu, ())]
-    return ProlongedField(X, order, eta_jet)
+    return ProlongedField(X, order, eta_jet, d_theta)
 
 
 def apply_prolonged(Xp: ProlongedField, f: Poly) -> Poly:
@@ -140,20 +144,23 @@ def lie_criterion_check(X: VectorField, sys: PDESystem) -> dict:
     """Residuals of the symmetry criterion, indexed by (mu, i, j) with i <= j.
 
     X is an infinitesimal symmetry iff every residual is identically zero:
-    the second prolongation coefficient, restricted to the equation manifold
-    (second jets replaced by F), must agree with the first prolongation
-    applied to F.
+    eta^mu_ij on the equation manifold (second jets replaced by F) must
+    agree with the first prolongation applied to F^mu_ij.  The residual is
+    D^_j eta^mu_i - sum_l (D_j theta_l) F^mu_il - X^(1) F^mu_ij, with D^_j
+    the ``restricted_total_derivative``, so no second jet is ever built.
     """
     if X.ctx is not sys.ctx and X.ctx.table is not sys.ctx.table:
         raise ValueError("field and system must share a jet context")
     ctx = sys.ctx
-    Xp = prolong(X, 2)
-    bindings = sys.second_jet_bindings()
+    Xp = prolong(X, 1)
     residuals = {}
     for mu in range(1, ctx.m + 1):
         for i in range(1, ctx.n + 1):
             for j in range(i, ctx.n + 1):
-                lhs = Xp.coefficient(mu, (i, j)).substitute(bindings)
-                rhs = apply_prolonged(Xp, sys.F(mu, i, j))
-                residuals[(mu, i, j)] = lhs - rhs
+                value = restricted_total_derivative(sys, Xp.coefficient(mu, (i,)), j)
+                for l in range(1, ctx.n + 1):
+                    dt = Xp.d_theta[(j, l)]
+                    if not dt.is_zero():
+                        value = value - dt * sys.F(mu, i, l)
+                residuals[(mu, i, j)] = value - apply_prolonged(Xp, sys.F(mu, i, j))
     return residuals

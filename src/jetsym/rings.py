@@ -16,6 +16,7 @@ carry truncation weight 0 so they do not count toward series truncation.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 
 VarId = tuple
 
@@ -29,6 +30,15 @@ W = "w"
 ZBAR = "zbar"
 WBAR = "wbar"
 AUX = "aux"
+
+
+MAX_SIZE = 10_000  # the most variables, unknowns or fields one job may build
+
+
+def check_size(what: str, count: int) -> None:
+    """Refuse a job by its closed-form size, before anything is enumerated."""
+    if count > MAX_SIZE:
+        raise ValueError(f"{what} needs at least {count} entries, over the size cap of {MAX_SIZE}")
 
 
 def x_var(i: int) -> VarId:
@@ -140,6 +150,10 @@ def jet_table(n: int, m: int, max_jet_order: int = 3) -> VarTable:
         raise ValueError("need n >= 1 and m >= 1")
     if max_jet_order < 0:
         raise ValueError("max_jet_order must be nonnegative")
+    # Order k holds C(n+k-1, k) >= n jets per u, so the orders 1..N sum to
+    # C(n+N, N) - 1 >= n*N; past the cap that binomial is not worth forming.
+    jets = comb(n + max_jet_order, n) - 1 if n * max_jet_order <= MAX_SIZE else n * max_jet_order
+    check_size("jet table", n + m + m * jets)
     ids = [x_var(i) for i in range(1, n + 1)]
     ids += [u_var(mu) for mu in range(1, m + 1)]
     for order in range(1, max_jet_order + 1):

@@ -24,6 +24,7 @@ under the conjugation involution, so no numerical evaluation ever occurs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import rings
 from .determining import LinearAnsatz, monomials_up_to
@@ -281,6 +282,7 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
     rational equations, and returns a nullspace basis.
     """
     n = signature.n
+    rings.check_size("CR ansatz", 2 * (n + 1) * comb(n + 3, 2))
     base = cr_table(n)
     zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
     # Columns: component, then exponent, then real and imaginary part.

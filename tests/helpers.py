@@ -1,4 +1,5 @@
-"""Shared random generators for the property tests (seeded, deterministic)."""
+"""Shared random generators (seeded, deterministic) and reference helpers for
+the property tests."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from random import Random
 
 from jetsym.poly import Poly
 from jetsym.prolong import VectorField
+from jetsym.rings import jet_var
 from jetsym.scalars import GaussScalar
 
 
@@ -44,3 +46,9 @@ def random_point_field(rng: Random, ctx, max_terms: int = 3, max_degree: int = 2
         random_poly(rng, ctx.table, wvars, max_terms, max_degree) for _ in range(ctx.m)
     )
     return VectorField(ctx, theta, eta)
+
+
+def second_jet_bindings(sys_) -> dict:
+    """The substitution u^k_{ij} -> F^k_{ij} of a system, for references that
+    restrict to the equation manifold by substituting."""
+    return {jet_var(k, (i, j)): f for (k, i, j), f in sys_.entries.items()}

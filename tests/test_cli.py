@@ -113,6 +113,30 @@ def test_oversized_expansion_exits_one_quickly(capsys, tmp_path, exponent, rc):
         assert out.startswith("symmetry: ")
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["flat-algebra", "--n", "1000", "--m", "1"], "flat generator list"),
+        (["flat-algebra", "--n", "1", "--m", "1000"], "flat generator list"),
+        (["symmetry-algebra", "--system", "FLAT33", "--order", "40"], "symmetry ansatz"),
+        (["cr-aut", "--signature=" + "+" * 200], "CR ansatz"),
+        (["involutive", "--system", "HUGE"], "jet table"),
+    ],
+)
+def test_oversized_job_exits_one_quickly(capsys, tmp_path, argv, what):
+    files = {
+        "FLAT33": write_json(tmp_path / "flat33.json", {"n": 3, "m": 3, "entries": []}),
+        "HUGE": write_json(tmp_path / "huge.json", {"n": 10**6, "m": 1, "max_jet_order": 10**6}),
+    }
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, [files.get(a, a) for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {what} needs at least ")
+    assert err.rstrip().endswith("over the size cap of 10000")
+
+
 def test_determining_flat(capsys, flat_system_file):
     rc, out, _ = run_cli(capsys, ["determining", "--system", flat_system_file, "--order", "2", "--format", "json"])
     assert rc == 0

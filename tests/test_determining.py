@@ -428,9 +428,9 @@ def test_sweep_reduces_each_layer_once(monkeypatch):
     inserts = []
     original = _Reducer.insert
 
-    def counting(self, row, b):
+    def counting(self, row):
         inserts.append(len(row))
-        return original(self, row, b)
+        return original(self, row)
 
     monkeypatch.setattr(_Reducer, "insert", counting)
     sys_ = flat_system(2, 1)

@@ -12,7 +12,7 @@ from jetsym.jets import (
 )
 from jetsym.rings import jet_var, u_var, x_var
 
-from helpers import random_poly
+from helpers import random_poly, second_jet_bindings
 
 
 def test_total_derivative_examples():
@@ -85,7 +85,7 @@ def test_restricted_equals_substituted_total_random():
                 if i <= j:
                     entries[(k, i, j)] = random_poly(rng, ctx.table, vids, max_terms=2, max_degree=2)
     sys_ = PDESystem(ctx, entries)
-    bindings = sys_.second_jet_bindings()
+    bindings = second_jet_bindings(sys_)
     for _ in range(60):
         f = random_poly(rng, ctx.table, vids, max_terms=3, max_degree=2)
         i = rng.choice((1, 2))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetsym.linalg import LinearSystemExact, express_in_span, solve_linear_exact, sparse_rank
@@ -37,26 +38,92 @@ def test_inconsistent_reports_offending_row():
     assert "row 2" in res.message()
 
 
+def test_entry_at_ncols_rejected():
+    # The solver carries the right side in column ncols.
+    with pytest.raises(ValueError):
+        LinearSystemExact([{0: ONE, 2: ONE}], [ONE], ncols=2)
+
+
+def first_contradiction(rows, rhs, ncols):
+    """Dense reference, independent of the solver: the first row k at which
+    (rows | rhs) stops being solvable, with weights y over rows 0..k such that
+    sum y_i rows_i = 0 while sum y_i rhs_i != 0; None if every row can be met."""
+    basis = []  # (pivot column, augmented row, weights), in insertion order
+    for k, (row, b) in enumerate(zip(rows, rhs)):
+        vec = list(row) + [b]
+        weights = [ZERO] * len(rows)
+        weights[k] = ONE
+        for p, bvec, bweights in basis:
+            f = vec[p]
+            if not f.is_zero():
+                vec = [v - f * w for v, w in zip(vec, bvec)]
+                weights = [v - f * w for v, w in zip(weights, bweights)]
+        pivot = next((c for c in range(ncols) if not vec[c].is_zero()), None)
+        if pivot is None:
+            if not vec[ncols].is_zero():
+                return k, weights
+            continue
+        inv = vec[pivot].inverse()
+        basis.append((pivot, [v * inv for v in vec], [v * inv for v in weights]))
+    return None
+
+
+def dot(a, b):
+    acc = ZERO
+    for p, q in zip(a, b):
+        acc = acc + p * q
+    return acc
+
+
 def test_solution_properties_random():
+    """Random systems, consistent by construction or with one right side
+    shifted.  An unshifted system must be consistent, with a particular
+    solution and a nullspace of zero residual.  A shifted one is consistent
+    exactly when the dense reference finds no contradiction; when it is not,
+    the solver names the reference's row, whose weights are checked by hand
+    to combine rows 0..k to zero and their right sides to nonzero."""
     rng = Random(4242)
-    for _ in range(100):
-        nrows = rng.randint(1, 5)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 5)
         rows = [[random_scalar(rng, span=3) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:
+            # a dependent row, so a shifted right side can contradict it
+            a, b = random_scalar(rng, span=2), random_scalar(rng, span=2)
+            rows[-1] = [a * p + b * q for p, q in zip(rows[0], rows[1 % (nrows - 1)])]
         x_true = [random_scalar(rng, span=2) for _ in range(ncols)]
-        rhs = []
-        for row in rows:
-            acc = ZERO
-            for a, b in zip(row, x_true):
-                acc = acc + a * b
-            rhs.append(acc)
+        rhs = [dot(row, x_true) for row in rows]
+        shifted = rng.random() < 0.5
+        if shifted:
+            k = rng.randrange(nrows)
+            rhs[k] = rhs[k] + G(rng.choice([-2, -1, 1, 2]))
         sys = LinearSystemExact([list(r) for r in rows], rhs, ncols=ncols)
         res = solve_linear_exact(sys)
-        assert res.consistent  # constructed to be solvable
+        expected = first_contradiction(rows, rhs, ncols)
+        if not shifted:
+            assert expected is None  # constructed to be solvable
+            assert res.consistent
+        seen[res.consistent] += 1
+        if not res.consistent:
+            assert expected is not None
+            k, weights = expected
+            assert res.inconsistent_row == k
+            assert all(w.is_zero() for w in weights[k + 1 :]) and not weights[k].is_zero()
+            for c in range(ncols):
+                assert dot(weights, [row[c] for row in rows]).is_zero()
+            assert not dot(weights, rhs).is_zero()
+            before = LinearSystemExact(sys.rows[:k], sys.rhs[:k], ncols=ncols)
+            head = solve_linear_exact(before)
+            assert head.consistent
+            assert all(v.is_zero() for v in before.residual(head.particular))
+            continue
+        assert expected is None
         assert all(v.is_zero() for v in sys.residual(res.particular))
         for vec in res.nullspace:
             assert all(v.is_zero() for v in sys.residual([a + b for a, b in zip(res.particular, vec)]))
         assert res.rank + len(res.nullspace) == ncols
+    assert min(seen.values()) > 20
 
 
 def test_sparse_rank():

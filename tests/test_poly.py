@@ -190,14 +190,16 @@ def loop_differentiate(f, pos):
                 nm = m[:k] + m[k + 1:] if e == 1 else m[:k] + ((p, e - 1),) + m[k + 1:]
                 out[nm] = c * GaussScalar(e)
                 break
-    return Poly(f.table, out, None if f.bound is None else f.bound - 1)
+    return Poly(f.table, out, None if f.bound is None else f.bound - f.table.weights[pos])
 
 
 def loop_derivation(f, vector):
     """Differentiate once per variable, multiply by the coefficient, add.
     Its bound is the rule Poly.derivation states: the minimum of
-    f.bound - 1 and the bounds of the coefficients of nonzero partials."""
-    out = Poly.zero(f.table, None if f.bound is None else f.bound - 1)
+    f.bound - weight(v) over the vector's variables v and the bounds of the
+    coefficients of nonzero partials."""
+    weights = [f.table.weights[f.table.index(vid)] for vid in vector]
+    out = Poly.zero(f.table, None if f.bound is None or not weights else f.bound - max(weights))
     for vid, a in vector.items():
         d = loop_differentiate(f, f.table.index(vid))
         if not d.is_zero():
@@ -252,6 +254,15 @@ def test_truncated_substitution_requires_positive_valuation():
     f = (x1 * x1).truncate(3)
     with pytest.raises(ValueError):
         f.substitute({x_var(1): x1 + ctx.const(1)})
+
+
+def test_derivation_bound_follows_the_weight():
+    """A partial along a variable of weight w loses w degrees, not one."""
+    table = VarTable(((AUX, "v"), (AUX, "x")), (2, 1))
+    v, x = Poly.var(table, (AUX, "v")), Poly.var(table, (AUX, "x"))
+    d = (v * x).truncate(3).differentiate((AUX, "v"))
+    assert (d.terms, d.bound) == (x.terms, 1)
+    assert (v * x).truncate(3).differentiate((AUX, "x")).bound == 2
 
 
 def test_differentiate_lowers_bound():

@@ -1,16 +1,18 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jetsym.expr import parse_poly
 from jetsym.jets import JetContext, PDESystem, total_derivative
 from jetsym.lie_alg import bracket
 from jetsym.poly import Poly
 from jetsym.prolong import VectorField, apply_prolonged, lie_criterion_check, prolong
-from jetsym.rings import JET, W, cr_table, jet_var, u_var
+from jetsym.rings import JET, W, cr_table, jet_var, u_var, x_var
 from jetsym.scalars import GaussScalar
-from jetsym.segre import HoloField
+from jetsym.segre import DefiningSeries, HoloField, Signature, defining_table, segre_system
 
-from helpers import random_point_field
+from helpers import random_point_field, random_poly, second_jet_bindings
 
 
 def test_translation_prolongs_to_zero():
@@ -200,3 +202,64 @@ def test_symmetries_close_under_bracket():
         for Y in fields:
             Z = bracket(X, Y)
             assert all(r.is_zero() for r in lie_criterion_check(Z, flat).values())
+
+
+# -- the criterion on the equation manifold against the second prolongation ------
+
+
+def criterion_by_substitution(X, sys_):
+    """The criterion the long way: prolong X to second jets, replace the
+    second jets by F, and subtract the prolonged field applied to F."""
+    ctx = sys_.ctx
+    Xp = prolong(X, 2)
+    bindings = second_jet_bindings(sys_)
+    return {
+        (mu, i, j): Xp.coefficient(mu, (i, j)).substitute(bindings) - apply_prolonged(Xp, sys_.F(mu, i, j))
+        for mu in range(1, ctx.m + 1)
+        for i in range(1, ctx.n + 1)
+        for j in range(i, ctx.n + 1)
+    }
+
+
+@st.composite
+def jet_systems(draw):
+    """Random F in (x, u, first jets), each truncated at its own bound or exact."""
+    n, m = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+    ctx = JetContext.create(n, m)
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    first = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
+    first += [jet_var(mu, (i,)) for mu in range(1, m + 1) for i in range(1, n + 1)]
+    entries = {
+        (k, i, j): random_poly(rng, ctx.table, first, max_terms=4, max_degree=3).truncate(
+            draw(st.one_of(st.none(), st.integers(0, 4)))
+        )
+        for k in range(1, m + 1)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+    }
+    return PDESystem(ctx, entries)
+
+
+PERTURBATIONS = ["0", "x1^2*s1", "x1^2*s1^2", "x1*u1*s1^2 + u1^2*s1^2", "u1*s1^2 - 2*x1^3"]
+
+
+@st.composite
+def segre_systems(draw):
+    """Segre systems of perturbed hyperquadrics, truncated at a drawn order."""
+    sig = Signature.parse(draw(st.sampled_from(["+", "-", "+-", "++"])))
+    table = defining_table(sig.n)
+    R = parse_poly(draw(st.sampled_from(PERTURBATIONS)), table)
+    if sig.n == 2 and draw(st.booleans()):
+        R = R + parse_poly("x2*u1*s3", table)
+    return segre_system(DefiningSeries(sig, R), order=draw(st.integers(3, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(jet_systems(), segre_systems()), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_criterion_on_manifold_matches_substitution(sys_, seed, degree):
+    X = random_point_field(Random(seed), sys_.ctx, max_terms=4, max_degree=degree)
+    got = lie_criterion_check(X, sys_)
+    expected = criterion_by_substitution(X, sys_)
+    assert got.keys() == expected.keys()
+    for key, r in expected.items():
+        assert (got[key].terms, got[key].bound) == (r.terms, r.bound), key
