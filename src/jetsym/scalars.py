@@ -1,69 +1,113 @@
 """Exact Gaussian-rational arithmetic.
 
-A GaussScalar is a + b*i with a, b arbitrary-precision rationals
-(``fractions.Fraction``).  All operations are exact; nothing here ever
-rounds.  This is the coefficient field for every polynomial in the package.
+A GaussScalar is (a + b*i)/d held as three Python ints in canonical form:
+d > 0 and gcd(a, b, d) == 1, so equal scalars have equal triples.  The
+operators work on the ints directly and skip the gcd when the denominator is
+1, the common case; ``.re`` and ``.im`` give the parts as ``Fraction``.  All
+operations are exact; nothing here ever rounds.  This is the coefficient
+field for every polynomial in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 RationalLike = int | Fraction
 
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> "GaussScalar":
+    """The scalar (a + b*i)/d for d > 0, reduced to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        a, b, d = a // g, b // g, d // g
+    s = _new(GaussScalar)
+    s._a, s._b, s._d = a, b, d
+    return s
+
 
 class GaussScalar:
-    """A Gaussian rational number, re + im*i, over exact Fractions."""
+    """A Gaussian rational number (a + b*i)/d over exact ints."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        # Fraction keeps itself in lowest terms with positive denominator.
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # Both parts are in lowest terms, so over the least common
+        # denominator the triple is already canonical.
+        q, s = re.denominator, im.denominator
+        d = q // gcd(q, s) * s
+        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def parts(self) -> tuple["GaussScalar", "GaussScalar"]:
+        """The real part and the imaginary part, each as a real GaussScalar."""
+        return _make(self._a, 0, self._d), _make(self._b, 0, self._d)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self._a == 1 and not self._b and self._d == 1
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "GaussScalar") -> "GaussScalar":
-        return GaussScalar(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "GaussScalar") -> "GaussScalar":
-        return GaussScalar(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> "GaussScalar":
-        return GaussScalar(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussScalar") -> "GaussScalar":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return GaussScalar(a * c)
-        return GaussScalar(a * c - b * d, a * d + b * c)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+        return _make(a, b, self._d * other._d)
 
     def __truediv__(self, other: "GaussScalar") -> "GaussScalar":
-        c, d = other.re, other.im
-        if not c and not d:
+        # (a + b*i)/d / ((c + e*i)/f) = f*(a + b*i)*(c - e*i) / (d*(c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        if e:
+            a, b, n = a * c + b * e, b * c - a * e, c * c + e * e
+        elif c:
+            n = c
+            if n < 0:
+                a, b, n = -a, -b, -n
+        else:
             raise ZeroDivisionError("division by zero GaussScalar")
-        if not d:
-            if not self.im:
-                return GaussScalar(self.re / c)
-            return GaussScalar(self.re / c, self.im / c)
-        n = c * c + d * d
-        a, b = self.re, self.im
-        return GaussScalar((a * c + b * d) / n, (b * c - a * d) / n)
+        return _make(a * f, b * f, self._d * n)
 
     def inverse(self) -> "GaussScalar":
         return ONE / self
 
     def conjugate(self) -> "GaussScalar":
-        return GaussScalar(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def __pow__(self, n: int) -> "GaussScalar":
         if n < 0:
@@ -82,10 +126,10 @@ class GaussScalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussScalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     # -- formatting ------------------------------------------------------
 
@@ -101,8 +145,10 @@ ONE = GaussScalar(1)
 I = GaussScalar(0, 1)
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def format_scalar(s: GaussScalar) -> str:
@@ -111,16 +157,16 @@ def format_scalar(s: GaussScalar) -> str:
     The imaginary unit alone prints as "i" / "-i".  The zero scalar prints
     as "0".  The output round-trips through the expression parser.
     """
-    re, im = s.re, s.im
-    if not im:
-        return _frac_str(re)
-    if im == 1:
+    a, b, d = s._a, s._b, s._d
+    if not b:
+        return _ratio_str(a, d)
+    if b == d:
         im_part = "i"
-    elif im == -1:
+    elif b == -d:
         im_part = "-i"
     else:
-        im_part = f"{_frac_str(im)}*i"
-    if not re:
+        im_part = f"{_ratio_str(b, d)}*i"
+    if not a:
         return im_part
-    joiner = "+" if im > 0 else ""
-    return f"{_frac_str(re)}{joiner}{im_part}"
+    joiner = "+" if b > 0 else ""
+    return f"{_ratio_str(a, d)}{joiner}{im_part}"

@@ -301,8 +301,13 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
 
     rows = []
     for row in ansatz.collect({0: remainder}).values():
-        re_row = {c: GaussScalar(v.re) for c, v in row.items() if v.re}
-        im_row = {c: GaussScalar(v.im) for c, v in row.items() if v.im}
+        re_row, im_row = {}, {}
+        for c, v in row.items():
+            re, im = v.parts()
+            if not re.is_zero():
+                re_row[c] = re
+            if not im.is_zero():
+                im_row[c] = im
         if re_row:
             rows.append(re_row)
         if im_row:
@@ -331,10 +336,11 @@ def totally_real_check(fields) -> bool:
         for c, v in row.items():
             if times_i:
                 v = v * I
-            if v.re:
-                out[2 * c] = GaussScalar(v.re)
-            if v.im:
-                out[2 * c + 1] = GaussScalar(v.im)
+            re, im = v.parts()
+            if not re.is_zero():
+                out[2 * c] = re
+            if not im.is_zero():
+                out[2 * c + 1] = im
         return out
 
     plain = [realify(row, False) for row in rows]

@@ -33,7 +33,7 @@ from jetsym.rings import COEF, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, hyperquadric, segre_system
 
-from helpers import random_poly
+from helpers import budget, random_poly
 
 
 def flat_system(n, m):
@@ -151,7 +151,7 @@ def random_target(data, table, wvars, order):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=budget(40), deadline=None)
 @given(st.sampled_from([(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3)]), st.data())
 def test_lie_ansatz_round_trip(shape, data):
     # Columns ordered by Taylor degree, then function, then exponent.
@@ -162,7 +162,7 @@ def test_lie_ansatz_round_trip(shape, data):
     assert ansatz_round_trip(field, targets) == targets
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=budget(40), deadline=None)
 @given(st.sampled_from([1, 2]), st.data())
 def test_cr_ansatz_round_trip(n, data):
     # Columns ordered by component, then exponent, then real/imaginary part.
@@ -375,7 +375,7 @@ def outcome(run):
         return (type(exc), exc.layer, str(exc))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=budget(30), deadline=None)
 @given(
     st.sampled_from([(1, 1, 3), (1, 1, 4), (1, 2, 3), (2, 1, 3), (2, 1, 4), (2, 2, 3)]),
     st.integers(0, 2**32),

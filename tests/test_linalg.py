@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from jetsym.linalg import LinearSystemExact, express_in_span, solve_linear_exact, sparse_rank
 from jetsym.scalars import GaussScalar, I, ONE, ZERO
 
-from helpers import random_scalar
+from helpers import budget, random_scalar
 
 
 def G(x):
@@ -189,7 +189,7 @@ def combination(basis_rows, coords):
     return {c: v for c, v in out.items() if not v.is_zero()}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=budget(150), deadline=None)
 @given(basis_and_target())
 def test_express_in_span_matches_transposed_solve(case):
     basis, target = case

@@ -9,7 +9,7 @@ from jetsym.poly import Poly, mono_sort_key
 from jetsym.rings import AUX, VarTable, jet_var, u_var, x_var
 from jetsym.scalars import GaussScalar, ZERO
 
-from helpers import random_poly
+from helpers import budget, random_poly
 
 
 def make_ctx():
@@ -160,7 +160,7 @@ coefficients = st.builds(
 bounds = st.one_of(st.none(), st.integers(0, 10))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=budget(300), deadline=None)
 @given(
     st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS),
     st.dictionaries(monomials, coefficients, max_size=8),
@@ -210,7 +210,7 @@ def loop_derivation(f, vector):
 small_bounds = st.one_of(st.none(), st.integers(0, 6))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=budget(300), deadline=None)
 @given(
     st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS),
     st.dictionaries(monomials, coefficients, max_size=8),
@@ -242,7 +242,7 @@ def dense_sort_key(mono, nvars):
     return (sum(dense), tuple(-e for e in dense))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=budget(300), deadline=None)
 @given(st.lists(monomials, max_size=12))
 def test_sparse_sort_key_matches_dense(monos):
     assert sorted(monos, key=mono_sort_key) == sorted(monos, key=lambda m: dense_sort_key(m, NVARS))

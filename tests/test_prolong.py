@@ -12,7 +12,7 @@ from jetsym.rings import JET, W, cr_table, jet_var, u_var, x_var
 from jetsym.scalars import GaussScalar
 from jetsym.segre import DefiningSeries, HoloField, Signature, defining_table, segre_system
 
-from helpers import random_point_field, random_poly, second_jet_bindings
+from helpers import budget, random_point_field, random_poly, second_jet_bindings
 
 
 def test_translation_prolongs_to_zero():
@@ -254,7 +254,7 @@ def segre_systems(draw):
     return segre_system(DefiningSeries(sig, R), order=draw(st.integers(3, 6)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=budget(150), deadline=None)
 @given(st.one_of(jet_systems(), segre_systems()), st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_criterion_on_manifold_matches_substitution(sys_, seed, degree):
     X = random_point_field(Random(seed), sys_.ctx, max_terms=4, max_degree=degree)

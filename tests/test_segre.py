@@ -26,7 +26,7 @@ from jetsym.segre import (
 )
 from jetsym.series import implicit_series_solve
 
-from helpers import random_poly
+from helpers import budget, random_poly
 
 
 def cubic_perturbation():
@@ -200,7 +200,7 @@ def test_reduction_requires_w_free_tail():
         reduce_by_rho(w * w, rho)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=budget(40), deadline=None)
 @given(st.sampled_from(["+", "-", "+-", "++-"]), st.randoms(use_true_random=False))
 def test_reduction_returns_the_w_free_part(sig, rng):
     sig = Signature.parse(sig)

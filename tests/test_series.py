@@ -15,6 +15,8 @@ from jetsym.series import (
     implicit_series_solve,
 )
 
+from helpers import budget
+
 
 def plain_table(*names):
     return VarTable(tuple((AUX, n) for n in names))
@@ -113,7 +115,7 @@ entries = st.builds(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=budget(150), deadline=None)
 @given(st.integers(1, 4).flatmap(lambda k: st.lists(
     st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k
 )))
@@ -184,7 +186,7 @@ def implicit_systems(draw):
     return equations, [(AUX, f"z{i}") for i in range(k)]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=budget(80), deadline=None)
 @given(implicit_systems(), st.integers(1, 5))
 def test_layered_solve_matches_full_resubstitution(system, order):
     equations, unknowns = system
