@@ -179,20 +179,23 @@ def cmd_determining(args):
     sys_ = load_system(args.system)
     field = UnknownCoefficientField(sys_.ctx, args.order)
     det = generate_determining(sys_, field)
+    labels = [field.label(cid) for cid in field.unknowns]
+    monomials: dict[tuple, str] = {}
     rows = []
     for row, prov in zip(det.rows, det.provenance):
         parts = []
         for col in sorted(row):
             coeff = row[col]
-            label = field.label(field.unknowns[col])
-            cs = str(coeff)
-            parts.append(f"{cs}*{label}" if not coeff.is_one() else label)
+            parts.append(labels[col] if coeff.is_one() else f"{coeff}*{labels[col]}")
+        monomial = monomials.get(prov.mono)
+        if monomial is None:
+            monomial = monomials[prov.mono] = prov.monomial_str(field.ext_table)
         rows.append(
             {
                 "mu": prov.mu,
                 "i": prov.i,
                 "j": prov.j,
-                "monomial": prov.monomial_str(field.ext_table),
+                "monomial": monomial,
                 "equation": " + ".join(parts) + " = 0",
             }
         )

@@ -4,11 +4,15 @@ The symmetry coefficients theta_j, eta^mu are replaced by polynomials of
 total degree <= N in (x, u) whose coefficients are formal unknowns.  The
 tangency criterion then becomes a single polynomial identity; collecting
 the coefficient of every monomial (in x, u, and the first-jet variables)
-yields one homogeneous linear equation per monomial.  Rows whose (x, u)
+yields one homogeneous linear equation per monomial.  The collector groups
+each residual's terms by monomial and sorts only that residual's distinct
+monomials, building each monomial's graded-lex key once.  Rows whose (x, u)
 degree exceeds N - 2 are discarded: they would also constrain Taylor
 coefficients beyond the ansatz order, so for a degree-N truncation they are
-incomplete.  The ansatz itself is a ``LinearAnsatz``, the same builder,
-row collector and realizer that the CR automorphism solve uses.
+incomplete.  Each monomial's (x, u) and jet degrees are computed once, and
+the cut is made on them before any row provenance is built.  The ansatz
+itself is a ``LinearAnsatz``, the same builder, row collector and realizer
+that the CR automorphism solve uses.
 
 Two independent algorithms are provided on top of the generated rows and
 are tested against each other:
@@ -125,17 +129,30 @@ class LinearAnsatz:
 
         polys maps sortable slot keys to Polys over the extended table.
         Returns {(slot, monomial): {column: coefficient}} in slot, then
-        graded-lex order.
+        graded-lex order.  Each slot's terms are grouped by ordinary
+        monomial and only that slot's distinct monomials are sorted; the
+        graded-lex key of a monomial is built once, however many slots and
+        columns it occurs in.
         """
         offset = len(self.table)
+        sort_keys: dict[tuple, tuple] = {}
         rows: dict[tuple, dict[int, GaussScalar]] = {}
-        for slot, f in polys.items():
-            for mono, coeff in f.terms.items():
+        for slot in sorted(polys):
+            groups: dict[tuple, dict[int, GaussScalar]] = {}
+            for mono, coeff in polys[slot].terms.items():
                 ordinary, c = split_unknown(mono, offset)
-                # Each (monomial, column) pair is a distinct term of f, so
-                # no entry is written twice.
-                rows.setdefault((slot, ordinary), {})[c] = coeff
-        return {key: rows[key] for key in sorted(rows, key=lambda k: (k[0], mono_sort_key(k[1])))}
+                # Each (monomial, column) pair is a distinct term of the
+                # slot's polynomial, so no entry is written twice.
+                row = groups.get(ordinary)
+                if row is None:
+                    groups[ordinary] = {c: coeff}
+                    if ordinary not in sort_keys:
+                        sort_keys[ordinary] = mono_sort_key(ordinary)
+                else:
+                    row[c] = coeff
+            for ordinary in sorted(groups, key=sort_keys.__getitem__):
+                rows[(slot, ordinary)] = groups[ordinary]
+        return rows
 
     def realize(self, name, values) -> Poly:
         """The ansatz polynomial of ``name`` over the base table, with the
@@ -287,15 +304,20 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
             )
 
     kinds = [vid[0] for vid in ext_table.ids]
+    degrees: dict[tuple, tuple[int, int]] = {}  # monomial -> (xu_degree, jet_degree)
     rows = []
     provenance = []
     for ((mu, i, j), mono), row in field.collect(residuals).items():
-        xu_deg = sum(e for p, e in mono if kinds[p] in (rings.X, rings.U))
-        if xu_deg > N - 2:
+        deg = degrees.get(mono)
+        if deg is None:
+            deg = degrees[mono] = (
+                sum(e for p, e in mono if kinds[p] in (rings.X, rings.U)),
+                sum(e for p, e in mono if kinds[p] == rings.JET),
+            )
+        if deg[0] > N - 2:
             continue
-        jet_deg = sum(e for p, e in mono if kinds[p] == rings.JET)
         rows.append(row)
-        provenance.append(RowProvenance(mu, i, j, mono, xu_deg, jet_deg))
+        provenance.append(RowProvenance(mu, i, j, mono, *deg))
     return DeterminingSystem(field, rows, provenance)
 
 

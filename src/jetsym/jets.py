@@ -65,7 +65,11 @@ class JetContext:
 
 
 def jet_order_of_poly(f: Poly) -> int:
-    return max((f.table.jet_order_of(v) for v in f.variables()), default=0)
+    return _jet_order(f.table, f.variables())
+
+
+def _jet_order(table: VarTable, vids) -> int:
+    return max((table.jet_order_of(v) for v in vids), default=0)
 
 
 class PDESystem:
@@ -116,13 +120,13 @@ class PDESystem:
         return PDESystem(self.ctx, moved)
 
 
-def _total_vector(f: Poly, i: int, lift) -> dict:
-    """D_i as a derivation vector: x_i -> 1, and on f's variables u^mu ->
-    u^mu_i and a jet u^mu_I -> lift(mu, I); auxiliary variables are constant.
-    x_i is always present, so D_i lowers the bound even of a constant."""
-    table = f.table
+def _total_vector(table: VarTable, vids, i: int, lift) -> dict:
+    """D_i as a derivation vector: x_i -> 1, and on the variables vids of the
+    function u^mu -> u^mu_i and a jet u^mu_I -> lift(mu, I); auxiliary
+    variables are constant.  x_i is always present, so D_i lowers the bound
+    even of a constant."""
     vector = {x_var(i): Poly.const(table, ONE)}
-    for vid in f.variables():
+    for vid in vids:
         kind = vid[0]
         if kind == rings.U:
             vector[vid] = Poly.var(table, jet_var(vid[1], (i,)))
@@ -140,9 +144,10 @@ def total_derivative(ctx: JetContext, f: Poly, i: int) -> Poly:
     if not (1 <= i <= ctx.n):
         raise ValueError(f"direction {i} out of range")
     top = ctx.max_jet_order
-    if jet_order_of_poly(f) >= top:
+    vids = f.variables()
+    if _jet_order(f.table, vids) >= top:
         raise JetOrderError(f"D_{i} needs jet order {top + 1}, table allows {top}")
-    return f.derivation(_total_vector(f, i, lambda mu, idx: Poly.var(f.table, jet_var(mu, idx + (i,)))))
+    return f.derivation(_total_vector(f.table, vids, i, lambda mu, idx: Poly.var(f.table, jet_var(mu, idx + (i,)))))
 
 
 def restricted_total_derivative(sys: PDESystem, f: Poly, i: int) -> Poly:
@@ -150,9 +155,10 @@ def restricted_total_derivative(sys: PDESystem, f: Poly, i: int) -> Poly:
 
     f must involve only (x, u, first-jet) variables; so does the result.
     """
-    if jet_order_of_poly(f) > 1:
+    vids = f.variables()
+    if _jet_order(f.table, vids) > 1:
         raise ValueError("restricted total derivative needs a first-order jet function")
-    return f.derivation(_total_vector(f, i, lambda mu, idx: sys.F(mu, i, idx[0]).convert(f.table)))
+    return f.derivation(_total_vector(f.table, vids, i, lambda mu, idx: sys.F(mu, i, idx[0]).convert(f.table)))
 
 
 @dataclass

@@ -87,12 +87,19 @@ def _by_degree(terms: dict, weights, bound: int) -> dict:
 
 
 def _add_into(out: dict, terms: dict) -> None:
-    """Add the terms into ``out`` in place, dropping sums that vanish."""
+    """Add the terms into ``out`` in place, dropping sums that vanish.
+
+    ``terms`` holds no zero coefficient (a Poly never stores one, and a
+    product of nonzero Gaussian rationals is nonzero), so an empty ``out``
+    takes them unchanged and a new monomial needs no check.
+    """
+    if not out:
+        out.update(terms)
+        return
     for m, c in terms.items():
         acc = out.get(m)
         if acc is None:
-            if not c.is_zero():
-                out[m] = c
+            out[m] = c
         else:
             s = acc + c
             if s.is_zero():

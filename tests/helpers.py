@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import zip_longest
 from random import Random
 
 from hypothesis import settings
 
-from jetsym.poly import Poly
-from jetsym.prolong import VectorField
+from jetsym import rings
+from jetsym.determining import RowProvenance, split_unknown
+from jetsym.jets import PDESystem
+from jetsym.poly import Poly, mono_sort_key
+from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import jet_var
 from jetsym.scalars import GaussScalar
 
@@ -128,3 +132,40 @@ def second_jet_bindings(sys_) -> dict:
     """The substitution u^k_{ij} -> F^k_{ij} of a system, for references that
     restrict to the equation manifold by substituting."""
     return {jet_var(k, (i, j)): f for (k, i, j), f in sys_.entries.items()}
+
+
+def first_difference(a, b):
+    """The index of the first element where two sequences differ (a missing
+    element counts), or None.  Asserting on it keeps a failing example cheap
+    to report while hypothesis shrinks it."""
+    return next((k for k, (x, y) in enumerate(zip_longest(a, b, fillvalue=object())) if x != y), None)
+
+
+def sort_all_collect(ansatz, polys: dict) -> dict:
+    """The row collector that ``LinearAnsatz.collect`` replaced: every row of
+    every slot in one dict, then one sort of all keys by (slot, graded-lex
+    key of the monomial)."""
+    offset = len(ansatz.table)
+    rows = {}
+    for slot, f in polys.items():
+        for mono, coeff in f.terms.items():
+            ordinary, c = split_unknown(mono, offset)
+            rows.setdefault((slot, ordinary), {})[c] = coeff
+    return {key: rows[key] for key in sorted(rows, key=lambda k: (k[0], mono_sort_key(k[1])))}
+
+
+def reference_determining(sys_, field):
+    """(rows, provenance) of ``generate_determining`` by the path it replaced:
+    ``sort_all_collect``, then degree sums per row and the N - 2 cut."""
+    ext_sys = PDESystem(field.ext_ctx, {key: f.convert(field.ext_table) for key, f in sys_.entries.items()})
+    residuals = lie_criterion_check(field.ansatz_field(), ext_sys)
+    kinds = [vid[0] for vid in field.ext_table.ids]
+    rows, provenance = [], []
+    for ((mu, i, j), mono), row in sort_all_collect(field, residuals).items():
+        xu_deg = sum(e for p, e in mono if kinds[p] in (rings.X, rings.U))
+        if xu_deg > field.order - 2:
+            continue
+        jet_deg = sum(e for p, e in mono if kinds[p] == rings.JET)
+        rows.append(row)
+        provenance.append(RowProvenance(mu, i, j, mono, xu_deg, jet_deg))
+    return rows, provenance

@@ -33,11 +33,27 @@ from jetsym.rings import COEF, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, hyperquadric, segre_system
 
-from helpers import budget, random_poly
+from helpers import budget, first_difference, random_poly, reference_determining, sort_all_collect
 
 
 def flat_system(n, m):
     return PDESystem(JetContext.create(n, m))
+
+
+def random_first_order_system(rng, n, m):
+    """Random F in (x, u, first jets): with n = 1 every system is involutive,
+    with n = 2 most are not."""
+    ctx = JetContext.create(n, m)
+    vids = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
+    vids += [jet_var(mu, (i,)) for mu in range(1, m + 1) for i in range(1, n + 1)]
+    entries = {
+        (k, i, j): random_poly(rng, ctx.table, vids, max_terms=2, max_degree=2)
+        for k in range(1, m + 1)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+        if rng.random() < 0.7
+    }
+    return PDESystem(ctx, entries)
 
 
 def perturbed_segre_system(order=6):
@@ -151,6 +167,18 @@ def random_target(data, table, wvars, order):
     )
 
 
+def cr_ansatz(n):
+    table = cr_table(n)
+    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
+    unknowns = [
+        (COEF, (part, comp), alpha)
+        for comp in range(n + 1)
+        for alpha in monomials_up_to(n + 1, 2)
+        for part in ("aR", "aI")
+    ]
+    return LinearAnsatz(table, zw, unknowns)
+
+
 @settings(max_examples=budget(40), deadline=None)
 @given(st.sampled_from([(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3)]), st.data())
 def test_lie_ansatz_round_trip(shape, data):
@@ -166,17 +194,62 @@ def test_lie_ansatz_round_trip(shape, data):
 @given(st.sampled_from([1, 2]), st.data())
 def test_cr_ansatz_round_trip(n, data):
     # Columns ordered by component, then exponent, then real/imaginary part.
-    table = cr_table(n)
-    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
-    unknowns = [
-        (COEF, (part, comp), alpha)
-        for comp in range(n + 1)
-        for alpha in monomials_up_to(n + 1, 2)
-        for part in ("aR", "aI")
-    ]
-    ansatz = LinearAnsatz(table, zw, unknowns)
-    targets = {(part, comp): random_target(data, table, zw, 2) for comp in range(n + 1) for part in ("aR", "aI")}
+    ansatz = cr_ansatz(n)
+    targets = {
+        (part, comp): random_target(data, ansatz.table, ansatz.wvars, 2) for comp in range(n + 1) for part in ("aR", "aI")
+    }
     assert ansatz_round_trip(ansatz, targets) == targets
+
+
+def random_linear_polys(rng, ansatz, slots):
+    """One polynomial per slot, linear in the ansatz unknowns.  The ordinary
+    monomials come from a small random pool, so slots share monomials and a
+    monomial carries several columns."""
+    offset = len(ansatz.table)
+    pool = set()
+    for _ in range(rng.randint(1, 6)):
+        exps = {rng.randrange(offset): rng.randint(1, 3) for _ in range(rng.randint(0, 3))}
+        pool.add(tuple(sorted(exps.items())))
+    pool = sorted(pool)
+    coefficients = [ONE, -ONE, GaussScalar(2), GaussScalar(Fraction(1, 3), -1)]
+    polys = {}
+    for slot in slots:
+        terms = {
+            rng.choice(pool) + ((offset + rng.randrange(len(ansatz.unknowns)), 1),): rng.choice(coefficients)
+            for _ in range(rng.randint(0, 10))
+        }
+        polys[slot] = Poly(ansatz.ext_table, terms)
+    return polys
+
+
+@settings(max_examples=budget(60), deadline=None)
+@given(
+    st.sampled_from([(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2)]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([(1, 1, 3), (1, 1, 4), (1, 2, 3), (2, 1, 3), (2, 1, 4), (2, 2, 3)]),
+    st.integers(0, 2**32),
+)
+def test_collect_matches_sort_all_reference(lie_shape, cr_n, shape, seed):
+    # Lie slots (mu, i, j), handed over in a random order, and CR's one slot;
+    # then the rows and provenance of a whole determining system, cut
+    # included.  One assertion, so a failure is shrunk once.
+    rng = Random(seed)
+    n, m, order = lie_shape
+    field = UnknownCoefficientField(JetContext.create(n, m), order)
+    slots = [(mu, i, j) for mu in range(1, m + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
+    rng.shuffle(slots)
+    polys = random_linear_polys(rng, field, slots)
+    lie = first_difference(field.collect(polys).items(), sort_all_collect(field, polys).items())
+    ansatz = cr_ansatz(cr_n)
+    polys = random_linear_polys(rng, ansatz, [0])
+    cr = first_difference(ansatz.collect(polys).items(), sort_all_collect(ansatz, polys).items())
+    n, m, order = shape
+    sys_ = random_first_order_system(rng, n, m)
+    field = UnknownCoefficientField(sys_.ctx, order)
+    det = generate_determining(sys_, field)
+    rows, provenance = reference_determining(sys_, field)
+    generated = first_difference(zip(det.rows, det.provenance), zip(rows, provenance))
+    assert (lie, cr, generated) == (None, None, None)
 
 
 # -- solve_second_order ----------------------------------------------------------
@@ -382,22 +455,10 @@ def outcome(run):
     st.data(),
 )
 def test_propagator_matches_per_omega_recursion(shape, seed, data):
-    # Random F in (x, u, first jets): with n = 1 every system is involutive,
-    # with n = 2 most are not, so both fields and inconsistent layers occur.
+    # Both fields (n = 1) and inconsistent layers (n = 2) occur.
     n, m, order = shape
-    rng = Random(seed)
-    ctx = JetContext.create(n, m)
-    vids = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
-    vids += [jet_var(mu, (i,)) for mu in range(1, m + 1) for i in range(1, n + 1)]
-    entries = {
-        (k, i, j): random_poly(rng, ctx.table, vids, max_terms=2, max_degree=2)
-        for k in range(1, m + 1)
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-        if rng.random() < 0.7
-    }
-    sys_ = PDESystem(ctx, entries)
-    det = generate_determining(sys_, UnknownCoefficientField(ctx, order))
+    sys_ = random_first_order_system(Random(seed), n, m)
+    det = generate_determining(sys_, UnknownCoefficientField(sys_.ctx, order))
     dim = InitialData.dimension(n, m)
     scalars = st.sampled_from([ZERO, ZERO, ONE, GaussScalar(-2), GaussScalar(Fraction(1, 3), 1)])
     for _ in range(3):

@@ -1,7 +1,8 @@
-"""Golden corpus: canonical JSON output of every CLI subcommand, byte for byte.
+"""Golden corpus: canonical JSON output of every CLI subcommand, byte for byte,
+and the text output of ``determining``.
 
-The expected files under ``tests/golden/expected`` are checked in; this test
-only compares against them and never rewrites them.  A refactor that keeps
+The expected files under ``tests/golden/expected`` are checked in; these tests
+only compare against them and never rewrite them.  A refactor that keeps
 the mathematics must keep every one of these outputs identical.
 """
 
@@ -63,4 +64,20 @@ def test_golden_output(capsys, name):
     out = capsys.readouterr().out
     assert rc == 0
     expected = (GOLDEN / "expected" / f"{name}.json").read_text(encoding="utf-8")
+    assert out == expected
+
+
+TEXT_CASES = {
+    "determining-flat": CASES["determining-flat"],
+    "determining-linearizable": CASES["determining-linearizable"],
+    "determining-flat-n2": ["determining", "--system", _in("flat_n2.json"), "--order", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_golden_text_output(capsys, name):
+    rc = main(TEXT_CASES[name] + ["--format", "text"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    expected = (GOLDEN / "expected" / f"{name}.txt").read_text(encoding="utf-8")
     assert out == expected

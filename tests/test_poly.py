@@ -4,10 +4,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetsym.expr import parse_poly
 from jetsym.jets import JetContext
-from jetsym.poly import Poly, mono_sort_key
+from jetsym.poly import Poly, _add_into, mono_sort_key
 from jetsym.rings import AUX, VarTable, jet_var, u_var, x_var
-from jetsym.scalars import GaussScalar, ZERO
+from jetsym.scalars import GaussScalar, I, ONE, ZERO
 
 from helpers import budget, random_poly
 
@@ -232,6 +233,76 @@ def test_derivation_matches_per_variable_loop(weights, terms_f, bound_f, vector_
         one = loop_derivation(f, {vid: Poly.const(table, 1)})
         d = f.differentiate(vid)
         assert (d.terms, d.bound) == (one.terms, one.bound)
+
+
+# -- no stored zero coefficient ------------------------------------------------------
+
+# A small monomial pool and unit coefficients, so that sums and products cancel
+# often.
+few_monomials = st.sampled_from([(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)), ((0, 2),), ((1, 2),), ((2, 1),), ((3, 1),)])
+unit_coefficients = st.sampled_from([ONE, -ONE, I, -I, GaussScalar(2), GaussScalar(Fraction(-1, 2))])
+
+
+def stored_zeros(f):
+    return [m for m, c in f.terms.items() if c.is_zero()]
+
+
+@settings(max_examples=budget(200), deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS), st.data())
+def test_no_operation_stores_a_zero_coefficient(weights, data):
+    # _add_into takes a term dict unchanged into an empty accumulator, which
+    # is sound only while no Poly stores a zero coefficient.
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+
+    def draw(monos=few_monomials, max_size=6):
+        terms = data.draw(st.dictionaries(monos, unit_coefficients, max_size=max_size))
+        return Poly(table, terms).truncate(data.draw(small_bounds))
+
+    f, h = draw(), draw()
+    # g cancels a drawn subset of f's terms, so f + g has vanishing sums.
+    cancelled = data.draw(st.sets(st.sampled_from(sorted(f.terms)))) if f.terms else set()
+    g = Poly(table, {**h.terms, **{m: -f.terms[m] for m in cancelled}}).truncate(h.bound)
+    exact_f, exact_g = Poly(table, dict(f.terms)), Poly(table, dict(g.terms))
+    positions = st.sets(st.integers(0, NVARS - 1))
+    vector = {table.ids[p]: draw(max_size=3) for p in data.draw(positions)}
+    nonconstant = few_monomials.filter(bool)
+    bindings = {table.ids[p]: draw(nonconstant, max_size=3) for p in data.draw(positions)}
+    target = VarTable(tuple(reversed(table.ids)), tuple(reversed(weights)))
+    results = [
+        f + g, g + f, f - g, g - f, f - f, exact_f + exact_g,
+        f * g, g * f, (f + g) * (f - g), exact_f * exact_g, (exact_f + exact_g) * (exact_f - exact_g),
+        f.truncate(data.draw(small_bounds)), f.scale(data.draw(unit_coefficients)), f.scale(ZERO),
+        f.derivation(vector), f.substitute(bindings), exact_f.substitute(bindings), f.convert(target),
+        parse_poly(f"{exact_f} + ({exact_g})", table), parse_poly(f"({exact_f})*({exact_g})", table),
+    ]
+    for r in results:
+        assert stored_zeros(r) == []
+
+
+def loop_add_into(out, terms):
+    """The per-term accumulation _add_into used to run into any dict,
+    checking every new coefficient for zero."""
+    for m, c in terms.items():
+        acc = out.get(m)
+        if acc is None:
+            if not c.is_zero():
+                out[m] = c
+        else:
+            s = acc + c
+            if s.is_zero():
+                del out[m]
+            else:
+                out[m] = s
+
+
+@settings(max_examples=budget(300), deadline=None)
+@given(st.dictionaries(few_monomials, unit_coefficients), st.dictionaries(few_monomials, unit_coefficients))
+def test_add_into_matches_per_term_loop(start, terms):
+    for base in ({}, start):
+        got, expected = dict(base), dict(base)
+        _add_into(got, terms)
+        loop_add_into(expected, terms)
+        assert list(got.items()) == list(expected.items())
 
 
 def dense_sort_key(mono, nvars):
