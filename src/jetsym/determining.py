@@ -343,17 +343,6 @@ class InitialData:
         return (n + m + 2) * (n + m)
 
     @staticmethod
-    def zero(n: int, m: int) -> "InitialData":
-        q = n + m
-        return InitialData(
-            alpha=tuple(tuple(ZERO for _ in range(q)) for _ in range(n)),
-            beta=tuple(tuple(ZERO for _ in range(q)) for _ in range(m)),
-            gamma=tuple(ZERO for _ in range(q)),
-            delta=tuple(ZERO for _ in range(m)),
-            epsilon=tuple(ZERO for _ in range(n)),
-        )
-
-    @staticmethod
     def from_flat(values, n: int, m: int) -> "InitialData":
         values = [v if isinstance(v, GaussScalar) else GaussScalar(v) for v in values]
         q = n + m

@@ -37,15 +37,6 @@ class LinearSystemExact:
             raise ValueError("a row has an entry at or past column ncols")
         self.ncols = ncols
 
-    def residual(self, x: list[GaussScalar]) -> list[GaussScalar]:
-        out = []
-        for row, b in zip(self.rows, self.rhs):
-            acc = ZERO
-            for c, v in row.items():
-                acc = acc + v * x[c]
-            out.append(acc - b)
-        return out
-
 
 @dataclass
 class LinearSolveResult:
@@ -58,18 +49,6 @@ class LinearSolveResult:
     @property
     def rank(self) -> int:
         return len(self.pivot_columns)
-
-    def unique(self) -> list[GaussScalar]:
-        if not self.consistent:
-            raise ValueError("system is inconsistent")
-        if self.nullspace:
-            raise ValueError("system is underdetermined")
-        return self.particular
-
-    def message(self) -> str:
-        if self.consistent:
-            return "consistent"
-        return f"inconsistent system: no solution at row {self.inconsistent_row + 1}"
 
 
 class _Reducer:

@@ -2,24 +2,36 @@
 invertible Jacobian in the unknowns, expand zeta as a truncated power series
 in the remaining variables.
 
-The solution is built one degree layer at a time (the relaxed update of van
-der Hoeven, "Relax, but don't be too lazy", 2002) with the constant Jacobian
-J at the base point.  Sweep b = 1 .. order substitutes the series known so
-far, truncated at b, into the equations at bound b.  The series is exact
-below degree b, so that residual is its degree-b layer, and subtracting
-J^-1 times the layer completes degree b.  A sweep therefore costs products
-at bound b, not at the full order.
+The solution is built one homogeneous layer at a time by a relaxed recursion
+(van der Hoeven, "Relax, but don't be too lazy", 2002) with the constant
+Jacobian J at the base point.  Each equation is split once into terms
+c * kept * pattern, where ``kept`` is a monomial in the remaining variables,
+of weighted degree k, and ``pattern`` a product of powers of the unknowns.
+Sweep b = 1 .. order forms only the degree-b layer of the residual,
 
-This needs the remaining variables to have positive weight: a weight-0
-variable lets lower layers reappear in later residuals.  The result is
-verified by a back-substitution at the full order before it is returned,
-which catches any case where the layers do not close.
+    r_b = sum of c * kept * layer(pattern, b - k),
+
+without the linear terms of kept degree 0: they form J zeta, and their
+layer b is the one being solved, so zeta_b = -J^-1 r_b.  Here
+layer(pattern, d) is the degree-d part of the pattern's product of series.
+For a single unknown it is that unknown's layer d; for a power or a product
+of several unknowns it is the convolution of a head and a tail layer, held
+in a memo for the whole solve.  Every unknown vanishes at the origin, so
+these read only layers below b, which are final: each product is formed
+once over all sweeps, not once per sweep and equation as a substitution of
+the whole series would (the cost model of Brent and Kung, "Fast algorithms
+for manipulating formal power series", J. ACM 1978).
+
+This needs the remaining variables to have positive weight: with a weight-0
+variable, a term of kept degree 0 other than a Jacobian entry never enters
+a sweep.  The result is verified by a back-substitution at the full order
+before it is returned, which catches any case where the layers do not close.
 """
 
 from __future__ import annotations
 
 from .linalg import span_coordinates
-from .poly import Poly
+from .poly import Poly, _add_into, mono_degree, mono_weighted_degree
 from .scalars import GaussScalar, ONE
 
 
@@ -43,6 +55,76 @@ def _invert_matrix(rows: list[list[GaussScalar]]) -> list[list[GaussScalar]]:
     return inverse
 
 
+class _PatternLayers:
+    """layer(pattern, d) of the module docstring.  ``solved[p]`` lists the
+    final layers 0, 1, .. of the unknown at position p; the layers of powers
+    and products are memoized for the life of this object."""
+
+    def __init__(self, table, positions):
+        self.table = table
+        self.zero, self.one = Poly.zero(table), Poly.const(table, ONE)
+        self.solved = {p: [self.zero] for p in positions}  # every unknown vanishes at 0
+        self.memo: dict[tuple, Poly] = {}
+
+    def __call__(self, pattern, d: int) -> Poly:
+        if not pattern:
+            return self.one if d == 0 else self.zero
+        if d < mono_degree(pattern):
+            return self.zero
+        (p, e), rest = pattern[0], pattern[1:]
+        if e == 1 and not rest:
+            return self.solved[p][d]  # an IndexError here would read a layer not yet final
+        out = self.memo.get((pattern, d))
+        if out is None:
+            head, tail = (pattern[:1], rest) if rest else (((p, 1),), ((p, e - 1),))
+            acc: dict = {}
+            for j in range(mono_degree(head), d - mono_degree(tail) + 1):
+                _add_into(acc, (self(head, j) * self(tail, d - j)).terms)
+            out = self.memo[(pattern, d)] = Poly(self.table, acc)
+        return out
+
+
+def _relaxed_layers(equations, unknowns, jac_inv, order: int) -> dict:
+    """The layers 1 .. order of the solution, summed into one Poly of bound
+    ``order`` per unknown (see the module docstring).  The pattern layers
+    are dropped when this returns."""
+    table = equations[0].table
+    positions = [table.index(v) for v in unknowns]
+    unknown = set(positions)
+    # Each equation as (pattern, kept degree k, kept part of that degree).
+    split = []
+    for g in equations:
+        parts: dict[tuple, dict] = {}
+        for mono, c in g.terms.items():
+            kept = tuple(pe for pe in mono if pe[0] not in unknown)
+            pattern = tuple(pe for pe in mono if pe[0] in unknown)
+            k = mono_weighted_degree(kept, table.weights)
+            if k == 0 and len(pattern) == 1 and pattern[0][1] == 1:
+                continue  # a Jacobian entry
+            parts.setdefault((pattern, k), {})[kept] = c
+        split.append([(pattern, k, Poly(table, kept)) for (pattern, k), kept in parts.items()])
+
+    layer = _PatternLayers(table, positions)
+    for b in range(1, order + 1):
+        residuals = []
+        for parts in split:
+            acc = {}
+            for pattern, k, kept in parts:
+                if k <= b:
+                    _add_into(acc, (kept * layer(pattern, b - k)).terms)
+            residuals.append(Poly(table, acc))
+        for row, p in zip(jac_inv, positions):
+            acc = {}
+            for s, r in zip(row, residuals):
+                _add_into(acc, r.scale(-s).terms)
+            layer.solved[p].append(Poly(table, acc))
+
+    return {
+        v: Poly(table, {m: c for lay in layer.solved[p] for m, c in lay.terms.items()}, order)
+        for v, p in zip(unknowns, positions)
+    }
+
+
 def implicit_series_solve(equations, unknowns, order: int):
     """Solve G = 0 for the unknowns as series in the remaining variables,
     centered at the origin, where G must vanish.
@@ -53,6 +135,13 @@ def implicit_series_solve(equations, unknowns, order: int):
 
     Returns {unknown id: Poly} with G(solution) == 0 up to the effective
     truncation order (the minimum of ``order`` and the equations' bounds).
+
+    Sweep b forms only the degree-b layer of the residual, from the layers
+    below b, and solves it for layer b of every unknown.  A memo holds the
+    layers of the powers and products of the unknowns that the equations
+    name, so each is formed once; it is dropped before the whole series is
+    substituted back at the full order, which raises ArithmeticError if any
+    equation does not vanish.
     """
     if order < 0:
         raise ValueError(f"series order must be nonnegative, got {order}")
@@ -82,17 +171,7 @@ def implicit_series_solve(equations, unknowns, order: int):
     ]
     jac_inv = _invert_matrix(jac)
 
-    current = {v: Poly.zero(table, eff_order) for v in unknowns}
-    for b in range(1, eff_order + 1):
-        # The residual at bound b is the degree-b layer (see the module
-        # docstring); taken as exact, it leaves current's bound as it is.
-        below = {v: s.truncate(b) for v, s in current.items()}
-        layers = [Poly(table, g.substitute(below).truncate(b).terms) for g in equations]
-        for k, v in enumerate(unknowns):
-            corr = Poly.zero(table)
-            for i, r in enumerate(layers):
-                corr = corr + r.scale(jac_inv[k][i])
-            current[v] = current[v] - corr
+    current = _relaxed_layers(equations, unknowns, jac_inv, eff_order)
 
     residuals = [g.substitute(current).truncate(eff_order) for g in equations]
     for idx, r in enumerate(residuals):

@@ -11,12 +11,13 @@ from random import Random
 from hypothesis import settings
 
 from jetsym import rings
-from jetsym.determining import RowProvenance, split_unknown
+from jetsym.determining import InitialData, RowProvenance, split_unknown
 from jetsym.jets import PDESystem
 from jetsym.poly import Poly, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import jet_var
-from jetsym.scalars import GaussScalar
+from jetsym.scalars import ZERO, GaussScalar
+from jetsym.series import InconsistentBaseError, _invert_matrix
 
 
 def budget(n: int) -> int:
@@ -169,3 +170,74 @@ def reference_determining(sys_, field):
         rows.append(row)
         provenance.append(RowProvenance(mu, i, j, mono, xu_deg, jet_deg))
     return rows, provenance
+
+
+def zero_initial_data(n: int, m: int) -> InitialData:
+    """The initial data of the zero field."""
+    return InitialData.from_flat([ZERO] * InitialData.dimension(n, m), n, m)
+
+
+def linear_residual(system, x) -> list:
+    """matrix * x - rhs of a ``LinearSystemExact``, one entry per row."""
+    out = []
+    for row, b in zip(system.rows, system.rhs):
+        acc = ZERO
+        for c, v in row.items():
+            acc = acc + v * x[c]
+        out.append(acc - b)
+    return out
+
+
+def resubstitution_series_solve(equations, unknowns, order: int):
+    """The implicit series solve that ``series.implicit_series_solve``
+    replaced, kept as its reference: the same checks, errors and final
+    back-substitution, but sweep b substitutes the whole series known so
+    far, truncated at b, into every equation at bound b, and takes the
+    result as the degree-b layer of the residual."""
+    if order < 0:
+        raise ValueError(f"series order must be nonnegative, got {order}")
+    if len(equations) != len(unknowns):
+        raise ValueError("need exactly one equation per unknown")
+    if not equations:
+        return {}
+    table = equations[0].table
+    for g in equations:
+        if g.table is not table:
+            raise ValueError("equations must share one variable table")
+    for v in unknowns:
+        table.index(v)
+
+    eff_order = order
+    for g in equations:
+        if g.bound is not None:
+            eff_order = min(eff_order, g.bound)
+
+    for idx, g in enumerate(equations):
+        if not g.evaluate({}).is_zero():
+            raise InconsistentBaseError(f"equation {idx + 1} does not vanish at the base point")
+
+    jac = [
+        [g.differentiate(v).evaluate({}) for v in unknowns]
+        for g in equations
+    ]
+    jac_inv = _invert_matrix(jac)
+
+    current = {v: Poly.zero(table, eff_order) for v in unknowns}
+    for b in range(1, eff_order + 1):
+        # The series is exact below degree b, so the residual at bound b is
+        # its degree-b layer; taken as exact, it leaves current's bound as is.
+        below = {v: s.truncate(b) for v, s in current.items()}
+        layers = [Poly(table, g.substitute(below).truncate(b).terms) for g in equations]
+        for k, v in enumerate(unknowns):
+            corr = Poly.zero(table)
+            for i, r in enumerate(layers):
+                corr = corr + r.scale(jac_inv[k][i])
+            current[v] = current[v] - corr
+
+    residuals = [g.substitute(current).truncate(eff_order) for g in equations]
+    for idx, r in enumerate(residuals):
+        if not r.is_zero():
+            raise ArithmeticError(
+                f"implicit solve failed back-substitution at equation {idx + 1}"
+            )
+    return current

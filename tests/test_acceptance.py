@@ -11,7 +11,6 @@ from jetsym.cli import main as cli_main
 from jetsym.determining import (
     ETA,
     THETA,
-    InitialData,
     UnknownCoefficientField,
     generate_determining,
     initial_data_of,
@@ -37,7 +36,7 @@ from jetsym.segre import (
     totally_real_check,
 )
 
-from helpers import random_point_field, random_poly
+from helpers import random_point_field, random_poly, zero_initial_data
 from test_segre import back_substitution_residual
 
 
@@ -131,7 +130,7 @@ def test_criterion_4_injectivity():
     with criterion(4, "omega = 0 gives zero field; basis round-trips exact to order 3 (flat and perturbed)"):
         for sys_ in (flat_system(1, 1), perturbed_segre()):
             n, m = sys_.ctx.n, sys_.ctx.m
-            assert taylor_from_initial_data(sys_, InitialData.zero(n, m), order=3).is_zero()
+            assert taylor_from_initial_data(sys_, zero_initial_data(n, m), order=3).is_zero()
             alg = symmetry_algebra(sys_, order=3)
             field = UnknownCoefficientField(sys_.ctx, 3)
             det = generate_determining(sys_, field)

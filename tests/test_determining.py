@@ -33,7 +33,15 @@ from jetsym.rings import COEF, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, hyperquadric, segre_system
 
-from helpers import budget, first_difference, random_poly, reference_determining, sort_all_collect
+from helpers import (
+    budget,
+    first_difference,
+    linear_residual,
+    random_poly,
+    reference_determining,
+    sort_all_collect,
+    zero_initial_data,
+)
 
 
 def flat_system(n, m):
@@ -108,7 +116,7 @@ def test_zero_ansatz_satisfies_all_rows():
     field = UnknownCoefficientField(sys_.ctx, 3)
     det = generate_determining(sys_, field)
     zero_vec = [ZERO] * field.unknown_count()
-    assert all(v.is_zero() for v in det.system.residual(zero_vec))
+    assert all(v.is_zero() for v in linear_residual(det.system, zero_vec))
 
 
 def test_unknown_count_formula():
@@ -149,7 +157,9 @@ def ansatz_round_trip(ansatz, targets):
     collected = ansatz.collect({k: ansatz.poly(name) for k, name in enumerate(names)})
     rhs = [targets[names[k]].terms.get(mono, ZERO) for k, mono in collected]
     system = LinearSystemExact(list(collected.values()), rhs, ncols=len(ansatz.unknowns))
-    values = solve_linear_exact(system).unique()
+    result = solve_linear_exact(system)
+    assert result.consistent and not result.nullspace
+    values = result.particular
     return {name: ansatz.realize(name, values) for name in names}
 
 
@@ -335,7 +345,7 @@ def test_segre_hyperquadric_second_order_matches_flat():
 
 def test_taylor_translation():
     sys_ = flat_system(1, 1)
-    om = InitialData.zero(1, 1)
+    om = zero_initial_data(1, 1)
     om = InitialData(om.alpha, om.beta, om.gamma, om.delta, (ONE,))
     X = taylor_from_initial_data(sys_, om, order=3)
     assert X.theta[0] == sys_.ctx.const(1)
@@ -344,7 +354,7 @@ def test_taylor_translation():
 
 def test_taylor_gamma_slice_builds_projective_field():
     sys_ = flat_system(1, 1)
-    om = InitialData.zero(1, 1)
+    om = zero_initial_data(1, 1)
     om = InitialData(om.alpha, om.beta, (GaussScalar(2), ZERO), om.delta, om.epsilon)
     X = taylor_from_initial_data(sys_, om, order=3)
     ctx = sys_.ctx
@@ -355,7 +365,7 @@ def test_taylor_gamma_slice_builds_projective_field():
 def test_taylor_zero_data_zero_field():
     for sys_ in (flat_system(1, 1), flat_system(2, 1), perturbed_segre_system()):
         n, m = sys_.ctx.n, sys_.ctx.m
-        X = taylor_from_initial_data(sys_, InitialData.zero(n, m), order=3)
+        X = taylor_from_initial_data(sys_, zero_initial_data(n, m), order=3)
         assert X.is_zero()
 
 
@@ -381,7 +391,7 @@ def test_taylor_rejects_inconsistent_layer_data():
     # d theta_1 / dx_1 = 1 the contradiction surfaces in the third layer.
     ctx = JetContext.create(2, 1)
     bad = PDESystem(ctx, {(1, 1, 1): ctx.x(2)})
-    om = InitialData.zero(2, 1)
+    om = zero_initial_data(2, 1)
     om = InitialData(((ONE, ZERO, ZERO), om.alpha[1]), om.beta, om.gamma, om.delta, om.epsilon)
     with pytest.raises(InconsistentLayerError) as err:
         taylor_from_initial_data(bad, om, order=3)
@@ -475,10 +485,10 @@ def test_taylor_underdetermined_layer():
     assert full.rows[0] == {full.field.col[(COEF, (ETA, 1), (2, 0))]: GaussScalar(2)}
     det = DeterminingSystem(full.field, full.rows[1:], full.provenance[1:])
     with pytest.raises(UnderdeterminedLayerError) as err:
-        taylor_from_initial_data(sys_, InitialData.zero(1, 1), order=2, det=det)
+        taylor_from_initial_data(sys_, zero_initial_data(1, 1), order=2, det=det)
     assert err.value.layer == 2
     assert str(err.value) == "Taylor layer 2 is not determined (system not involutive?)"
-    assert outcome(lambda: reference_taylor(det, InitialData.zero(1, 1))) == (
+    assert outcome(lambda: reference_taylor(det, zero_initial_data(1, 1))) == (
         UnderdeterminedLayerError, 2, str(err.value)
     )
     with pytest.raises(SingularSubsystemError):

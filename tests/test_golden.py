@@ -49,6 +49,11 @@ CASES = {
     "segre-derive-perturbed": [
         "segre-derive", "--signature", "+-", "--perturbation", "x1^2*s1^2 + x2*u1*s3", "--order", "6",
     ],
+    # A product of two unknowns (s1*s2) with a non-constant kept part and
+    # deep layers: pins the series solve's multi-unknown patterns.
+    "segre-derive-deep": [
+        "segre-derive", "--signature", "+-", "--perturbation", "x1^2*s1^2 + x2*u1*s3 + x1*s1*s2", "--order", "12",
+    ],
     "cr-aut-+": ["cr-aut", "--signature", "+"],
     "cr-aut-+-": ["cr-aut", "--signature", "+-"],
     "cr-aut-++-": ["cr-aut", "--signature", "++-"],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from jetsym.series import (
     implicit_series_solve,
 )
 
-from helpers import budget
+from helpers import budget, resubstitution_series_solve
 
 
 def plain_table(*names):
@@ -141,6 +142,7 @@ def full_resubstitution_solve(equations, unknowns, order):
     """Simplified Newton that re-substitutes the whole series at the full
     bound in each of up to order + 1 sweeps."""
     table = equations[0].table
+    order = min([order] + [g.bound for g in equations if g.bound is not None])
     jac_inv = _invert_matrix([[g.differentiate(v).evaluate({}) for v in unknowns] for g in equations])
     current = {v: Poly.zero(table, order) for v in unknowns}
     for _ in range(order + 1):
@@ -155,35 +157,48 @@ def full_resubstitution_solve(equations, unknowns, order):
     return current
 
 
-small_ints = st.integers(-2, 2)
+def random_scalar_coefficient(rng):
+    return GaussScalar(rng.randint(-2, 2), rng.choice([0, 0, 1]))
 
 
-@st.composite
-def implicit_systems(draw):
-    """1 or 2 unknowns z_k in the remaining variables x, y of weight 1 or 2:
-    a random linear part in z (a singular one must be refused) plus terms of
-    degree >= 2 or linear in x and y."""
-    k = draw(st.integers(1, 2))
+def random_implicit_system(rng):
+    """1 to 3 unknowns z_k in the remaining variables x, y of weight 1 or 2:
+    a random linear part in z (a singular one must be refused) and in x, y;
+    terms of degree >= 2 with exponents up to 3; in about half of the
+    equations a product of two unknowns whose kept part is 1, x or y; and in
+    about a third a truncation bound, which may lie below the order."""
+    k = rng.randint(1, 3)
     names = [f"z{i}" for i in range(k)] + ["x", "y"]
-    weights = (1,) * k + tuple(draw(st.lists(st.integers(1, 2), min_size=2, max_size=2)))
+    weights = (1,) * k + (rng.randint(1, 2), rng.randint(1, 2))
     t = VarTable(tuple((AUX, n) for n in names), weights)
     variables = [Poly.var(t, (AUX, n)) for n in names]
-    J = draw(st.lists(st.lists(small_ints, min_size=k, max_size=k), min_size=k, max_size=k))
+    zs = variables[:k]
     equations = []
-    for i in range(k):
+    for _ in range(k):
         g = Poly.zero(t)
-        for j in range(k):
-            g = g + variables[j].scale(GaussScalar(J[i][j]))
-        for _ in range(draw(st.integers(0, 4))):
-            exps = draw(st.lists(st.integers(0, 2), min_size=k + 2, max_size=k + 2))
-            if sum(exps) == 0 or (sum(exps) == 1 and any(exps[:k])):
+        for var in variables:
+            g = g + var.scale(GaussScalar(rng.randint(-2, 2)))
+        for _ in range(rng.randint(0, 4)):
+            exps = [rng.choice([0, 0, 1, 2, 3]) for _ in names]
+            if sum(exps) < 2:
                 continue
-            term = Poly.const(t, GaussScalar(draw(small_ints), draw(st.sampled_from([0, 0, 1]))))
+            term = Poly.const(t, random_scalar_coefficient(rng))
             for var, e in zip(variables, exps):
                 term = term * var ** e
             g = g + term
+        if rng.random() < 0.5:
+            kept = rng.choice([Poly.const(t, ONE)] + variables[k:])
+            g = g + (rng.choice(zs) * rng.choice(zs) * kept).scale(random_scalar_coefficient(rng))
+        if rng.random() < 0.3:
+            g = g.truncate(rng.randint(1, 4))
         equations.append(g)
     return equations, [(AUX, f"z{i}") for i in range(k)]
+
+
+def implicit_systems():
+    """Systems from ``random_implicit_system``; hypothesis draws only the
+    seed, so a failing example is cheap to shrink."""
+    return st.integers(0, 2**32).map(lambda seed: random_implicit_system(Random(seed)))
 
 
 @settings(max_examples=budget(80), deadline=None)
@@ -197,6 +212,37 @@ def test_layered_solve_matches_full_resubstitution(system, order):
             implicit_series_solve(equations, unknowns, order)
         return
     got = implicit_series_solve(equations, unknowns, order)
+    effective = min([order] + [g.bound for g in equations if g.bound is not None])
     for v in unknowns:
         assert got[v] == expected[v]
-        assert got[v].bound == expected[v].bound == order
+        assert got[v].bound == expected[v].bound == effective
+
+
+def solve_outcome(solve, equations, unknowns, order):
+    """Each unknown's (terms, bound), or the type and message of the error."""
+    try:
+        solution = solve(equations, unknowns, order)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [(solution[v].terms, solution[v].bound) for v in unknowns]
+
+
+@settings(max_examples=budget(150), deadline=None)
+@given(implicit_systems(), st.integers(0, 6))
+def test_relaxed_solve_matches_resubstitution_reference(system, order):
+    # One assertion, so a failure is shrunk once.
+    equations, unknowns = system
+    assert solve_outcome(implicit_series_solve, equations, unknowns, order) == solve_outcome(
+        resubstitution_series_solve, equations, unknowns, order
+    )
+
+
+def test_weight_zero_variable_fails_back_substitution():
+    # a has weight 0, so the term -a*z has kept degree 0 without being a
+    # Jacobian entry, and the layers do not close: the back-substitution must
+    # refuse the result, as it did after the re-substitution sweeps.
+    t = VarTable(((AUX, "z"), (AUX, "a"), (AUX, "x")), (1, 0, 1))
+    z, a, x = (Poly.var(t, (AUX, n)) for n in ("z", "a", "x"))
+    for solve in (implicit_series_solve, resubstitution_series_solve):
+        with pytest.raises(ArithmeticError, match="^implicit solve failed back-substitution at equation 1$"):
+            solve([z - a * z - x], [(AUX, "z")], 4)
