@@ -9,11 +9,10 @@ from .determining import (
     generate_determining,
     initial_data_of,
     omega_basis,
-    solve_second_order,
     symmetry_algebra,
     taylor_from_initial_data,
 )
-from .expr import ParseError, parse_expression, parse_poly, parse_scalar
+from .expr import ParseError, parse_poly, parse_scalar
 from .jets import (
     JetContext,
     JetOrderError,
@@ -83,7 +82,6 @@ __all__ = [
     "jet_var",
     "lie_criterion_check",
     "omega_basis",
-    "parse_expression",
     "parse_poly",
     "parse_scalar",
     "poly_to_str",
@@ -91,7 +89,6 @@ __all__ = [
     "restricted_total_derivative",
     "segre_system",
     "solve_linear_exact",
-    "solve_second_order",
     "span_dimension",
     "span_equal",
     "symmetry_algebra",

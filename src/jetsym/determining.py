@@ -66,10 +66,6 @@ class UnderdeterminedLayerError(DeterminingError):
         super().__init__(f"Taylor layer {layer} is not determined (system not involutive?)")
 
 
-class SingularSubsystemError(DeterminingError):
-    pass
-
-
 def monomials_up_to(nvars: int, degree: int):
     """Dense exponent tuples of total degree <= degree, graded then lex."""
     out = []
@@ -420,33 +416,6 @@ def initial_data_of(X: VectorField, point: dict | None = None) -> InitialData:
 # ---------------------------------------------------------------------------
 
 
-def solve_second_order(det: DeterminingSystem) -> dict:
-    """Express every second derivative of theta_j, eta^mu at the base point
-    as an exact linear combination of the initial data.
-
-    Returns {(func, beta): linear form} where beta is a second-derivative
-    exponent tuple over (x, u) and the linear form maps derivative keys
-    (func, alpha), |alpha| <= 2, to GaussScalar coefficients: first
-    derivatives, values and the gamma components, whose forms map them to
-    themselves.  This is layer 2 of ``det.propagator`` written in
-    derivatives rather than Taylor coefficients; its compatibility
-    conditions are not checked here.
-    """
-    step = det.propagator.layers[0]
-    if step.failure is not None:
-        raise SingularSubsystemError(
-            f"no invertible square subsystem for the second-order layer: {step.failure()}"
-        )
-    field = det.field
-    keys = [field.unknowns[c][1:] for c, _ in det.propagator.omega_columns]
-    out = {}
-    for c, cid in enumerate(field.unknowns):
-        if field.layer_of(cid) == 2:
-            fact = GaussScalar(alpha_factorial(cid[2]))
-            out[cid[1:]] = {keys[k]: v * fact for k, v in det.propagator.forms[c].items()}
-    return out
-
-
 def _omega_columns(field: UnknownCoefficientField) -> list[tuple[int, GaussScalar]]:
     """(column, scale) of each initial-data coordinate omega_k, in
     ``InitialData.flat`` order: the unknown of that column is scale * omega_k.
@@ -612,11 +581,13 @@ def taylor_from_initial_data(
         det = generate_determining(sys, UnknownCoefficientField(sys.ctx, order))
     X = det.field.field_from_values(det.propagator.values(omega))
     if point:
-        X = _shift_field(X, point, back=True)
+        X = _shift_field(X, point)
     return X
 
 
-def _shift_field(X: VectorField, point: dict, back: bool) -> VectorField:
+def _shift_field(X: VectorField, point: dict) -> VectorField:
+    """Move a field built at the origin back to the base point: each
+    variable v becomes v - point[v]."""
     table = X.ctx.table
     bindings = {}
     for vid, val in point.items():
@@ -624,8 +595,7 @@ def _shift_field(X: VectorField, point: dict, back: bool) -> VectorField:
             val = GaussScalar(val)
         if val.is_zero():
             continue
-        shift = Poly.const(table, -val if back else val)
-        bindings[vid] = Poly.var(table, vid) + shift
+        bindings[vid] = Poly.var(table, vid) + Poly.const(table, -val)
     if not bindings:
         return X
     return VectorField(
@@ -659,6 +629,6 @@ def symmetry_algebra(sys: PDESystem, order: int = 3, point: dict | None = None) 
     for vec in result.nullspace:
         X = field.field_from_values(vec)
         if point:
-            X = _shift_field(X, point, back=True)
+            X = _shift_field(X, point)
         basis.append(X)
     return SymmetryAlgebra(basis, det)

@@ -1,10 +1,12 @@
-"""Recursive-descent parser for the input expression language.
+"""Recursive-descent parser for the input expression language, straight to
+``Poly``: there is no syntax tree, each sum, product and power is built as it
+is read.
 
 Grammar (whitespace insignificant, offsets are 0-based character positions):
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := '-' factor | primary ('^' uint)?      (uint <= MAX_EXPONENT)
+    factor   := '-'* primary ('^' uint)?              (uint <= MAX_EXPONENT)
     primary  := rational | 'i' | variable | '(' expr ')'
     rational := uint ('/' uint)?
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .poly import Poly
+from .poly import Poly, _add_into
 from .rings import VarTable
 from .scalars import GaussScalar, I
 
@@ -29,49 +31,20 @@ from .scalars import GaussScalar, I
 # it is expanded; it bounds each power, not the size of a whole expression.
 MAX_EXPONENT = 32
 
-# The expansion budget of ``lower``, checked before each '*' and '^': the
-# term pairs a product forms, or the C(t + e - 1, e) terms a power of a
-# t-term base may have.
+# The expansion budget, checked from the operands' term counts before each
+# '*' and '^' is expanded: the term pairs a product forms, or the
+# C(t + e - 1, e) terms a power of a t-term base may have.
 MAX_TERMS = 5000
+
+# The deepest nesting of parentheses.  Each level costs four parser frames,
+# so the cap keeps deep input far from Python's recursion limit.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         self.offset = offset
         super().__init__(f"{message} at offset {offset}")
-
-
-# -- AST ---------------------------------------------------------------------
-
-
-@dataclass
-class Const:
-    value: GaussScalar
-
-
-@dataclass
-class VarRef:
-    vid: tuple
-
-
-@dataclass
-class Neg:
-    child: object
-
-
-@dataclass
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
-    pos: int = 0  # offset of the operator
-
-
-@dataclass
-class Power:
-    base: object
-    exponent: int
-    pos: int = 0  # offset of the '^'
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -124,6 +97,7 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.table = table
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -139,41 +113,51 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return self.advance()
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> Poly:
+        f = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
+        return f
 
-    def expr(self):
-        node = self.term()
+    def expr(self) -> Poly:
+        terms = dict(self.term().terms)
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
-        return node
+            negate = self.advance().kind == "-"
+            right = self.term()
+            _add_into(terms, (-right if negate else right).terms)
+        return Poly(self.table, terms)
 
-    def term(self):
-        node = self.factor()
+    def term(self) -> Poly:
+        f = self.factor()
         while self.peek().kind == "*":
             pos = self.advance().pos
-            node = BinOp("*", node, self.factor(), pos)
-        return node
+            right = self.factor()
+            pairs = len(f.terms) * len(right.terms)
+            if pairs > MAX_TERMS:
+                raise ParseError(f"product forms {pairs} term pairs, over the limit {MAX_TERMS}", pos)
+            f = f * right
+        return f
 
-    def factor(self):
-        if self.peek().kind == "-":
+    def factor(self) -> Poly:
+        negate = False
+        while self.peek().kind == "-":
             self.advance()
-            return Neg(self.factor())
-        node = self.primary()
+            negate = not negate
+        f = self.primary()
         if self.peek().kind == "^":
             pos = self.advance().pos
             tok = self.expect("num")
             if len(tok.text) > len(str(MAX_EXPONENT)) or int(tok.text) > MAX_EXPONENT:
                 raise ParseError(f"exponent {tok.text} exceeds the limit {MAX_EXPONENT}", tok.pos)
-            node = Power(node, int(tok.text), pos)
-        return node
+            t, e = len(f.terms), int(tok.text)
+            size = comb(t + e - 1, e) if t else 0
+            if size > MAX_TERMS:
+                raise ParseError(f"power may have {size} terms, over the limit {MAX_TERMS}", pos)
+            f = f ** e
+        return -f if negate else f
 
-    def primary(self):
+    def primary(self) -> Poly:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
@@ -184,63 +168,34 @@ class _Parser:
                 den = int(den_tok.text)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.pos)
-                return Const(GaussScalar(Fraction(num, den)))
-            return Const(GaussScalar(num))
+                return Poly.const(self.table, GaussScalar(Fraction(num, den)))
+            return Poly.const(self.table, num)
         if tok.kind == "ident":
             self.advance()
             if tok.text == "i":
-                return Const(I)
+                return Poly.const(self.table, I)
             vid = self.table.id_by_name(tok.text)
             if vid is None:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
-            return VarRef(vid)
+            return Poly.var(self.table, vid)
         if tok.kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than the limit {MAX_DEPTH}", tok.pos)
             self.advance()
-            node = self.expr()
+            self.depth += 1
+            f = self.expr()
             self.expect(")")
-            return node
+            self.depth -= 1
+            return f
         raise ParseError(
             f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
         )
 
 
-def parse_expression(text: str, table: VarTable):
-    """Parse the DSL text into an AST; raises ParseError with an offset."""
-    return _Parser(_tokenize(text), table).parse()
-
-
-def lower(node, table: VarTable) -> Poly:
-    """Evaluate an AST into an exact polynomial over the table (ParseError
-    before a product or power over MAX_TERMS)."""
-    if isinstance(node, Const):
-        return Poly.const(table, node.value)
-    if isinstance(node, VarRef):
-        return Poly.var(table, node.vid)
-    if isinstance(node, Neg):
-        return -lower(node.child, table)
-    if isinstance(node, Power):
-        base = lower(node.base, table)
-        t, e = len(base.terms), node.exponent
-        size = comb(t + e - 1, e) if t else 0
-        if size > MAX_TERMS:
-            raise ParseError(f"power may have {size} terms, over the limit {MAX_TERMS}", node.pos)
-        return base ** e
-    if isinstance(node, BinOp):
-        left = lower(node.left, table)
-        right = lower(node.right, table)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        pairs = len(left.terms) * len(right.terms)
-        if pairs > MAX_TERMS:
-            raise ParseError(f"product forms {pairs} term pairs, over the limit {MAX_TERMS}", node.pos)
-        return left * right
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def parse_poly(text: str, table: VarTable) -> Poly:
-    return lower(parse_expression(text, table), table)
+    """Parse the DSL text into an exact polynomial over the table; raises
+    ParseError with an offset."""
+    return _Parser(_tokenize(text), table).parse()
 
 
 _SCALAR_TABLE = VarTable(())

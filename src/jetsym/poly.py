@@ -151,11 +151,6 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.constant_term()
 
-    def degree(self) -> int:
-        """Weighted total degree; 0 for the zero polynomial."""
-        w = self.table.weights
-        return max((mono_weighted_degree(m, w) for m in self.terms), default=0)
-
     def variables(self):
         seen = set()
         for m in self.terms:
@@ -343,12 +338,9 @@ class Poly:
             _add_into(total, factor.terms)
         return Poly(table, total, bound)
 
-    def evaluate(self, point: dict, missing_zero: bool = True) -> GaussScalar:
-        """Evaluate at a point given as {variable id: GaussScalar}.
-
-        Variables without a value are taken to be zero unless missing_zero
-        is False, in which case they raise.
-        """
+    def evaluate(self, point: dict) -> GaussScalar:
+        """Evaluate at a point given as {variable id: GaussScalar}; variables
+        without a value are taken to be zero."""
         table = self.table
         values: dict[int, GaussScalar] = {}
         for vid, val in point.items():
@@ -359,10 +351,8 @@ class Poly:
             for p, e in m:
                 v = values.get(p)
                 if v is None:
-                    if missing_zero:
-                        term = ZERO
-                        break
-                    raise KeyError(f"no value for variable {table.ids[p]!r}")
+                    term = ZERO
+                    break
                 term = term * v ** e
                 if term.is_zero():
                     break

@@ -11,7 +11,7 @@ from random import Random
 from hypothesis import settings
 
 from jetsym import rings
-from jetsym.determining import InitialData, RowProvenance, split_unknown
+from jetsym.determining import InitialData, RowProvenance, alpha_factorial, split_unknown
 from jetsym.jets import PDESystem
 from jetsym.poly import Poly, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
@@ -175,6 +175,23 @@ def reference_determining(sys_, field):
 def zero_initial_data(n: int, m: int) -> InitialData:
     """The initial data of the zero field."""
     return InitialData.from_flat([ZERO] * InitialData.dimension(n, m), n, m)
+
+
+def second_order_forms(det) -> dict:
+    """Layer 2 of ``det.propagator`` written in derivatives rather than
+    Taylor coefficients: {(func, beta): {(func, alpha): coefficient}}, one
+    linear form over the initial data per second derivative at the base
+    point.  The gamma components map to themselves."""
+    prop = det.propagator
+    assert prop.layers[0].failure is None
+    field = det.field
+    keys = [field.unknowns[c][1:] for c, _ in prop.omega_columns]
+    out = {}
+    for c, cid in enumerate(field.unknowns):
+        if field.layer_of(cid) == 2:
+            fact = GaussScalar(alpha_factorial(cid[2]))
+            out[cid[1:]] = {keys[k]: v * fact for k, v in prop.forms[c].items()}
+    return out
 
 
 def linear_residual(system, x) -> list:

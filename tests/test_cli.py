@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from jetsym.cli import main
+from jetsym.cli import load_system, main
+from jetsym.poly import poly_to_str
 
 
 def run_cli(capsys, argv):
@@ -245,8 +246,9 @@ def test_closure_malformed_basis_exits_one(capsys, tmp_path, docs):
             "m": 1,
             "entries": [{"k": 1, "i": 1, "j": 1, "F": "p1_1"}, {"k": 1, "i": 1, "j": 1, "F": "2*p1_1"}],
         },
+        {"n": 1, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": "(" * 300 + "p1_1" + ")" * 300}]},
     ],
-    ids=["F-not-string", "entries-not-array", "max-jet-order-null", "repeated-entry"],
+    ids=["F-not-string", "entries-not-array", "max-jet-order-null", "repeated-entry", "parens-too-deep"],
 )
 def test_involutive_malformed_system_exits_one(capsys, tmp_path, doc):
     system = write_json(tmp_path / "system.json", doc)
@@ -254,6 +256,18 @@ def test_involutive_malformed_system_exits_one(capsys, tmp_path, doc):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_segre_derive_read_back(capsys, tmp_path):
+    # F^1_11 has over a thousand terms: one flat sum of products
+    argv = ["segre-derive", "--signature", "+-", "--perturbation", "x1^2*s1^2 + x2*u1*s3 + x1*s1*s2"]
+    rc, out, _ = run_cli(capsys, argv + ["--order", "16", "--format", "json"])
+    assert rc == 0
+    doc = json.loads(out)
+    sys_ = load_system(write_json(tmp_path / "system.json", doc))
+    entries = {(e["k"], e["i"], e["j"]): e["F"] for e in doc["entries"]}
+    assert max(len(f.terms) for f in sys_.entries.values()) > 1000
+    assert {key: poly_to_str(f) for key, f in sys_.entries.items()} == entries
 
 
 def test_segre_derive(capsys):

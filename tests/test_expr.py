@@ -2,9 +2,9 @@ from random import Random
 
 import pytest
 
-from jetsym.expr import MAX_EXPONENT, MAX_TERMS, ParseError, parse_expression, parse_poly, parse_scalar
+from jetsym.expr import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, ParseError, parse_poly, parse_scalar
 from jetsym.jets import JetContext
-from jetsym.poly import poly_to_str
+from jetsym.poly import Poly, poly_to_str
 from jetsym.rings import jet_var, u_var, x_var
 from jetsym.scalars import GaussScalar, I
 
@@ -37,7 +37,7 @@ def test_exponent_cap():
     assert parse_poly(f"x1^{MAX_EXPONENT}", ctx.table) == ctx.x(1) ** MAX_EXPONENT
     for text in [f"x1^{MAX_EXPONENT + 1}", "(x1+u1)^99999", "x1^" + "9" * 5000]:
         with pytest.raises(ParseError) as err:
-            parse_expression(text, ctx.table)
+            parse_poly(text, ctx.table)
         assert err.value.offset == text.index("^") + 1
         assert "exceeds the limit" in str(err.value)
 
@@ -60,27 +60,28 @@ def test_expansion_budget():
         assert f"over the limit {MAX_TERMS}" in str(err.value)
 
 
+def nested(depth: int, inner: str = "x1") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
 def test_parse_error_positions():
     t = JetContext.create(1, 1).table
-    with pytest.raises(ParseError) as err:
-        parse_expression("x1 + ", t)
-    assert err.value.offset == 5
-
-    with pytest.raises(ParseError) as err:
-        parse_expression("x1 + y2", t)
-    assert err.value.offset == 5
-
-    with pytest.raises(ParseError) as err:
-        parse_expression("(x1 + u1", t)
-    assert err.value.offset == 8
-
-    with pytest.raises(ParseError) as err:
-        parse_expression("x1 $ u1", t)
-    assert err.value.offset == 3
-
-    with pytest.raises(ParseError) as err:
-        parse_expression("1/0 + x1", t)
-    assert err.value.offset == 2
+    for text, offset in [
+        ("x1 + ", 5),
+        ("x1 + y2", 5),
+        ("(x1 + u1", 8),
+        ("x1 $ u1", 3),
+        ("1/0 + x1", 2),
+        (nested(MAX_DEPTH + 1), MAX_DEPTH),
+        ("u1*" + nested(MAX_DEPTH, nested(1, "x1+") + "+1"), 3 + MAX_DEPTH),
+        (nested(5000), MAX_DEPTH),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, t)
+        assert err.value.offset == offset
+    # the message of the last case
+    assert str(err.value) == f"parentheses nest deeper than the limit {MAX_DEPTH} at offset {MAX_DEPTH}"
+    assert parse_poly(nested(MAX_DEPTH), t) == parse_poly("x1", t)
 
 
 def test_unary_minus_and_precedence():
@@ -89,6 +90,10 @@ def test_unary_minus_and_precedence():
     assert parse_poly("-x1^2", t) == -(ctx.x(1) ** 2)
     assert parse_poly("2*x1 - -u1", t) == ctx.x(1).scale(GaussScalar(2)) + ctx.u(1)
     assert parse_poly("x1 - u1 - u1", t) == ctx.x(1) - ctx.u(1).scale(GaussScalar(2))
+    # long runs are read by loops, not by one parser frame per operator
+    assert parse_poly("-" * 3000 + "x1^2", t) == ctx.x(1) ** 2
+    assert parse_poly("-" * 3001 + "x1^2", t) == -(ctx.x(1) ** 2)
+    assert parse_poly("*".join(["x1", "2*u1"] * 1500), t) == (ctx.x(1) * ctx.u(1)) ** 1500 * ctx.const(2) ** 1500
 
 
 def test_second_jet_names_round_trip():
@@ -113,3 +118,12 @@ def test_round_trip_random():
     for _ in range(120):
         f = random_poly(rng, ctx.table, vids, max_terms=5, max_degree=4)
         assert parse_poly(poly_to_str(f), ctx.table) == f
+    # one flat sum of 3000 terms in x1, x2, u1
+    positions = sorted(ctx.table.index(v) for v in vids[:3])
+    terms = {}
+    for k in range(3000):
+        exps = (k % 15, k // 15 % 15, k // 225)
+        mono = tuple((p, e) for p, e in zip(positions, exps) if e)
+        terms[mono] = GaussScalar(rng.randint(1, 99), rng.randint(-9, 9))
+    f = Poly(ctx.table, terms)
+    assert parse_poly(poly_to_str(f), ctx.table) == f
