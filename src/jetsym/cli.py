@@ -13,6 +13,7 @@ JSON reports are canonical: monomials in graded-lex order, scalars as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -372,7 +373,10 @@ def cmd_totally_real(args):
     return report, lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so ``main`` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="jetsym",
         description="Exact symmetry analysis of completely overdetermined second-order PDE systems",

@@ -179,13 +179,21 @@ def involutivity_check(sys: PDESystem) -> InvolutivityVerdict:
     """
     failures = []
     n, m = sys.ctx.n, sys.ctx.m
+    derivatives: dict[tuple, Poly] = {}
+
+    def derivative(k: int, i: int, j: int, l: int) -> Poly:
+        """D_l F^k_{ij}, formed once: F is symmetric in (i, j)."""
+        key = (k, min(i, j), max(i, j), l)
+        out = derivatives.get(key)
+        if out is None:
+            out = derivatives[key] = restricted_total_derivative(sys, sys.F(k, i, j), l)
+        return out
+
     for k in range(1, m + 1):
         for i in range(1, n + 1):
             for l in range(i + 1, n + 1):
                 for j in range(1, n + 1):
-                    left = restricted_total_derivative(sys, sys.F(k, i, j), l)
-                    right = restricted_total_derivative(sys, sys.F(k, l, j), i)
-                    diff = left - right
+                    diff = derivative(k, i, j, l) - derivative(k, l, j, i)
                     if not diff.is_zero():
                         failures.append((k, i, j, l, diff))
     return InvolutivityVerdict(not failures, failures)

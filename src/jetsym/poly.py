@@ -13,9 +13,16 @@ min(bound - weight(v) over the vector's variables v, bounds of the a_v with
 a nonzero partial), lower even if every partial vanishes; and substitution
 into a truncated series requires every replaced variable's binding to
 vanish at the origin (otherwise discarded high-degree terms could influence
-low degrees and no bound would be valid).  A product under a bound groups each operand's terms by weighted
-degree and multiplies only the groups whose degrees sum to at most the
-bound, so no term pair above it is formed.
+low degrees and no bound would be valid).  A product under a bound groups
+each operand's terms by weighted degree, in one pass over each, and
+multiplies only the groups whose degrees sum to at most the bound, so no
+term pair above it is formed.
+
+Substitution has one path, ``substitute_all``, which replaces variables in a
+list of polynomials at once; ``Poly.substitute`` is its one-polynomial case.
+It groups each polynomial's terms by the powers of replaced variables they
+carry and multiplies each group by those powers, each power formed once for
+the whole list.
 """
 
 from __future__ import annotations
@@ -57,7 +64,10 @@ def mono_degree(mono: Mono) -> int:
 
 
 def mono_weighted_degree(mono: Mono, weights) -> int:
-    return sum(e * weights[p] for p, e in mono)
+    d = 0
+    for p, e in mono:
+        d += e * weights[p]
+    return d
 
 
 def mono_sort_key(mono: Mono):
@@ -80,7 +90,11 @@ def _by_degree(terms: dict, weights, bound: int) -> dict:
     """Terms of weighted degree at most ``bound``, as lists keyed by degree."""
     buckets: dict[int, list] = {}
     for m, c in terms.items():
-        d = mono_weighted_degree(m, weights)
+        # Inline, with no generator: this runs once per term of both
+        # operands of every bounded product.
+        d = 0
+        for p, e in m:
+            d += e * weights[p]
         if d <= bound:
             buckets.setdefault(d, []).append((m, c))
     return buckets
@@ -282,61 +296,9 @@ class Poly:
         return Poly(table, out, bound)
 
     def substitute(self, bindings: dict) -> "Poly":
-        """Simultaneously replace variables by polynomials (same table).
-
-        Scalars are accepted as constant bindings.  If this polynomial is a
-        truncated series, every replaced variable that actually occurs must
-        be bound to a series with zero constant term.
-        """
-        table = self.table
-        polys: dict[int, Poly] = {}
-        for vid, val in bindings.items():
-            pos = table.index(vid)
-            if isinstance(val, GaussScalar):
-                val = Poly.const(table, val)
-            elif isinstance(val, int):
-                val = Poly.const(table, GaussScalar(val))
-            if val.table is not table:
-                raise ValueError("binding polynomial uses a different variable table")
-            polys[pos] = val
-
-        occurring = set()
-        for m in self.terms:
-            for p, _ in m:
-                if p in polys:
-                    occurring.add(p)
-        bound = self.bound
-        for p in occurring:
-            b = polys[p]
-            if self.bound is not None and not b.constant_term().is_zero():
-                raise ValueError(
-                    "cannot substitute a series with nonzero constant term into a "
-                    "truncated series"
-                )
-            bound = _min_bound(bound, b.bound)
-
-        if not occurring:
-            return self.truncate(bound)
-
-        powers: dict[int, list[Poly]] = {}
-
-        def power(pos: int, e: int) -> Poly:
-            cache = powers.setdefault(pos, [Poly.const(table, ONE, bound), polys[pos].truncate(bound)])
-            while len(cache) <= e:
-                cache.append(cache[-1] * polys[pos])
-            return cache[e]
-
-        total: dict[Mono, GaussScalar] = {}
-        for m, c in self.terms.items():
-            kept = tuple(pe for pe in m if pe[0] not in occurring)
-            # Truncated here: a term with no replaced variable is never
-            # multiplied, and the bound may be lower than this polynomial's.
-            factor = Poly(table, {kept: c}).truncate(bound)
-            for p, e in m:
-                if p in occurring:
-                    factor = factor * power(p, e)
-            _add_into(total, factor.terms)
-        return Poly(table, total, bound)
+        """Simultaneously replace variables by polynomials (same table); see
+        ``substitute_all``."""
+        return substitute_all([self], bindings)[0]
 
     def evaluate(self, point: dict) -> GaussScalar:
         """Evaluate at a point given as {variable id: GaussScalar}; variables
@@ -380,6 +342,80 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"<Poly {poly_to_str(self)}>"
+
+
+def substitute_all(polys, bindings: dict) -> list:
+    """Simultaneously replace variables by polynomials in each of a list of
+    polynomials over one table.
+
+    Scalars are accepted as constant bindings.  If a polynomial is a
+    truncated series, every replaced variable that occurs in it must be
+    bound to a series with zero constant term.  Each result's bound is the
+    minimum of its polynomial's bound and the bounds of the bindings of the
+    replaced variables that occur in it.
+
+    Each polynomial's terms are grouped by their pattern (the powers of
+    replaced variables they carry), and each group is multiplied by those
+    powers one at a time.  The powers are cached by (variable, bound) for
+    the whole list, so a power that several polynomials use is formed once.
+    A product of powers of two variables is never formed on its own: the
+    group's degree already cuts its terms, and a cached one would live
+    through the whole call.
+    """
+    if not polys:
+        return []
+    table = polys[0].table
+    values: dict[int, Poly] = {}
+    for vid, val in bindings.items():
+        pos = table.index(vid)
+        if isinstance(val, GaussScalar):
+            val = Poly.const(table, val)
+        elif isinstance(val, int):
+            val = Poly.const(table, GaussScalar(val))
+        if val.table is not table:
+            raise ValueError("binding polynomial uses a different variable table")
+        values[pos] = val
+
+    powers: dict[tuple, list] = {}  # (position, bound) -> [v, v^2, ..] truncated at bound
+
+    def power(p: int, e: int, bound) -> Poly:
+        chain = powers.setdefault((p, bound), [values[p].truncate(bound)])
+        while len(chain) < e:
+            chain.append(chain[-1] * values[p])
+        return chain[e - 1]
+
+    results = []
+    for f in polys:
+        if f.table is not table:
+            raise ValueError("polynomials must share one variable table")
+        groups: dict[Mono, dict] = {}
+        for m, c in f.terms.items():
+            pattern = tuple(pe for pe in m if pe[0] in values)
+            # m -> kept is one-to-one within a pattern, so nothing collides.
+            groups.setdefault(pattern, {})[tuple(pe for pe in m if pe[0] not in values)] = c
+        occurring = {p for pattern in groups for p, _ in pattern}
+        bound = f.bound
+        for p in occurring:
+            b = values[p]
+            if f.bound is not None and not b.constant_term().is_zero():
+                raise ValueError(
+                    "cannot substitute a series with nonzero constant term into a "
+                    "truncated series"
+                )
+            bound = _min_bound(bound, b.bound)
+        if not occurring:
+            results.append(f.truncate(bound))
+            continue
+        total: dict[Mono, GaussScalar] = {}
+        for pattern, kept in groups.items():
+            # Truncated first: a group with no replaced variable is never
+            # multiplied, and the bound may be lower than this polynomial's.
+            part = Poly(table, kept).truncate(bound)
+            for p, e in pattern:
+                part = part * power(p, e, bound)
+            _add_into(total, part.terms)
+        results.append(Poly(table, total, bound))
+    return results
 
 
 def coefficient_rows(families):

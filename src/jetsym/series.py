@@ -26,12 +26,16 @@ This needs the remaining variables to have positive weight: with a weight-0
 variable, a term of kept degree 0 other than a Jacobian entry never enters
 a sweep.  The result is verified by a back-substitution at the full order
 before it is returned, which catches any case where the layers do not close.
+The check substitutes the series into all equations in one
+``substitute_all`` call, so each power of an unknown that several equations
+name is formed once for all of them.  It reads nothing from the memo of the
+sweeps.
 """
 
 from __future__ import annotations
 
 from .linalg import span_coordinates
-from .poly import Poly, _add_into, mono_degree, mono_weighted_degree
+from .poly import Poly, _add_into, mono_degree, mono_weighted_degree, substitute_all
 from .scalars import GaussScalar, ONE
 
 
@@ -140,8 +144,9 @@ def implicit_series_solve(equations, unknowns, order: int):
     below b, and solves it for layer b of every unknown.  A memo holds the
     layers of the powers and products of the unknowns that the equations
     name, so each is formed once; it is dropped before the whole series is
-    substituted back at the full order, which raises ArithmeticError if any
-    equation does not vanish.
+    substituted back into every equation at the full order, in one call that
+    shares the powers of the unknowns across the equations, which raises
+    ArithmeticError if any equation does not vanish.
     """
     if order < 0:
         raise ValueError(f"series order must be nonnegative, got {order}")
@@ -173,9 +178,8 @@ def implicit_series_solve(equations, unknowns, order: int):
 
     current = _relaxed_layers(equations, unknowns, jac_inv, eff_order)
 
-    residuals = [g.substitute(current).truncate(eff_order) for g in equations]
-    for idx, r in enumerate(residuals):
-        if not r.is_zero():
+    for idx, r in enumerate(substitute_all(equations, current)):
+        if not r.truncate(eff_order).is_zero():
             raise ArithmeticError(
                 f"implicit solve failed back-substitution at equation {idx + 1}"
             )

@@ -12,11 +12,11 @@ from hypothesis import settings
 
 from jetsym import rings
 from jetsym.determining import InitialData, RowProvenance, alpha_factorial, split_unknown
-from jetsym.jets import PDESystem
-from jetsym.poly import Poly, mono_sort_key
+from jetsym.jets import InvolutivityVerdict, PDESystem, restricted_total_derivative
+from jetsym.poly import Poly, _add_into, _min_bound, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import jet_var
-from jetsym.scalars import ZERO, GaussScalar
+from jetsym.scalars import ONE, ZERO, GaussScalar
 from jetsym.series import InconsistentBaseError, _invert_matrix
 
 
@@ -258,3 +258,74 @@ def resubstitution_series_solve(equations, unknowns, order: int):
                 f"implicit solve failed back-substitution at equation {idx + 1}"
             )
     return current
+
+
+def reference_substitute(f: Poly, bindings: dict) -> Poly:
+    """The one-polynomial ``Poly.substitute`` that ``poly.substitute_all``
+    replaced, kept as its reference: every term is multiplied by the powers
+    of its replaced variables one at a time, from one power cache per call."""
+    table = f.table
+    polys: dict[int, Poly] = {}
+    for vid, val in bindings.items():
+        pos = table.index(vid)
+        if isinstance(val, GaussScalar):
+            val = Poly.const(table, val)
+        elif isinstance(val, int):
+            val = Poly.const(table, GaussScalar(val))
+        if val.table is not table:
+            raise ValueError("binding polynomial uses a different variable table")
+        polys[pos] = val
+
+    occurring = set()
+    for m in f.terms:
+        for p, _ in m:
+            if p in polys:
+                occurring.add(p)
+    bound = f.bound
+    for p in occurring:
+        b = polys[p]
+        if f.bound is not None and not b.constant_term().is_zero():
+            raise ValueError(
+                "cannot substitute a series with nonzero constant term into a "
+                "truncated series"
+            )
+        bound = _min_bound(bound, b.bound)
+
+    if not occurring:
+        return f.truncate(bound)
+
+    powers: dict[int, list[Poly]] = {}
+
+    def power(pos: int, e: int) -> Poly:
+        cache = powers.setdefault(pos, [Poly.const(table, ONE, bound), polys[pos].truncate(bound)])
+        while len(cache) <= e:
+            cache.append(cache[-1] * polys[pos])
+        return cache[e]
+
+    total: dict = {}
+    for m, c in f.terms.items():
+        kept = tuple(pe for pe in m if pe[0] not in occurring)
+        factor = Poly(table, {kept: c}).truncate(bound)
+        for p, e in m:
+            if p in occurring:
+                factor = factor * power(p, e)
+        _add_into(total, factor.terms)
+    return Poly(table, total, bound)
+
+
+def reference_involutivity_check(sys_) -> InvolutivityVerdict:
+    """The ``involutivity_check`` loop that forms both restricted derivatives
+    of every compared pair afresh, kept as the reference for the memoized
+    one."""
+    failures = []
+    n, m = sys_.ctx.n, sys_.ctx.m
+    for k in range(1, m + 1):
+        for i in range(1, n + 1):
+            for l in range(i + 1, n + 1):
+                for j in range(1, n + 1):
+                    left = restricted_total_derivative(sys_, sys_.F(k, i, j), l)
+                    right = restricted_total_derivative(sys_, sys_.F(k, l, j), i)
+                    diff = left - right
+                    if not diff.is_zero():
+                        failures.append((k, i, j, l, diff))
+    return InvolutivityVerdict(not failures, failures)

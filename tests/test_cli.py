@@ -1,11 +1,14 @@
 import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from jetsym.cli import load_system, main
+from jetsym.cli import build_parser, load_system, main
 from jetsym.poly import poly_to_str
+
+from helpers import first_difference
 
 
 def run_cli(capsys, argv):
@@ -350,6 +353,42 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["flat-algebra", "--n", "1"])  # missing --m
     assert exc.value.code == 2
+
+
+def redirected_run(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call(flat_system_file):
+    # One process alternates subcommands, formats and a usage error on the
+    # cached parser; each call must match a run on a freshly built parser.
+    calls = [
+        ["flat-algebra", "--n", "1", "--m", "1", "--format", "json"],
+        ["involutive", "--system", flat_system_file],
+        ["flat-algebra", "--n", "2", "--m", "1"],
+        ["segre-derive", "--signature", "+", "--order", "3", "--format", "json"],
+        ["flat-algebra", "--n", "1"],  # usage error: missing --m
+        ["cr-aut", "--signature", "+-"],
+        ["involutive", "--system", flat_system_file, "--format", "json"],
+        ["segre-derive", "--signature", "+", "--order", "-1"],
+        ["no-such-command"],
+        ["flat-algebra", "--n", "1", "--m", "1"],
+    ]
+    assert build_parser() is build_parser()
+    cached = [redirected_run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(redirected_run(argv))
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 0, 2, 0, 0, 1, 2, 0]
+    assert first_difference(cached, fresh) is None
 
 
 def test_module_entry_point():

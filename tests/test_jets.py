@@ -10,9 +10,11 @@ from jetsym.jets import (
     restricted_total_derivative,
     total_derivative,
 )
-from jetsym.rings import jet_var, u_var, x_var
+from jetsym.poly import Poly
+from jetsym.rings import jet_var, u_var, x_var, zeta_var
+from jetsym.segre import DefiningSeries, Signature, defining_table, segre_system
 
-from helpers import random_poly, second_jet_bindings
+from helpers import first_difference, random_poly, reference_involutivity_check, second_jet_bindings
 
 
 def test_total_derivative_examples():
@@ -114,6 +116,38 @@ def test_involutivity_vacuous_for_one_variable():
     ctx = JetContext.create(1, 1)
     sys_ = PDESystem(ctx, {(1, 1, 1): ctx.jet(1, 1) * ctx.jet(1, 1) + ctx.x(1)})
     assert involutivity_check(sys_).involutive
+
+
+def verdict_key(verdict):
+    return verdict.involutive, [(k, i, j, l, d.terms, d.bound) for k, i, j, l, d in verdict.failures]
+
+
+def test_involutivity_matches_reference_loop():
+    # Each restricted derivative is formed once; the verdict and the failures,
+    # order included, must be those of the loop that forms every one afresh.
+    rng = Random(2718)
+    systems = []
+    for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)] * 3:
+        ctx = JetContext.create(n, m)
+        vids = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
+        vids += [jet_var(mu, (i,)) for mu in range(1, m + 1) for i in range(1, n + 1)]
+        entries = {
+            (k, i, j): random_poly(rng, ctx.table, vids, max_terms=3, max_degree=2)
+            for k in range(1, m + 1)
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+            if rng.random() < 0.7
+        }
+        systems.append(PDESystem(ctx, entries))
+    ctx = JetContext.create(2, 1)
+    systems.append(PDESystem(ctx, {(1, 1, 1): ctx.u(1)}))  # u_11 = u: not involutive
+    for sig in ("+-", "++-"):
+        table = defining_table(len(sig))
+        R = Poly.var(table, x_var(1)) ** 2 * Poly.var(table, zeta_var(1)) ** 2
+        systems.append(segre_system(DefiningSeries(Signature.parse(sig), R), order=5))
+    verdicts = [verdict_key(involutivity_check(s)) for s in systems]
+    assert not verdicts[-3][0]
+    assert first_difference(verdicts, [verdict_key(reference_involutivity_check(s)) for s in systems]) is None
 
 
 def test_pdesystem_validation():

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from jetsym.expr import parse_poly
 from jetsym.jets import JetContext
-from jetsym.poly import Poly, _add_into, mono_sort_key
+from jetsym.poly import Poly, _add_into, mono_sort_key, substitute_all
 from jetsym.rings import AUX, VarTable, jet_var, u_var, x_var
 from jetsym.scalars import GaussScalar, I, ONE, ZERO
 
-from helpers import budget, random_poly
+from helpers import budget, first_difference, random_poly, random_scalar, reference_substitute
 
 
 def make_ctx():
@@ -177,6 +177,8 @@ def test_bucketed_product_matches_naive(weights, terms_f, terms_g, bound_f, boun
     for product in (f * g, g * f):
         assert product.bound == bound
         assert product.terms == expected
+    # So the bounded product is also the exact product truncated afterwards.
+    assert (Poly(table, dict(f.terms)) * Poly(table, dict(g.terms))).truncate(bound).terms == expected
 
 
 # -- derivation against the per-variable loop ---------------------------------------
@@ -317,6 +319,72 @@ def dense_sort_key(mono, nvars):
 @given(st.lists(monomials, max_size=12))
 def test_sparse_sort_key_matches_dense(monos):
     assert sorted(monos, key=mono_sort_key) == sorted(monos, key=lambda m: dense_sort_key(m, NVARS))
+
+
+def substitution_outcome(run):
+    """[(terms, bound)] of each result, or the message of a ValueError."""
+    try:
+        return [(f.terms, f.bound) for f in run()]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=budget(200), deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS), st.integers(0, 2**32))
+def test_substitute_all_matches_per_polynomial_reference(weights, seed):
+    # Two to four polynomials with mixed bounds over a few variables, so
+    # that they share powers of replaced variables under different bounds;
+    # bindings are series, exact polynomials, ints and scalars, sometimes
+    # with a constant term, and now and then one on another table.  One
+    # assertion, so a failure is shrunk once.
+    rng = Random(seed)
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    vids = list(table.ids)
+
+    polys = [random_poly(rng, table, vids, max_terms=8).truncate(rng.choice([None, *range(6)])) for _ in range(rng.randint(2, 4))]
+    bindings = {}
+    for vid in rng.sample(vids, rng.randint(0, NVARS)):
+        kind = rng.randrange(8)
+        if kind == 0:
+            bindings[vid] = rng.randint(-2, 2)
+        elif kind == 1:
+            bindings[vid] = random_scalar(rng)
+        else:
+            value = random_poly(rng, table, vids, max_terms=3)
+            if rng.random() < 0.9:
+                value = value - Poly.const(table, value.constant_term())
+            bindings[vid] = value.truncate(rng.choice([None, None, 4, 6, 8]))
+    if bindings and rng.random() < 0.05:
+        other = VarTable(table.ids, weights)
+        bindings[rng.choice(sorted(bindings))] = Poly.var(other, vids[0])
+    got = substitution_outcome(lambda: substitute_all(polys, bindings))
+    expected = substitution_outcome(lambda: [reference_substitute(f, bindings) for f in polys])
+    assert first_difference(got, expected) is None
+
+
+def test_substitute_all_shares_powers_per_bound():
+    # Both polynomials raise x1 to the same power, under different bounds:
+    # the lower bound comes first and must not cut the second result.
+    ctx = make_ctx()
+    x1, x2 = ctx.x(1), ctx.x(2)
+    polys = [(x1 * x1).truncate(2), (x1 * x1).truncate(4)]
+    bindings = {x_var(1): x2 + x2 * x2}
+    expected = [reference_substitute(f, bindings) for f in polys]
+    assert [(f.terms, f.bound) for f in substitute_all(polys, bindings)] == [(f.terms, f.bound) for f in expected]
+
+
+def test_substitute_all_errors():
+    ctx = make_ctx()
+    x1, x2 = ctx.x(1), ctx.x(2)
+    series = (x1 * x2).truncate(3)
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        substitute_all([x2, series], {x_var(1): x1 + ctx.const(1)})
+    other = JetContext.create(2, 2)
+    with pytest.raises(ValueError, match="different variable table"):
+        substitute_all([x1], {x_var(1): other.x(2)})
+    with pytest.raises(ValueError, match="share one variable table"):
+        substitute_all([x1, other.x(1)], {x_var(1): x2})
+    assert substitute_all([], {x_var(1): x2}) == []
 
 
 def test_truncated_substitution_requires_positive_valuation():
