@@ -27,7 +27,7 @@ from .determining import (
 from .expr import parse_poly, parse_scalar
 from .jets import JetContext, PDESystem, involutivity_check
 from .lie_alg import FieldBasis, bracket, closure_check, flat_generators
-from .poly import poly_to_str
+from .poly import mono_str, poly_to_str
 from .prolong import VectorField, lie_criterion_check
 from .rings import u_var, x_var
 from .segre import (
@@ -54,20 +54,25 @@ def _read_json(path: str):
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def load_system(path: str, max_jet_order: int = 3) -> PDESystem:
+def load_system(path: str) -> PDESystem:
+    """Read a system file.  The output of ``segre-derive`` is read back as
+    the truncated series it is: its entries keep the document's "order" as
+    their truncation bound."""
     doc = _read_json(path)
     try:
         n, m = int(doc["n"]), int(doc["m"])
     except (KeyError, TypeError, ValueError):
         raise CliError("system file needs integer fields 'n' and 'm'") from None
-    try:
-        order = int(doc.get("max_jet_order", max_jet_order))
-    except (TypeError, ValueError):
-        raise CliError("system field 'max_jet_order' must be an integer") from None
+    bound = None
+    if doc.get("command") == "segre-derive":
+        try:
+            bound = int(doc["order"])
+        except (KeyError, TypeError, ValueError):
+            raise CliError("segre-derive output needs an integer field 'order'") from None
     entry_docs = doc.get("entries", [])
     if not isinstance(entry_docs, list):
         raise CliError("system field 'entries' must be an array")
-    ctx = JetContext.create(n, m, order)
+    ctx = JetContext.create(n, m)
     entries = {}
     for entry in entry_docs:
         try:
@@ -83,6 +88,8 @@ def load_system(path: str, max_jet_order: int = 3) -> PDESystem:
         if (k, i, j) in entries and entries[(k, i, j)] != f:
             raise CliError(f"system entry ({k},{i},{j}) is given twice with different right sides")
         entries[(k, i, j)] = f
+    if bound is not None:
+        entries = {key: f.truncate(bound) for key, f in entries.items()}
     return PDESystem(ctx, entries)
 
 
@@ -190,7 +197,7 @@ def cmd_determining(args):
             parts.append(labels[col] if coeff.is_one() else f"{coeff}*{labels[col]}")
         monomial = monomials.get(prov.mono)
         if monomial is None:
-            monomial = monomials[prov.mono] = prov.monomial_str(field.ext_table)
+            monomial = monomials[prov.mono] = mono_str(field.ext_table, prov.mono)
         rows.append(
             {
                 "mu": prov.mu,

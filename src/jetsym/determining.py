@@ -40,7 +40,7 @@ from math import comb, factorial
 from . import rings
 from .jets import JetContext, PDESystem
 from .linalg import LinearSystemExact, _Reducer, solve_linear_exact
-from .poly import Poly, mono_sort_key
+from .poly import Poly, mono_sort_key, mono_str, mono_weighted_degree, translate
 from .prolong import VectorField, lie_criterion_check
 from .rings import COEF, check_size, u_var, x_var
 from .scalars import GaussScalar, ZERO, ONE
@@ -107,11 +107,11 @@ class LinearAnsatz:
         self.unknowns = list(unknowns)
         self.col = {cid: c for c, cid in enumerate(self.unknowns)}
         self.ext_table = table.extend(self.unknowns, (0,) * len(self.unknowns))
-        wpos = [table.index(v) for v in self.wvars]
+        self.wpos = [table.index(v) for v in self.wvars]
         # name -> [(monomial in wvars, column)], in column order
         self._terms: dict = {}
         for c, (_, name, alpha) in enumerate(self.unknowns):
-            mono = tuple(sorted((p, e) for p, e in zip(wpos, alpha) if e))
+            mono = tuple(sorted((p, e) for p, e in zip(self.wpos, alpha) if e))
             self._terms.setdefault(name, []).append((mono, c))
 
     def poly(self, name) -> Poly:
@@ -202,26 +202,11 @@ class UnknownCoefficientField(LinearAnsatz):
 
     def label(self, cid) -> str:
         func, alpha = cid[1], cid[2]
-        inner = "*".join(
-            f"{self.ctx.table.name_of(v)}" + (f"^{e}" if e > 1 else "")
-            for v, e in zip(self.wvars, alpha)
-            if e
-        )
-        return f"{func[0]}{func[1]}[{inner or '1'}]"
+        mono = tuple((p, e) for p, e in zip(self.wpos, alpha) if e)
+        return f"{func[0]}{func[1]}[{mono_str(self.table, mono)}]"
 
     def layer_of(self, cid) -> int:
         return sum(cid[2])
-
-    def gamma_ids(self):
-        """Coefficient unknowns carrying the gamma slice d2 theta_1 / dx_1 dw_l."""
-        q = len(self.wvars)
-        out = []
-        for l in range(q):
-            alpha = [0] * q
-            alpha[0] += 1
-            alpha[l] += 1
-            out.append((COEF, (THETA, 1), tuple(alpha)))
-        return out
 
     def field_from_values(self, values) -> VectorField:
         """Realize concrete coefficients as a vector field on the base context.
@@ -244,14 +229,6 @@ class RowProvenance:
     mono: tuple  # ordinary (x, u, jet) monomial over the extended table
     xu_degree: int
     jet_degree: int
-
-    def monomial_str(self, table) -> str:
-        if not self.mono:
-            return "1"
-        return "*".join(
-            table.name_of(table.ids[p]) + (f"^{e}" if e > 1 else "")
-            for p, e in self.mono
-        )
 
 
 class DeterminingSystem:
@@ -299,17 +276,15 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
                 f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
             )
 
-    kinds = [vid[0] for vid in ext_table.ids]
+    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in ext_table.ids]
+    jet_weights = [int(vid[0] == rings.JET) for vid in ext_table.ids]
     degrees: dict[tuple, tuple[int, int]] = {}  # monomial -> (xu_degree, jet_degree)
     rows = []
     provenance = []
     for ((mu, i, j), mono), row in field.collect(residuals).items():
         deg = degrees.get(mono)
         if deg is None:
-            deg = degrees[mono] = (
-                sum(e for p, e in mono if kinds[p] in (rings.X, rings.U)),
-                sum(e for p, e in mono if kinds[p] == rings.JET),
-            )
+            deg = degrees[mono] = (mono_weighted_degree(mono, xu_weights), mono_weighted_degree(mono, jet_weights))
         if deg[0] > N - 2:
             continue
         rows.append(row)
@@ -376,6 +351,21 @@ class InitialData:
         return all(v.is_zero() for v in self.flat())
 
 
+def omega_ids(n: int, m: int) -> list[tuple]:
+    """(function, alpha) of each initial-data coordinate, in
+    ``InitialData.flat`` order: the coordinate is d^alpha of that function
+    at the base point, alpha a dense exponent tuple over (x, u)."""
+    q = n + m
+    units = [tuple(int(t == l) for t in range(q)) for l in range(q)]
+    zero = (0,) * q
+    out = [((THETA, j), e) for j in range(1, n + 1) for e in units]
+    out += [((ETA, k), e) for k in range(1, m + 1) for e in units]
+    out += [((THETA, 1), tuple(a + b for a, b in zip(units[0], e))) for e in units]
+    out += [((ETA, k), zero) for k in range(1, m + 1)]
+    out += [((THETA, j), zero) for j in range(1, n + 1)]
+    return out
+
+
 def omega_basis(n: int, m: int) -> list[InitialData]:
     """Standard basis of the initial-data space."""
     dim = InitialData.dimension(n, m)
@@ -389,26 +379,19 @@ def omega_basis(n: int, m: int) -> list[InitialData]:
 
 def initial_data_of(X: VectorField, point: dict | None = None) -> InitialData:
     """Read off (alpha, beta, gamma, delta, epsilon) of a field at a point."""
-    ctx = X.ctx
-    n, m = ctx.n, ctx.m
+    n, m = X.ctx.n, X.ctx.m
     point = point or {}
     wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
-
-    def deriv_at(f: Poly, *vids) -> GaussScalar:
-        for v in vids:
-            f = f.differentiate(v)
-        return f.evaluate(point)
-
-    alpha = tuple(
-        tuple(deriv_at(X.theta[j], w) for w in wvars) for j in range(n)
-    )
-    beta = tuple(
-        tuple(deriv_at(X.eta[k], w) for w in wvars) for k in range(m)
-    )
-    gamma = tuple(deriv_at(X.theta[0], x_var(1), w) for w in wvars)
-    delta = tuple(X.eta[k].evaluate(point) for k in range(m))
-    epsilon = tuple(X.theta[j].evaluate(point) for j in range(n))
-    return InitialData(alpha, beta, gamma, delta, epsilon)
+    funcs = {(THETA, j): f for j, f in enumerate(X.theta, start=1)}
+    funcs.update(((ETA, k), f) for k, f in enumerate(X.eta, start=1))
+    values = []
+    for func, alpha in omega_ids(n, m):
+        f = funcs[func]
+        for v, e in zip(wvars, alpha):
+            for _ in range(e):
+                f = f.differentiate(v)
+        values.append(f.evaluate(point))
+    return InitialData.from_flat(values, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +404,10 @@ def _omega_columns(field: UnknownCoefficientField) -> list[tuple[int, GaussScala
     ``InitialData.flat`` order: the unknown of that column is scale * omega_k.
     The scale is 1/alpha! for a gamma entry, a second derivative, and 1 for
     every first derivative and value."""
-    n, m = field.ctx.n, field.ctx.m
-    q = n + m
-
-    def unit(l):
-        return tuple(1 if t == l else 0 for t in range(q))
-
-    cids = [(COEF, (THETA, j), unit(l)) for j in range(1, n + 1) for l in range(q)]
-    cids += [(COEF, (ETA, k), unit(l)) for k in range(1, m + 1) for l in range(q)]
-    cids += field.gamma_ids()
-    cids += [(COEF, (ETA, k), (0,) * q) for k in range(1, m + 1)]
-    cids += [(COEF, (THETA, j), (0,) * q) for j in range(1, n + 1)]
-    return [(field.col[cid], ONE / GaussScalar(alpha_factorial(cid[2]))) for cid in cids]
+    return [
+        (field.col[(COEF, func, alpha)], ONE / GaussScalar(alpha_factorial(alpha)))
+        for func, alpha in omega_ids(field.ctx.n, field.ctx.m)
+    ]
 
 
 @dataclass
@@ -548,7 +523,7 @@ class TaylorPropagator:
                     raise InconsistentLayerError(
                         step.layer,
                         f"residual (mu={prov.mu}, i={prov.i}, j={prov.j}) at monomial "
-                        f"{prov.monomial_str(self.table)}",
+                        f"{mono_str(self.table, prov.mono)}",
                     )
             if step.failure is not None:
                 raise step.failure()
@@ -588,21 +563,9 @@ def taylor_from_initial_data(
 def _shift_field(X: VectorField, point: dict) -> VectorField:
     """Move a field built at the origin back to the base point: each
     variable v becomes v - point[v]."""
-    table = X.ctx.table
-    bindings = {}
-    for vid, val in point.items():
-        if not isinstance(val, GaussScalar):
-            val = GaussScalar(val)
-        if val.is_zero():
-            continue
-        bindings[vid] = Poly.var(table, vid) + Poly.const(table, -val)
-    if not bindings:
-        return X
-    return VectorField(
-        X.ctx,
-        tuple(f.substitute(bindings) for f in X.theta),
-        tuple(f.substitute(bindings) for f in X.eta),
-    )
+    n = X.ctx.n
+    moved = translate(X.theta + X.eta, {vid: -val for vid, val in point.items()})
+    return VectorField(X.ctx, moved[:n], moved[n:])
 
 
 @dataclass

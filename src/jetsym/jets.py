@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rings
-from .poly import Poly
+from .poly import Poly, translate
 from .rings import VarTable, jet_table, jet_var, u_var, x_var
 from .scalars import GaussScalar, ONE
 
@@ -106,18 +106,9 @@ class PDESystem:
 
     def translated(self, point: dict) -> "PDESystem":
         """The system recentered so that the given (x, u) point becomes the origin."""
-        shift = {}
-        for vid, val in point.items():
-            if vid[0] not in (rings.X, rings.U):
-                raise ValueError("base point assigns only x and u variables")
-            if not isinstance(val, GaussScalar):
-                val = GaussScalar(val)
-            if not val.is_zero():
-                shift[vid] = Poly.var(self.ctx.table, vid) + Poly.const(self.ctx.table, val)
-        if not shift:
-            return self
-        moved = {key: f.substitute(shift) for key, f in self.entries.items()}
-        return PDESystem(self.ctx, moved)
+        if any(vid[0] not in (rings.X, rings.U) for vid in point):
+            raise ValueError("base point assigns only x and u variables")
+        return PDESystem(self.ctx, dict(zip(self.entries, translate(list(self.entries.values()), point))))
 
 
 def _total_vector(table: VarTable, vids, i: int, lift) -> dict:

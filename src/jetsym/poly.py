@@ -23,6 +23,12 @@ list of polynomials at once; ``Poly.substitute`` is its one-polynomial case.
 It groups each polynomial's terms by the powers of replaced variables they
 carry and multiplies each group by those powers, each power formed once for
 the whole list.
+
+Three more jobs have one path each, so no other module walks monomial
+tuples to do them: ``translate`` shifts polynomials between a base point
+and the origin (one ``substitute_all`` call); ``rekey`` moves a polynomial
+onto another table under a renaming of variables, with ``Poly.convert`` as
+its identity case; and ``mono_str`` prints a monomial.
 """
 
 from __future__ import annotations
@@ -322,14 +328,11 @@ class Poly:
         return total
 
     def convert(self, target: VarTable) -> "Poly":
-        """Re-key this polynomial against another table (matching by variable id)."""
+        """Re-key this polynomial against another table (matching by
+        variable id); see ``rekey``."""
         if target is self.table:
             return self
-        out = {}
-        for m, c in self.terms.items():
-            nm = tuple(sorted((target.index(self.table.ids[p]), e) for p, e in m))
-            out[nm] = c
-        return Poly(target, out, self.bound)
+        return rekey(self, target, lambda vid: vid)
 
     # -- emission ---------------------------------------------------------------
 
@@ -418,6 +421,50 @@ def substitute_all(polys, bindings: dict) -> list:
     return results
 
 
+def translate(polys, point: dict) -> list:
+    """Each polynomial of a list over one table with every variable v
+    replaced by v + point[v] (a scalar or int; zero coordinates are
+    skipped), in one ``substitute_all`` call, so each power of a shifted
+    variable is formed once for the whole list."""
+    if not polys:
+        return []
+    table = polys[0].table
+    bindings = {}
+    for vid, val in point.items():
+        if not isinstance(val, GaussScalar):
+            val = GaussScalar(val)
+        if not val.is_zero():
+            bindings[vid] = Poly.var(table, vid) + Poly.const(table, val)
+    return substitute_all(polys, bindings)
+
+
+def rekey(f: Poly, target: VarTable, rename) -> Poly:
+    """f over the table ``target``, each variable v of f becoming the
+    variable ``rename(v)`` of target; coefficients and bound are kept.
+
+    ``rename`` must be one-to-one on the variables of f.  Only the
+    variables that occur in f are renamed and looked up, so f's table may
+    hold variables that target lacks.
+    """
+    ids = f.table.ids
+    occurring = {p for m in f.terms for p, _ in m}
+    moved = {p: target.index(rename(ids[p])) for p in occurring}
+    terms = {tuple(sorted([(moved[p], e) for p, e in m])): c for m, c in f.terms.items()}
+    return Poly(target, terms, f.bound)
+
+
+def mono_str(table: VarTable, mono: Mono) -> str:
+    """A monomial as text, such as "x1^2*u1"; the constant monomial is "1"."""
+    if not mono:
+        return "1"
+    names = table.names
+    # A plain loop: this runs once per term of every printed polynomial.
+    factors = []
+    for p, e in mono:
+        factors.append(names[p] if e == 1 else f"{names[p]}^{e}")
+    return "*".join(factors)
+
+
 def coefficient_rows(families):
     """Sparse coefficient vectors of polynomial tuples in one shared frame.
 
@@ -443,22 +490,18 @@ def poly_to_str(f: Poly) -> str:
         return "0"
     parts = []
     for mono, coeff in f.sorted_terms():
-        factors = []
-        for p, e in mono:
-            name = f.table.name_of(f.table.ids[p])
-            factors.append(name if e == 1 else f"{name}^{e}")
-        if not factors:
+        if not mono:
             cs = str(coeff)
             piece = f"({cs})" if ("+" in cs[1:] or "-" in cs[1:]) else cs
         elif coeff.is_one():
-            piece = "*".join(factors)
+            piece = mono_str(f.table, mono)
         elif (-coeff).is_one():
-            piece = "-" + "*".join(factors)
+            piece = "-" + mono_str(f.table, mono)
         else:
             cs = str(coeff)
             if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
-            piece = cs + "*" + "*".join(factors)
+            piece = cs + "*" + mono_str(f.table, mono)
         parts.append(piece)
     out = parts[0]
     for piece in parts[1:]:

@@ -88,7 +88,7 @@ def default_name(vid: VarId) -> str:
 class VarTable:
     """An immutable ordered collection of variables with truncation weights."""
 
-    __slots__ = ("ids", "pos", "weights", "n", "m", "max_jet_order", "_names", "_by_name")
+    __slots__ = ("ids", "pos", "weights", "n", "m", "max_jet_order", "names", "_by_name")
 
     def __init__(self, ids, weights=None, n=0, m=0, max_jet_order=0):
         self.ids: tuple[VarId, ...] = tuple(ids)
@@ -103,8 +103,8 @@ class VarTable:
         self.n = n
         self.m = m
         self.max_jet_order = max_jet_order
-        self._names = tuple(default_name(v) for v in self.ids)
-        self._by_name = {name: vid for name, vid in zip(self._names, self.ids)}
+        self.names: tuple[str, ...] = tuple(default_name(v) for v in self.ids)
+        self._by_name = {name: vid for name, vid in zip(self.names, self.ids)}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -113,7 +113,7 @@ class VarTable:
         return vid in self.pos
 
     def name_of(self, vid: VarId) -> str:
-        return self._names[self.pos[vid]]
+        return self.names[self.pos[vid]]
 
     def id_by_name(self, name: str) -> VarId | None:
         return self._by_name.get(name)

@@ -30,7 +30,7 @@ from . import rings
 from .determining import LinearAnsatz, monomials_up_to
 from .jets import JetContext, PDESystem, total_derivative
 from .linalg import LinearSystemExact, solve_linear_exact, sparse_rank
-from .poly import Poly, coefficient_rows, mono_degree
+from .poly import Poly, coefficient_rows, mono_degree, rekey
 from .rings import COEF, VarTable, W, Z, conjugate_id, cr_table, jet_table, jet_var, u_var, x_var, zeta_var
 from .scalars import GaussScalar, I, ZERO
 from .series import implicit_series_solve
@@ -161,18 +161,8 @@ def segre_system(defn: DefiningSeries, order: int, ctx: JetContext | None = None
 def conjugate_poly(f: Poly) -> Poly:
     """Formal conjugation: swap each variable with its conjugate partner,
     conjugate the coefficients, leave auxiliary (real) unknowns fixed."""
-    table = f.table
-    out = {}
-    for mono, coeff in f.terms.items():
-        pairs = []
-        for p, e in mono:
-            vid = table.ids[p]
-            if vid[0] == COEF:
-                pairs.append((p, e))
-            else:
-                pairs.append((table.index(conjugate_id(vid)), e))
-        out[tuple(sorted(pairs))] = coeff.conjugate()
-    return Poly(table, out, f.bound)
+    g = rekey(f, f.table, lambda vid: vid if vid[0] == COEF else conjugate_id(vid))
+    return Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()}, g.bound)
 
 
 class RealDefiningPolynomial:
@@ -357,18 +347,7 @@ def to_xu_field(X: HoloField, ctx: JetContext | None = None):
     n = X.n
     if ctx is None:
         ctx = JetContext.create(n, 1)
-    mapping = {}
-    for j in range(1, n + 1):
-        mapping[X.table.index((Z, j))] = ctx.table.index(x_var(j))
-    mapping[X.table.index((W,))] = ctx.table.index(u_var(1))
-
-    def move(f: Poly) -> Poly:
-        out = {}
-        for mono, coeff in f.terms.items():
-            pairs = tuple(sorted((mapping[p], e) for p, e in mono))
-            out[pairs] = coeff
-        return Poly(ctx.table, out, f.bound)
-
-    theta = tuple(move(X.coeffs[j]) for j in range(n))
-    eta = (move(X.coeffs[n]),)
-    return VectorField(ctx, theta, eta)
+    mapping = {(Z, j): x_var(j) for j in range(1, n + 1)}
+    mapping[(W,)] = u_var(1)
+    moved = [rekey(f, ctx.table, mapping.__getitem__) for f in X.coeffs]
+    return VectorField(ctx, moved[:n], moved[n:])

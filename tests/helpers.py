@@ -15,7 +15,7 @@ from jetsym.determining import InitialData, RowProvenance, alpha_factorial, spli
 from jetsym.jets import InvolutivityVerdict, PDESystem, restricted_total_derivative
 from jetsym.poly import Poly, _add_into, _min_bound, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
-from jetsym.rings import jet_var
+from jetsym.rings import COEF, jet_var
 from jetsym.scalars import ONE, ZERO, GaussScalar
 from jetsym.series import InconsistentBaseError, _invert_matrix
 
@@ -114,6 +114,11 @@ def random_poly(rng: Random, table, vids, max_terms: int = 4, max_degree: int = 
             continue
         acc = acc + Poly(table, {mono: coeff})
     return acc
+
+
+def random_point(rng: Random, vids) -> dict:
+    """Int, scalar and zero coordinates for a random subset of vids."""
+    return {vid: rng.choice([0, ZERO, rng.randint(-3, 3), random_scalar(rng)]) for vid in vids if rng.random() < 0.8}
 
 
 def random_point_field(rng: Random, ctx, max_terms: int = 3, max_degree: int = 2) -> VectorField:
@@ -329,3 +334,115 @@ def reference_involutivity_check(sys_) -> InvolutivityVerdict:
                     if not diff.is_zero():
                         failures.append((k, i, j, l, diff))
     return InvolutivityVerdict(not failures, failures)
+
+
+# -- the polynomial plumbing that ``poly`` now writes once --------------------------
+
+
+def reference_convert(f: Poly, target) -> Poly:
+    """The ``Poly.convert`` that ``poly.rekey`` replaced: every factor of
+    every term is looked up in the target table afresh."""
+    if target is f.table:
+        return f
+    out = {}
+    for m, c in f.terms.items():
+        nm = tuple(sorted((target.index(f.table.ids[p]), e) for p, e in m))
+        out[nm] = c
+    return Poly(target, out, f.bound)
+
+
+def reference_translated(sys_, point: dict):
+    """The ``PDESystem.translated`` that ``poly.translate`` replaced: one
+    ``substitute`` call per entry."""
+    shift = {}
+    for vid, val in point.items():
+        if vid[0] not in (rings.X, rings.U):
+            raise ValueError("base point assigns only x and u variables")
+        if not isinstance(val, GaussScalar):
+            val = GaussScalar(val)
+        if not val.is_zero():
+            shift[vid] = Poly.var(sys_.ctx.table, vid) + Poly.const(sys_.ctx.table, val)
+    if not shift:
+        return sys_
+    moved = {key: f.substitute(shift) for key, f in sys_.entries.items()}
+    return PDESystem(sys_.ctx, moved)
+
+
+def reference_shift_field(X: VectorField, point: dict) -> VectorField:
+    """The ``determining._shift_field`` that ``poly.translate`` replaced:
+    each variable v becomes v - point[v], one ``substitute`` call per
+    component."""
+    table = X.ctx.table
+    bindings = {}
+    for vid, val in point.items():
+        if not isinstance(val, GaussScalar):
+            val = GaussScalar(val)
+        if val.is_zero():
+            continue
+        bindings[vid] = Poly.var(table, vid) + Poly.const(table, -val)
+    if not bindings:
+        return X
+    return VectorField(
+        X.ctx,
+        tuple(f.substitute(bindings) for f in X.theta),
+        tuple(f.substitute(bindings) for f in X.eta),
+    )
+
+
+def reference_conjugate_poly(f: Poly) -> Poly:
+    """The ``segre.conjugate_poly`` that rebuilt each monomial itself."""
+    table = f.table
+    out = {}
+    for mono, coeff in f.terms.items():
+        pairs = []
+        for p, e in mono:
+            vid = table.ids[p]
+            if vid[0] == COEF:
+                pairs.append((p, e))
+            else:
+                pairs.append((table.index(rings.conjugate_id(vid)), e))
+        out[tuple(sorted(pairs))] = coeff.conjugate()
+    return Poly(table, out, f.bound)
+
+
+def reference_to_xu_field(X, ctx) -> VectorField:
+    """The ``segre.to_xu_field`` whose ``move`` rebuilt each monomial from a
+    position map of z_j -> x_j and w -> u1."""
+    n = X.n
+    mapping = {}
+    for j in range(1, n + 1):
+        mapping[X.table.index((rings.Z, j))] = ctx.table.index(rings.x_var(j))
+    mapping[X.table.index((rings.W,))] = ctx.table.index(rings.u_var(1))
+
+    def move(f: Poly) -> Poly:
+        out = {}
+        for mono, coeff in f.terms.items():
+            pairs = tuple(sorted((mapping[p], e) for p, e in mono))
+            out[pairs] = coeff
+        return Poly(ctx.table, out, f.bound)
+
+    theta = tuple(move(X.coeffs[j]) for j in range(n))
+    eta = (move(X.coeffs[n]),)
+    return VectorField(ctx, theta, eta)
+
+
+def reference_monomial_str(mono, table) -> str:
+    """The ``RowProvenance.monomial_str`` that ``poly.mono_str`` replaced."""
+    if not mono:
+        return "1"
+    return "*".join(
+        table.name_of(table.ids[p]) + (f"^{e}" if e > 1 else "")
+        for p, e in mono
+    )
+
+
+def reference_label(field, cid) -> str:
+    """The ``UnknownCoefficientField.label`` that printed the dense exponent
+    tuple itself."""
+    func, alpha = cid[1], cid[2]
+    inner = "*".join(
+        f"{field.ctx.table.name_of(v)}" + (f"^{e}" if e > 1 else "")
+        for v, e in zip(field.wvars, alpha)
+        if e
+    )
+    return f"{func[0]}{func[1]}[{inner or '1'}]"

@@ -130,7 +130,7 @@ def test_oversized_expansion_exits_one_quickly(capsys, tmp_path, exponent, rc):
 def test_oversized_job_exits_one_quickly(capsys, tmp_path, argv, what):
     files = {
         "FLAT33": write_json(tmp_path / "flat33.json", {"n": 3, "m": 3, "entries": []}),
-        "HUGE": write_json(tmp_path / "huge.json", {"n": 10**6, "m": 1, "max_jet_order": 10**6}),
+        "HUGE": write_json(tmp_path / "huge.json", {"n": 10**6, "m": 1}),
     }
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, [files.get(a, a) for a in argv])
@@ -243,15 +243,15 @@ def test_closure_malformed_basis_exits_one(capsys, tmp_path, docs):
     [
         {"n": 1, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": 5}]},
         {"n": 1, "m": 1, "entries": 5},
-        {"n": 1, "m": 1, "max_jet_order": None, "entries": []},
         {
             "n": 1,
             "m": 1,
             "entries": [{"k": 1, "i": 1, "j": 1, "F": "p1_1"}, {"k": 1, "i": 1, "j": 1, "F": "2*p1_1"}],
         },
         {"n": 1, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": "(" * 300 + "p1_1" + ")" * 300}]},
+        {"command": "segre-derive", "n": 1, "m": 1, "order": None, "entries": []},
     ],
-    ids=["F-not-string", "entries-not-array", "max-jet-order-null", "repeated-entry", "parens-too-deep"],
+    ids=["F-not-string", "entries-not-array", "repeated-entry", "parens-too-deep", "segre-order-null"],
 )
 def test_involutive_malformed_system_exits_one(capsys, tmp_path, doc):
     system = write_json(tmp_path / "system.json", doc)
@@ -271,6 +271,30 @@ def test_segre_derive_read_back(capsys, tmp_path):
     entries = {(e["k"], e["i"], e["j"]): e["F"] for e in doc["entries"]}
     assert max(len(f.terms) for f in sys_.entries.values()) > 1000
     assert {key: poly_to_str(f) for key, f in sys_.entries.items()} == entries
+
+
+SEGRE_DEEP = ["segre-derive", "--signature", "+-", "--perturbation", "x1^2*s1^2 + x2*u1*s3 + x1*s1*s2"]
+
+
+def test_segre_derive_output_reads_back_truncated(capsys, monkeypatch):
+    # Read as exact, the order-8 series fails involutivity at terms of
+    # degree 8 and above, where the differentiated series is not valid.
+    rc, out, _ = run_cli(capsys, SEGRE_DEEP + ["--order", "8", "--format", "json"])
+    assert rc == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run_cli(capsys, ["involutive", "--system", "-"]) == (0, "involutive: true\n", "")
+
+
+def test_symmetry_algebra_on_too_low_segre_order_exits_one(capsys, tmp_path):
+    rc, out, _ = run_cli(
+        capsys, ["segre-derive", "--signature", "+", "--perturbation", "x1^2*s1^2", "--order", "3", "--format", "json"]
+    )
+    assert rc == 0
+    path = tmp_path / "system.json"
+    path.write_text(out, encoding="utf-8")
+    rc, out, err = run_cli(capsys, ["symmetry-algebra", "--system", str(path), "--order", "3"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: residual for ") and err.endswith("the degree-3 ansatz needs 4\n")
 
 
 def test_segre_derive(capsys):

@@ -14,11 +14,13 @@ from jetsym.determining import (
     TruncationOrderError,
     UnderdeterminedLayerError,
     UnknownCoefficientField,
+    _shift_field,
     alpha_factorial,
     generate_determining,
     initial_data_of,
     monomials_up_to,
     omega_basis,
+    omega_ids,
     symmetry_algebra,
     taylor_from_initial_data,
 )
@@ -35,8 +37,14 @@ from helpers import (
     budget,
     first_difference,
     linear_residual,
+    random_point,
+    random_point_field,
     random_poly,
     reference_determining,
+    reference_label,
+    reference_monomial_str,
+    reference_shift_field,
+    reference_translated,
     second_order_forms,
     sort_all_collect,
     zero_initial_data,
@@ -411,8 +419,8 @@ def reference_taylor(det, omega):
             known[(COEF, (THETA, j + 1), e_l)] = omega.alpha[j][l]
         for k in range(m):
             known[(COEF, (ETA, k + 1), e_l)] = omega.beta[k][l]
-    for l, cid in enumerate(field.gamma_ids()):
-        known[cid] = omega.gamma[l] / GaussScalar(alpha_factorial(cid[2]))
+    for l, (func, alpha) in enumerate(omega_ids(n, m)[q * q:q * q + q]):
+        known[(COEF, func, alpha)] = omega.gamma[l] / GaussScalar(alpha_factorial(alpha))
     for layer in range(2, field.order + 1):
         targets = [cid for cid in field.unknowns if field.layer_of(cid) == layer and cid not in known]
         tidx = {cid: k for k, cid in enumerate(targets)}
@@ -438,7 +446,7 @@ def reference_taylor(det, omega):
             raise InconsistentLayerError(
                 layer,
                 f"residual (mu={prov.mu}, i={prov.i}, j={prov.j}) at monomial "
-                f"{prov.monomial_str(field.ext_table)}",
+                f"{reference_monomial_str(prov.mono, field.ext_table)}",
             )
         if result.nullspace:
             raise UnderdeterminedLayerError(layer)
@@ -603,3 +611,55 @@ def test_initial_data_of_projective_field():
     assert om.beta == ((ZERO, ZERO),)
     assert om.delta == (ZERO,)
     assert om.epsilon == (ZERO,)
+
+
+# -- base-point shift and labels against the code they replaced -----------------------
+
+
+def shift_outcome(run):
+    """[(terms, bound)] of each polynomial of the result, or the message of a
+    ValueError."""
+    try:
+        result = run()
+    except ValueError as exc:
+        return str(exc)
+    polys = list(result.entries.values()) if isinstance(result, PDESystem) else result.theta + result.eta
+    return [(f.terms, f.bound) for f in polys]
+
+
+@settings(max_examples=budget(150), deadline=None)
+@given(st.integers(0, 2**32))
+def test_base_point_shifts_match_per_polynomial_reference(seed):
+    # Exact and truncated entries with exponents 1 and above; int, scalar
+    # and zero coordinates.  A truncated entry that mentions a shifted
+    # variable must be refused by both paths alike.
+    rng = Random(seed)
+    n, m = rng.choice([(1, 1), (2, 1), (1, 2)])
+    ctx = JetContext.create(n, m)
+    xu = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
+    vids = xu + [jet_var(mu, (i,)) for mu in range(1, m + 1) for i in range(1, n + 1)]
+    entries = {
+        (k, i, j): random_poly(rng, ctx.table, vids, max_terms=5, max_degree=4).truncate(
+            rng.choice([None, None, None, 4, 7])
+        )
+        for k in range(1, m + 1)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+    }
+    sys_ = PDESystem(ctx, entries)
+    point = random_point(rng, xu)
+    X = random_point_field(rng, ctx, max_terms=4, max_degree=4)
+    got = [shift_outcome(lambda: sys_.translated(point)), shift_outcome(lambda: _shift_field(X, point))]
+    expected = [
+        shift_outcome(lambda: reference_translated(sys_, point)),
+        shift_outcome(lambda: reference_shift_field(X, point)),
+    ]
+    assert first_difference(got, expected) is None
+
+
+@settings(max_examples=budget(20), deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(2, 4))
+def test_labels_match_reference(n, m, order):
+    field = UnknownCoefficientField(JetContext.create(n, m), order)
+    got = [field.label(cid) for cid in field.unknowns]
+    assert first_difference(got, [reference_label(field, cid) for cid in field.unknowns]) is None

@@ -6,11 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from jetsym.expr import parse_poly
 from jetsym.jets import JetContext
-from jetsym.poly import Poly, _add_into, mono_sort_key, substitute_all
+from jetsym.poly import Poly, _add_into, mono_sort_key, mono_str, rekey, substitute_all, translate
 from jetsym.rings import AUX, VarTable, jet_var, u_var, x_var
 from jetsym.scalars import GaussScalar, I, ONE, ZERO
 
-from helpers import budget, first_difference, random_poly, random_scalar, reference_substitute
+from helpers import (
+    budget,
+    first_difference,
+    random_point,
+    random_poly,
+    random_scalar,
+    reference_convert,
+    reference_monomial_str,
+    reference_substitute,
+)
 
 
 def make_ctx():
@@ -429,3 +438,51 @@ def test_evaluate():
     val = f.evaluate({x_var(1): GaussScalar(3), u_var(1): GaussScalar(5)})
     assert val == GaussScalar(17)
     assert f.evaluate({}) == GaussScalar(2)
+
+
+# -- base-point shift, re-keying and monomial text ---------------------------------
+
+
+@settings(max_examples=budget(200), deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS), st.integers(0, 2**32))
+def test_translate_there_and_back_is_the_identity(weights, seed):
+    rng = Random(seed)
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    vids = list(table.ids)
+    polys = [random_poly(rng, table, vids, max_terms=6, max_degree=4) for _ in range(rng.randint(1, 4))]
+    point = random_point(rng, vids)
+    back = translate(translate(polys, point), {vid: -val for vid, val in point.items()})
+    assert first_difference([f.terms for f in back], [f.terms for f in polys]) is None
+
+
+@settings(max_examples=budget(200), deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS), st.integers(0, 2**32))
+def test_convert_matches_reference(weights, seed):
+    # The target holds f's variables in another order, among variables f's
+    # table lacks, and lacks the source variables that f does not use.
+    rng = Random(seed)
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    used = rng.sample(list(table.ids), rng.randint(1, NVARS))
+    f = random_poly(rng, table, used, max_terms=6, max_degree=4).truncate(rng.choice([None, 2, 5]))
+    target_ids = used + [(AUX, f"t{k}") for k in range(rng.randint(0, 3))]
+    rng.shuffle(target_ids)
+    target = VarTable(target_ids)
+    got, expected = f.convert(target), reference_convert(f, target)
+    assert first_difference([got.table, got.terms, got.bound], [expected.table, expected.terms, expected.bound]) is None
+
+
+@settings(max_examples=budget(200), deadline=None)
+@given(st.lists(monomials, max_size=12))
+def test_mono_str_matches_reference(monos):
+    table = make_ctx().table
+    assert first_difference([mono_str(table, m) for m in monos], [reference_monomial_str(m, table) for m in monos]) is None
+
+
+def test_rekey_renames_only_occurring_variables():
+    # The source table holds s1, which the target lacks; x1 -> u1, u1 -> x1.
+    source = VarTable([x_var(1), u_var(1), (AUX, "s1")])
+    target = VarTable([x_var(1), u_var(1)])
+    f = parse_poly("x1^2*u1 - 3*x1 + 1", source).truncate(4)
+    swap = {x_var(1): u_var(1), u_var(1): x_var(1)}
+    g = rekey(f, target, swap.__getitem__)
+    assert (str(g), g.bound) == ("1 - 3*u1 + x1*u1^2", 4)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetsym.determining import symmetry_algebra
-from jetsym.jets import involutivity_check
+from jetsym.jets import JetContext, involutivity_check
 from jetsym.poly import Poly
 from jetsym.prolong import lie_criterion_check
-from jetsym.rings import W, WBAR, Z, ZBAR, cr_table, jet_var, u_var, x_var, zeta_var
+from jetsym.rings import COEF, W, WBAR, Z, ZBAR, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, I, ONE
 from jetsym.segre import (
     DefiningSeries,
@@ -15,6 +15,7 @@ from jetsym.segre import (
     RealDefiningPolynomial,
     Signature,
     cr_automorphism_algebra,
+    conjugate_poly,
     cr_tangency_check,
     defining_table,
     hyperquadric,
@@ -26,7 +27,13 @@ from jetsym.segre import (
 )
 from jetsym.series import implicit_series_solve
 
-from helpers import budget, random_poly
+from helpers import (
+    budget,
+    first_difference,
+    random_poly,
+    reference_conjugate_poly,
+    reference_to_xu_field,
+)
 
 
 def cubic_perturbation():
@@ -262,3 +269,22 @@ def test_hyperquadric_symmetry_algebra_matches_flat():
     sym = symmetry_algebra(sys_, order=3)
     assert sym.dimension == 8
     assert span_equal(sym.basis, list(flat_generators(1, 1, sys_.ctx)))
+
+
+@settings(max_examples=budget(150), deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32))
+def test_conjugation_and_xu_rewrite_match_reference(n, seed):
+    # Polynomials over a CR table extended by real unknowns, as in the
+    # automorphism solve, exact and truncated, with exponents 1 and above.
+    rng = Random(seed)
+    table = cr_table(n).extend([(COEF, ("aR", 0), (k,)) for k in range(2)], (0, 0))
+    f = random_poly(rng, table, list(table.ids), max_terms=6, max_degree=4).truncate(rng.choice([None, 3, 6]))
+    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
+    X = HoloField(table, [random_poly(rng, table, zw, max_terms=4, max_degree=4) for _ in zw])
+    ctx = JetContext.create(n, 1)
+    got, expected = conjugate_poly(f), reference_conjugate_poly(f)
+    moved, moved_ref = to_xu_field(X, ctx), reference_to_xu_field(X, ctx)
+    assert first_difference(
+        [got.terms, got.bound] + [(g.terms, g.bound) for g in moved.theta + moved.eta],
+        [expected.terms, expected.bound] + [(g.terms, g.bound) for g in moved_ref.theta + moved_ref.eta],
+    ) is None
