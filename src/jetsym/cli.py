@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .determining import (
@@ -61,13 +62,13 @@ def load_system(path: str) -> PDESystem:
     doc = _read_json(path)
     try:
         n, m = int(doc["n"]), int(doc["m"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise CliError("system file needs integer fields 'n' and 'm'") from None
     bound = None
     if doc.get("command") == "segre-derive":
         try:
             bound = int(doc["order"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise CliError("segre-derive output needs an integer field 'order'") from None
     entry_docs = doc.get("entries", [])
     if not isinstance(entry_docs, list):
@@ -80,7 +81,7 @@ def load_system(path: str) -> PDESystem:
             text = entry["F"]
             if not isinstance(text, str):
                 raise TypeError
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise CliError("system entry needs integer fields 'k', 'i', 'j' and an expression string 'F'") from None
         if i > j:
             raise CliError(f"system entry ({k},{i},{j}) must have i <= j")
@@ -99,7 +100,7 @@ def field_from_doc(doc, ctx: JetContext | None = None) -> VectorField:
     try:
         n, m = int(doc["n"]), int(doc["m"])
         theta_texts, eta_texts = doc["theta"], doc["eta"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise CliError("field document needs integer 'n', 'm' and arrays 'theta', 'eta'") from None
     if not (
         isinstance(theta_texts, list)
@@ -137,6 +138,12 @@ def field_doc(X: VectorField) -> dict:
         "theta": [poly_to_str(f) for f in X.theta],
         "eta": [poly_to_str(f) for f in X.eta],
     }
+
+
+def field_lines(doc: dict) -> list[str]:
+    """One line per component of a field document: theta1: ..., eta1: ..."""
+    lines = [f"theta{j + 1}: {t}" for j, t in enumerate(doc["theta"])]
+    return lines + [f"eta{mu + 1}: {e}" for mu, e in enumerate(doc["eta"])]
 
 
 def emit(report: dict, fmt: str, lines) -> None:
@@ -229,9 +236,7 @@ def cmd_taylor(args):
     point = parse_point(args.point, sys_.ctx)
     X = taylor_from_initial_data(sys_, omega, order=args.order, point=point)
     report = {"command": "taylor", "order": args.order, "field": field_doc(X)}
-    lines = [f"theta{j + 1}: {t}" for j, t in enumerate(report["field"]["theta"])]
-    lines += [f"eta{mu + 1}: {e}" for mu, e in enumerate(report["field"]["eta"])]
-    return report, lines
+    return report, field_lines(report["field"])
 
 
 def cmd_symmetry_algebra(args):
@@ -245,8 +250,7 @@ def cmd_symmetry_algebra(args):
         "basis": [field_doc(X) for X in alg.basis],
     }
     lines = [f"dimension: {alg.dimension}"]
-    for k, X in enumerate(alg.basis):
-        doc = field_doc(X)
+    for k, doc in enumerate(report["basis"]):
         lines.append(f"  [{k + 1}] theta=({', '.join(doc['theta'])}) eta=({', '.join(doc['eta'])})")
     return report, lines
 
@@ -264,9 +268,8 @@ def cmd_flat_algebra(args):
         ],
     }
     lines = [f"dimension: {len(basis)}"]
-    for name, X in zip(basis.names, basis.fields):
-        doc = field_doc(X)
-        lines.append(f"  {name}: theta=({', '.join(doc['theta'])}) eta=({', '.join(doc['eta'])})")
+    for doc in report["basis"]:
+        lines.append(f"  {doc['name']}: theta=({', '.join(doc['theta'])}) eta=({', '.join(doc['eta'])})")
     return report, lines
 
 
@@ -275,10 +278,7 @@ def cmd_bracket(args):
     Y = load_field(args.field2, X.ctx)
     Z = bracket(X, Y)
     report = {"command": "bracket", "field": field_doc(Z)}
-    doc = report["field"]
-    lines = [f"theta{j + 1}: {t}" for j, t in enumerate(doc["theta"])]
-    lines += [f"eta{mu + 1}: {e}" for mu, e in enumerate(doc["eta"])]
-    return report, lines
+    return report, field_lines(report["field"])
 
 
 def cmd_closure(args):
@@ -470,7 +470,13 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    emit(report, args.format, lines)
+    try:
+        emit(report, args.format, lines)
+        sys.stdout.flush()  # meet a closed stdout here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit ("Note on SIGPIPE", signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -11,8 +11,9 @@ degree exceeds N - 2 are discarded: they would also constrain Taylor
 coefficients beyond the ansatz order, so for a degree-N truncation they are
 incomplete.  Each monomial's (x, u) and jet degrees are computed once, and
 the cut is made on them before any row provenance is built.  The ansatz
-itself is a ``LinearAnsatz``, the same builder, row collector and realizer
-that the CR automorphism solve uses.
+itself is a ``LinearAnsatz``, which builds, collects, solves and realizes
+for the CR automorphism solve too: ``LinearAnsatz.solutions`` is the one
+exact nullspace call of the package.
 
 Two independent algorithms are provided on top of the generated rows and
 are tested against each other:
@@ -111,8 +112,11 @@ class LinearAnsatz:
         # name -> [(monomial in wvars, column)], in column order
         self._terms: dict = {}
         for c, (_, name, alpha) in enumerate(self.unknowns):
-            mono = tuple(sorted((p, e) for p, e in zip(self.wpos, alpha) if e))
-            self._terms.setdefault(name, []).append((mono, c))
+            self._terms.setdefault(name, []).append((self.monomial(alpha), c))
+
+    def monomial(self, alpha) -> tuple:
+        """The monomial w^alpha of a dense exponent tuple over wvars."""
+        return tuple(sorted((p, e) for p, e in zip(self.wpos, alpha) if e))
 
     def poly(self, name) -> Poly:
         """The ansatz polynomial of ``name`` over the extended table."""
@@ -149,6 +153,12 @@ class LinearAnsatz:
             for ordinary in sorted(groups, key=sort_keys.__getitem__):
                 rows[(slot, ordinary)] = groups[ordinary]
         return rows
+
+    def solutions(self, rows) -> list[list[GaussScalar]]:
+        """A nullspace basis of the homogeneous ``rows`` ({column: coefficient}
+        each): one value per unknown, one vector per free column in order."""
+        system = LinearSystemExact(rows, [ZERO] * len(rows), ncols=len(self.unknowns))
+        return solve_linear_exact(system).nullspace
 
     def realize(self, name, values) -> Poly:
         """The ansatz polynomial of ``name`` over the base table, with the
@@ -202,8 +212,7 @@ class UnknownCoefficientField(LinearAnsatz):
 
     def label(self, cid) -> str:
         func, alpha = cid[1], cid[2]
-        mono = tuple((p, e) for p, e in zip(self.wpos, alpha) if e)
-        return f"{func[0]}{func[1]}[{mono_str(self.table, mono)}]"
+        return f"{func[0]}{func[1]}[{mono_str(self.table, self.monomial(alpha))}]"
 
     def layer_of(self, cid) -> int:
         return sum(cid[2])
@@ -248,10 +257,6 @@ class DeterminingSystem:
         return TaylorPropagator(self)
 
     @property
-    def system(self) -> LinearSystemExact:
-        return LinearSystemExact(self.rows, [ZERO] * len(self.rows), ncols=self.unknown_count)
-
-    @property
     def unknown_count(self) -> int:
         return self.field.unknown_count()
 
@@ -263,9 +268,7 @@ class DeterminingSystem:
 def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> DeterminingSystem:
     """Expand the symmetry criterion for the ansatz and collect one equation
     per complete monomial coefficient."""
-    ext_table = field.ext_table
-    ext_sys = PDESystem(field.ext_ctx, {key: f.convert(ext_table) for key, f in sys.entries.items()})
-    residuals = lie_criterion_check(field.ansatz_field(), ext_sys)
+    residuals = lie_criterion_check(field.ansatz_field(), PDESystem(field.ext_ctx, sys.entries))
 
     N = field.order
     for (mu, i, j) in sorted(residuals):
@@ -276,8 +279,8 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
                 f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
             )
 
-    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in ext_table.ids]
-    jet_weights = [int(vid[0] == rings.JET) for vid in ext_table.ids]
+    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in field.ext_table.ids]
+    jet_weights = [int(vid[0] == rings.JET) for vid in field.ext_table.ids]
     degrees: dict[tuple, tuple[int, int]] = {}  # monomial -> (xu_degree, jet_degree)
     rows = []
     provenance = []
@@ -346,9 +349,6 @@ class InitialData:
         out.extend(self.delta)
         out.extend(self.epsilon)
         return out
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.flat())
 
 
 def omega_ids(n: int, m: int) -> list[tuple]:
@@ -585,13 +585,7 @@ def symmetry_algebra(sys: PDESystem, order: int = 3, point: dict | None = None) 
         sys = sys.translated(point)
     field = UnknownCoefficientField(sys.ctx, order)
     det = generate_determining(sys, field)
-    result = solve_linear_exact(det.system)
-    if not result.consistent:
-        raise DeterminingError("homogeneous determining system reported inconsistent")
-    basis = []
-    for vec in result.nullspace:
-        X = field.field_from_values(vec)
-        if point:
-            X = _shift_field(X, point)
-        basis.append(X)
+    basis = [field.field_from_values(v) for v in field.solutions(det.rows)]
+    if point:
+        basis = [_shift_field(X, point) for X in basis]
     return SymmetryAlgebra(basis, det)

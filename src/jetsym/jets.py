@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import rings
 from .poly import Poly, translate
 from .rings import VarTable, jet_table, jet_var, u_var, x_var
-from .scalars import GaussScalar, ONE
+from .scalars import GaussScalar, ONE, ZERO
 
 
 class JetOrderError(ValueError):
@@ -105,10 +105,14 @@ class PDESystem:
         return self.entries[(k, i, j)]
 
     def translated(self, point: dict) -> "PDESystem":
-        """The system recentered so that the given (x, u) point becomes the origin."""
+        """The system recentered so that the given (x, u) point becomes the
+        origin; a truncated system is known only near the origin."""
         if any(vid[0] not in (rings.X, rings.U) for vid in point):
             raise ValueError("base point assigns only x and u variables")
-        return PDESystem(self.ctx, dict(zip(self.entries, translate(list(self.entries.values()), point))))
+        polys = list(self.entries.values())
+        if any(f.bound is not None for f in polys) and any(v not in (0, ZERO) for v in point.values()):
+            raise ValueError("a truncated system cannot be recentred at a nonzero base point")
+        return PDESystem(self.ctx, dict(zip(self.entries, translate(polys, point))))
 
 
 def _total_vector(table: VarTable, vids, i: int, lift) -> dict:

@@ -19,6 +19,10 @@ derived here by one exact implicit solve.
 Conjugated variables are independent polynomial variables; reality of a
 defining polynomial is a checked invariant and "Re" is the formal half sum
 under the conjugation involution, so no numerical evaluation ever occurs.
+
+One ``tangency_remainder``, 2 Re X(rho) mod rho, serves both
+``cr_tangency_check`` and the automorphism ansatz, whose Gaussian rows
+``_real_parts`` splits into real equations for ``LinearAnsatz.solutions``.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from math import comb
 from . import rings
 from .determining import LinearAnsatz, monomials_up_to
 from .jets import JetContext, PDESystem, total_derivative
-from .linalg import LinearSystemExact, solve_linear_exact, sparse_rank
+from .linalg import sparse_rank
 from .poly import Poly, coefficient_rows, mono_degree, rekey
+from .prolong import VectorField
 from .rings import COEF, VarTable, W, Z, conjugate_id, cr_table, jet_table, jet_var, u_var, x_var, zeta_var
 from .scalars import GaussScalar, I, ZERO
 from .series import implicit_series_solve
@@ -100,7 +105,7 @@ def hyperquadric(signature: Signature) -> DefiningSeries:
     return DefiningSeries(signature)
 
 
-def segre_system(defn: DefiningSeries, order: int, ctx: JetContext | None = None) -> PDESystem:
+def segre_system(defn: DefiningSeries, order: int) -> PDESystem:
     """Eliminate the family parameters and return the second-order system.
 
     The defining relation, its first total derivatives, and their total
@@ -144,8 +149,7 @@ def segre_system(defn: DefiningSeries, order: int, ctx: JetContext | None = None
 
     solution = implicit_series_solve(equations, unknowns, order)
 
-    if ctx is None:
-        ctx = JetContext.create(n, 1)
+    ctx = JetContext.create(n, 1)
     entries = {}
     for k in range(1, n + 1):
         for j in range(k, n + 1):
@@ -244,12 +248,30 @@ def reduce_by_rho(f: Poly, rho: Poly) -> Poly:
     return f.substitute({(W,): tail.scale(-unit.inverse())})
 
 
+def tangency_remainder(X: HoloField, rho: RealDefiningPolynomial) -> Poly:
+    """Twice the real part of X(rho), reduced modulo rho: zero exactly when
+    the real part of X is tangent to the hypersurface."""
+    xrho = X.apply_to(rho.rho)
+    return reduce_by_rho(xrho + conjugate_poly(xrho), rho.rho)
+
+
 def cr_tangency_check(X: HoloField, rho: RealDefiningPolynomial) -> bool:
     """True iff twice the real part of X(rho) lies in the ideal (rho), i.e.
     the real part of X is tangent to the hypersurface."""
-    xrho = X.apply_to(rho.rho)
-    f = xrho + conjugate_poly(xrho)
-    return reduce_by_rho(f, rho.rho).is_zero()
+    return tangency_remainder(X, rho).is_zero()
+
+
+def _real_parts(row: dict) -> tuple[dict, dict]:
+    """The real row and the imaginary row of a sparse {column: GaussScalar}
+    row, each holding its nonzero entries only."""
+    re_row, im_row = {}, {}
+    for c, v in row.items():
+        re, im = v.parts()
+        if not re.is_zero():
+            re_row[c] = re
+        if not im.is_zero():
+            im_row[c] = im
+    return re_row, im_row
 
 
 @dataclass
@@ -285,68 +307,35 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
     ansatz = LinearAnsatz(base, zw, unknowns)
     table = ansatz.ext_table
     X = HoloField(table, [ansatz.poly(("aR", c)) + ansatz.poly(("aI", c)).scale(I) for c in range(n + 1)])
-    rho = hyperquadric_rho(signature, table)
-    xrho = X.apply_to(rho.rho)
-    remainder = reduce_by_rho(xrho + conjugate_poly(xrho), rho.rho)
-
-    rows = []
-    for row in ansatz.collect({0: remainder}).values():
-        re_row, im_row = {}, {}
-        for c, v in row.items():
-            re, im = v.parts()
-            if not re.is_zero():
-                re_row[c] = re
-            if not im.is_zero():
-                im_row[c] = im
-        if re_row:
-            rows.append(re_row)
-        if im_row:
-            rows.append(im_row)
-
-    result = solve_linear_exact(
-        LinearSystemExact(rows, [ZERO] * len(rows), ncols=len(unknowns))
-    )
+    remainder = tangency_remainder(X, hyperquadric_rho(signature, table))
+    rows = [part for row in ansatz.collect({0: remainder}).values() for part in _real_parts(row) if part]
     basis = [
         HoloField(
             base,
             [ansatz.realize(("aR", c), vec) + ansatz.realize(("aI", c), vec).scale(I) for c in range(n + 1)],
         )
-        for vec in result.nullspace
+        for vec in ansatz.solutions(rows)
     ]
     return CRAutomorphismAlgebra(signature, basis, base)
 
 
 def totally_real_check(fields) -> bool:
-    """True iff the real span A of the fields satisfies A meet iA = {0}."""
-    rows, _ = coefficient_rows([X.coeffs for X in fields])
-
-    def realify(row, times_i: bool):
-        # Complex column c becomes the real columns 2c (real part) and 2c+1.
-        out = {}
-        for c, v in row.items():
-            if times_i:
-                v = v * I
-            re, im = v.parts()
-            if not re.is_zero():
-                out[2 * c] = re
-            if not im.is_zero():
-                out[2 * c + 1] = im
-        return out
-
-    plain = [realify(row, False) for row in rows]
-    with_i = [realify(row, True) for row in rows]
-    r = sparse_rank(plain)
-    return sparse_rank(plain + with_i) == 2 * r
+    """True iff the real span A of the fields satisfies A meet iA = {0}:
+    A + iA is the complex span of A, so that holds exactly when the complex
+    rank of the coefficient rows equals the rank of their real forms."""
+    rows, frame = coefficient_rows([X.coeffs for X in fields])
+    real_rows = []
+    for row in rows:
+        # Real parts keep column c; imaginary parts move to column len(frame) + c.
+        re_row, im_row = _real_parts(row)
+        real_rows.append({**re_row, **{len(frame) + c: v for c, v in im_row.items()}})
+    return sparse_rank(rows) == sparse_rank(real_rows)
 
 
-def to_xu_field(X: HoloField, ctx: JetContext | None = None):
+def to_xu_field(X: HoloField, ctx: JetContext):
     """Rewrite a field on (z, w) parameter space in the (x, u) variables of
     the associated second-order system (x_j = z_j, u = w)."""
-    from .prolong import VectorField
-
     n = X.n
-    if ctx is None:
-        ctx = JetContext.create(n, 1)
     mapping = {(Z, j): x_var(j) for j in range(1, n + 1)}
     mapping[(W,)] = u_var(1)
     moved = [rekey(f, ctx.table, mapping.__getitem__) for f in X.coeffs]

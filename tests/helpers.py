@@ -13,10 +13,11 @@ from hypothesis import settings
 from jetsym import rings
 from jetsym.determining import InitialData, RowProvenance, alpha_factorial, split_unknown
 from jetsym.jets import InvolutivityVerdict, PDESystem, restricted_total_derivative
-from jetsym.poly import Poly, _add_into, _min_bound, mono_sort_key
+from jetsym.linalg import sparse_rank
+from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import COEF, jet_var
-from jetsym.scalars import ONE, ZERO, GaussScalar
+from jetsym.scalars import I, ONE, ZERO, GaussScalar
 from jetsym.series import InconsistentBaseError, _invert_matrix
 
 
@@ -446,3 +447,27 @@ def reference_label(field, cid) -> str:
         if e
     )
     return f"{func[0]}{func[1]}[{inner or '1'}]"
+
+
+def reference_totally_real_check(fields) -> bool:
+    """The ``segre.totally_real_check`` that ranked the real forms of A and
+    of iA together against twice the rank of A."""
+    rows, _ = coefficient_rows([X.coeffs for X in fields])
+
+    def realify(row, times_i: bool):
+        # Complex column c becomes the real columns 2c (real part) and 2c+1.
+        out = {}
+        for c, v in row.items():
+            if times_i:
+                v = v * I
+            re, im = v.parts()
+            if not re.is_zero():
+                out[2 * c] = re
+            if not im.is_zero():
+                out[2 * c + 1] = im
+        return out
+
+    plain = [realify(row, False) for row in rows]
+    with_i = [realify(row, True) for row in rows]
+    r = sparse_rank(plain)
+    return sparse_rank(plain + with_i) == 2 * r

@@ -1,14 +1,18 @@
 import io
 import json
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetsym.cli import build_parser, load_system, main
 from jetsym.poly import poly_to_str
 
-from helpers import first_difference
+from helpers import budget, first_difference
 
 
 def run_cli(capsys, argv):
@@ -261,6 +265,21 @@ def test_involutive_malformed_system_exits_one(capsys, tmp_path, doc):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": float("inf"), "m": 1}, "system file needs integer fields 'n' and 'm'"),
+        ({"command": "segre-derive", "n": 1, "m": 1, "order": float("inf")}, "segre-derive output needs an integer"),
+        ({"n": 1, "m": 1, "entries": [{"k": float("inf"), "i": 1, "j": 1, "F": "0"}]}, "system entry needs integer"),
+    ],
+    ids=["n", "order", "k"],
+)
+def test_infinite_integer_field_is_named(capsys, tmp_path, doc, message):
+    # JSON "Infinity" reads as a float that int() refuses with OverflowError.
+    rc, out, err = run_cli(capsys, ["involutive", "--system", write_json(tmp_path / "system.json", doc)])
+    assert (rc, out, err.startswith(f"error: {message}")) == (1, "", True)
+
+
 def test_segre_derive_read_back(capsys, tmp_path):
     # F^1_11 has over a thousand terms: one flat sum of products
     argv = ["segre-derive", "--signature", "+-", "--perturbation", "x1^2*s1^2 + x2*u1*s3 + x1*s1*s2"]
@@ -295,6 +314,23 @@ def test_symmetry_algebra_on_too_low_segre_order_exits_one(capsys, tmp_path):
     rc, out, err = run_cli(capsys, ["symmetry-algebra", "--system", str(path), "--order", "3"])
     assert rc == 1 and out == ""
     assert err.startswith("error: residual for ") and err.endswith("the degree-3 ansatz needs 4\n")
+
+
+@pytest.mark.parametrize("point, rc", [("1,0", 1), ("0,1/2", 1), ("0,0", 0)])
+@pytest.mark.parametrize("command", ["symmetry-algebra", "taylor"])
+def test_point_on_truncated_system(capsys, tmp_path, command, point, rc):
+    # A segre-derive file is a truncated series: it is known only near the
+    # origin, so it cannot be moved to any other base point.
+    _, out, _ = run_cli(
+        capsys, ["segre-derive", "--signature", "+", "--perturbation", "x1^2*s1^2", "--order", "8", "--format", "json"]
+    )
+    argv = [command, "--system", write_json(tmp_path / "system.json", json.loads(out)), "--point", point]
+    if command == "taylor":
+        argv += ["--initial-data", write_json(tmp_path / "omega.json", ["0"] * 8)]
+    got_rc, out, err = run_cli(capsys, argv)
+    assert got_rc == rc
+    if rc:
+        assert (out, err) == ("", "error: a truncated system cannot be recentred at a nonzero base point\n")
 
 
 def test_segre_derive(capsys):
@@ -416,9 +452,6 @@ def test_one_parser_serves_every_call(flat_system_file):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "jetsym.cli", "flat-algebra", "--n", "2", "--m", "1", "--format", "json"],
         capture_output=True,
@@ -426,3 +459,76 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 15
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    # The report (about 340 kB) is larger than a pipe holds, so the process
+    # is still writing when its reader goes away after one line.
+    system = write_json(tmp_path / "flat.json", {"n": 3, "m": 3, "entries": []})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetsym.cli", "determining", "--system", system, "--order", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    rc = proc.wait(timeout=60)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (first, rc, "Traceback" in err, "Exception ignored" in err) == (b"unknowns: 504\n", 1, False, False)
+
+
+BAD_EXPRESSIONS = ["x1 +", "(x1", "x1)", "y1", "p1_1_1", "u9", "x1^-1", "x1^99999", "1/0", "", "x1 ** 2", "2..3"]
+WRONG_VALUES = [None, [], {}, "x", "1", 1.5, True, -1, 0, 10**30, float("inf"), float("nan")]
+
+
+def malformed_system_document(rng: Random) -> dict:
+    """A well-formed system document (n, m <= 2) with one field broken."""
+    n, m = rng.randint(1, 2), rng.randint(1, 2)
+    names = [f"x{i}" for i in range(1, n + 1)] + [f"u{mu}" for mu in range(1, m + 1)]
+    names += [f"p{mu}_{i}" for mu in range(1, m + 1) for i in range(1, n + 1)]
+    keys = [(k, i, j) for k in range(1, m + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
+    entries = [
+        {"k": k, "i": i, "j": j, "F": rng.choice(["0", "1", f"{rng.choice(names)}*{rng.choice(names)}", rng.choice(names)])}
+        for k, i, j in rng.sample(keys, rng.randint(1, len(keys)))
+    ]
+    doc = {"n": n, "m": m, "entries": entries}
+    entry = rng.choice(entries)
+    kind = rng.choice(["type", "missing", "range", "i>j", "duplicate", "expression", "segre-order"])
+    if kind == "type":
+        target = rng.choice([doc, entry])
+        target[rng.choice(list(target))] = rng.choice(WRONG_VALUES)
+    elif kind == "missing":
+        target = rng.choice([doc, entry])
+        del target[rng.choice(list(target))]
+    elif kind == "range":
+        key = rng.choice(["n", "m", "k", "i", "j"])
+        top = {"n": 10**6, "m": 10**6, "k": m + 1, "i": n + 1, "j": n + 1}[key]
+        (doc if key in ("n", "m") else entry)[key] = rng.choice([0, -1, top])
+    elif kind == "i>j":
+        entry["i"], entry["j"] = 2, 1
+    elif kind == "duplicate":
+        entries.append({**entry, "F": entry["F"] + " + 1"})
+    elif kind == "expression":
+        entry["F"] = rng.choice(BAD_EXPRESSIONS)
+    else:
+        doc["command"] = "segre-derive"
+        if rng.random() < 0.8:
+            doc["order"] = rng.choice(WRONG_VALUES)
+    return doc
+
+
+@settings(max_examples=budget(40), deadline=None)
+@given(st.integers(0, 2**32))
+def test_malformed_system_documents_exit_cleanly(tmp_path_factory, seed):
+    # Every subcommand that reads a system ends in exit code 0, 1 or 2 on a
+    # document with one broken field; no exception escapes main.
+    doc = malformed_system_document(Random(seed))
+    system = write_json(tmp_path_factory.mktemp("doc") / "system.json", doc)
+    outcomes = []
+    for argv in (["involutive"], ["determining", "--order", "2"], ["symmetry-algebra", "--order", "2"]):
+        try:
+            outcomes.append(redirected_run(argv + ["--system", system])[0])
+        except Exception as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert [rc for rc in outcomes if rc not in (0, 1, 2)] == []

@@ -123,7 +123,8 @@ def test_zero_ansatz_satisfies_all_rows():
     field = UnknownCoefficientField(sys_.ctx, 3)
     det = generate_determining(sys_, field)
     zero_vec = [ZERO] * field.unknown_count()
-    assert all(v.is_zero() for v in linear_residual(det.system, zero_vec))
+    system = LinearSystemExact(det.rows, [ZERO] * det.row_count, ncols=det.unknown_count)
+    assert all(v.is_zero() for v in linear_residual(system, zero_vec))
 
 
 def test_unknown_count_formula():
@@ -631,8 +632,8 @@ def shift_outcome(run):
 @given(st.integers(0, 2**32))
 def test_base_point_shifts_match_per_polynomial_reference(seed):
     # Exact and truncated entries with exponents 1 and above; int, scalar
-    # and zero coordinates.  A truncated entry that mentions a shifted
-    # variable must be refused by both paths alike.
+    # and zero coordinates.  A system with a truncated entry must be refused
+    # at any nonzero point; every other outcome must match the reference.
     rng = Random(seed)
     n, m = rng.choice([(1, 1), (2, 1), (1, 2)])
     ctx = JetContext.create(n, m)
@@ -654,6 +655,8 @@ def test_base_point_shifts_match_per_polynomial_reference(seed):
         shift_outcome(lambda: reference_translated(sys_, point)),
         shift_outcome(lambda: reference_shift_field(X, point)),
     ]
+    if any(f.bound is not None for f in sys_.entries.values()) and any(v not in (0, ZERO) for v in point.values()):
+        expected[0] = "a truncated system cannot be recentred at a nonzero base point"
     assert first_difference(got, expected) is None
 
 

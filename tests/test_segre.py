@@ -33,6 +33,7 @@ from helpers import (
     random_poly,
     reference_conjugate_poly,
     reference_to_xu_field,
+    reference_totally_real_check,
 )
 
 
@@ -243,6 +244,39 @@ def test_totally_real_counterexamples():
     assert not totally_real_check([X, X.scale(I)])
     assert totally_real_check([])
     assert totally_real_check([X])
+
+
+def random_holo_family(rng: Random, table, n: int) -> list:
+    """Up to three random fields, then duplicates, real multiples,
+    i-multiples and i times sums of them, shuffled."""
+    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
+    fields = [
+        HoloField(table, [random_poly(rng, table, zw, max_terms=3, max_degree=2) for _ in range(n + 1)])
+        for _ in range(rng.randint(0, 3))
+    ]
+    for _ in range(rng.randint(0, 3) if fields else 0):
+        X, Y = rng.choice(fields), rng.choice(fields)
+        fields.append(
+            rng.choice([X, X.scale(GaussScalar(rng.randint(-3, 3))), X.scale(I), (X + Y).scale(I)])
+        )
+    rng.shuffle(fields)
+    return fields
+
+
+@settings(max_examples=budget(40), deadline=None)
+@given(st.integers(0, 2**32))
+def test_totally_real_check_matches_reference(seed):
+    # The rank comparison (complex rank of A against the real rank of A)
+    # must agree with the old test (real rank of A and iA against 2 rank A)
+    # on families with duplicates, real multiples, i-multiples, sums and
+    # the empty family.
+    rng = Random(seed)
+    families = [[]]
+    for n in (1, 2):
+        table = cr_table(n)
+        families += [random_holo_family(rng, table, n) for _ in range(4)]
+    got = [totally_real_check(fields) for fields in families]
+    assert first_difference(got, [reference_totally_real_check(fields) for fields in families]) is None
 
 
 def test_infinitesimal_segre_invariance():
