@@ -30,7 +30,7 @@ from .jets import JetContext, PDESystem, involutivity_check
 from .lie_alg import FieldBasis, bracket, closure_check, flat_generators
 from .poly import mono_str, poly_to_str
 from .prolong import VectorField, lie_criterion_check
-from .rings import u_var, x_var
+from .rings import check_size, u_var, x_var
 from .segre import (
     DefiningSeries,
     Signature,
@@ -317,6 +317,7 @@ def cmd_closure(args):
 
 
 def cmd_segre_derive(args):
+    check_size("series layer list", args.order)  # one relaxed sweep per order
     sig = Signature.parse(args.signature)
     table = defining_table(sig.n)
     R = parse_poly(args.perturbation, table) if args.perturbation else None

@@ -125,7 +125,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             negate = self.advance().kind == "-"
             right = self.term()
-            _add_into(terms, (-right if negate else right).terms)
+            _add_into(terms, right.terms, negate)
         return Poly(self.table, terms)
 
     def term(self) -> Poly:

@@ -14,16 +14,18 @@ from .rings import check_size
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """Commutator [X, Y]: apply X to Y's coefficients minus Y to X's."""
+    """Commutator [X, Y]: apply X to Y's coefficients minus Y to X's.
+
+    Each field's derivation vector is built once and derives every
+    component; a zero component (most of them, for the sparse generators
+    of a closure check) is derived at no cost.
+    """
     if X.ctx.table is not Y.ctx.table:
         raise ValueError("fields must share a context")
-    theta = tuple(
-        X.apply_to(Y.theta[j]) - Y.apply_to(X.theta[j]) for j in range(X.ctx.n)
-    )
-    eta = tuple(
-        X.apply_to(Y.eta[mu]) - Y.apply_to(X.eta[mu]) for mu in range(X.ctx.m)
-    )
-    return VectorField(X.ctx, theta, eta)
+    vx, vy = X.vector(), Y.vector()
+    comps = [g.derivation(vx) - f.derivation(vy) for f, g in zip(X.theta + X.eta, Y.theta + Y.eta)]
+    n = X.ctx.n
+    return VectorField(X.ctx, comps[:n], comps[n:])
 
 
 def field_rows(fields):

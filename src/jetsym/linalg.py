@@ -8,6 +8,13 @@ dictionaries; the reduction keeps full Gauss-Jordan form incrementally, so
 inserting a row only ever touches columns that are actually populated.  The
 reducer works on homogeneous rows only: a right side b is carried as one
 extra column, past the unknowns, holding -b.
+
+The reducer also keeps ``holders``: for each non-pivot column, the pivot
+columns whose rows may hold it.  Every nonzero non-pivot entry of a pivot
+row is listed there; an entry that cancelled may stay listed, and a row may
+be listed twice, so the lists are a superset.  A new pivot column is cleared
+only from the rows its holders name, not from every pivot row, and the
+results read the pivot rows' own entries rather than probing every column.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ class _Reducer:
 
     def __init__(self):
         self.pivots: dict[int, dict[int, GaussScalar]] = {}  # pivot column -> row
+        self.holders: dict[int, list[int]] = {}  # column -> pivot columns whose rows may hold it
 
     def reduce(self, row: dict[int, GaussScalar]) -> dict[int, GaussScalar]:
         """The row reduced against the current pivots, as a new dict."""
@@ -82,8 +90,16 @@ class _Reducer:
         pc = min(row)
         inv = row[pc].inverse()
         row = {c: v * inv for c, v in row.items()}
-        # Keep full Gauss-Jordan form: clear this column from earlier pivots.
-        for prow in self.pivots.values():
+        # Keep full Gauss-Jordan form: clear this column from the earlier
+        # pivot rows that may hold it.  It is a pivot column from now on, so
+        # no row will hold it again.
+        holders = self.holders
+        clear = holders.pop(pc, ())
+        for cc in row:
+            if cc != pc:
+                holders.setdefault(cc, []).append(pc)
+        for p in clear:
+            prow = self.pivots[p]
             f = prow.pop(pc, None)
             if f is None:
                 continue
@@ -91,6 +107,8 @@ class _Reducer:
                 if cc == pc:
                     continue
                 acc = prow.get(cc)
+                if acc is None:
+                    holders[cc].append(p)  # fill-in
                 nv = (acc - f * vv) if acc is not None else -(f * vv)
                 if nv.is_zero():
                     prow.pop(cc, None)
@@ -116,15 +134,18 @@ def solve_linear_exact(system: LinearSystemExact) -> LinearSolveResult:
     particular = [ZERO] * ncols
     for c in pivot_cols:
         particular[c] = -red.pivots[c].get(ncols, ZERO)
-    nullspace = []
-    for f in free_cols:
-        vec = [ZERO] * ncols
+    # One pass over the pivot rows: every entry of row c other than the
+    # pivot and the right side sits in a free column f, and gives vector f
+    # its coordinate c.
+    slot = {f: k for k, f in enumerate(free_cols)}
+    nullspace = [[ZERO] * ncols for _ in free_cols]
+    for f, vec in zip(free_cols, nullspace):
         vec[f] = ONE
-        for c in pivot_cols:
-            entry = red.pivots[c].get(f)
-            if entry is not None:
-                vec[c] = -entry
-        nullspace.append(vec)
+    for c in pivot_cols:
+        for f, entry in red.pivots[c].items():
+            k = slot.get(f)
+            if k is not None:
+                nullspace[k][c] = -entry
     return LinearSolveResult(
         consistent=True,
         particular=particular,
@@ -149,9 +170,10 @@ def span_coordinates(basis_rows, targets, ncols: int):
     with columns below ncols.  The basis is reduced once: basis row k carries
     a tag column ncols + k holding 1, so every pivot row records which
     combination of basis rows it is, and a target reduced against the pivots
-    keeps minus its coordinates in the tag columns.  For a dependent basis
-    the coordinates are one solution among many; they still reproduce the
-    target exactly.
+    keeps minus its coordinates in the tag columns; the coordinates are read
+    off those entries, and every other one is ``ZERO``.  For a dependent
+    basis the coordinates are one solution among many; they still reproduce
+    the target exactly.
     """
     red = _Reducer()
     for k, row in enumerate(basis_rows):
@@ -161,7 +183,10 @@ def span_coordinates(basis_rows, targets, ncols: int):
         if any(c < ncols for c in row):
             yield None
         else:
-            yield [-row.get(ncols + k, ZERO) for k in range(len(basis_rows))]
+            coords = [ZERO] * len(basis_rows)
+            for c, v in row.items():
+                coords[c - ncols] = -v
+            yield coords
 
 
 def express_in_span(basis_rows, target_row):

@@ -11,9 +11,10 @@ Truncation bookkeeping: sums and products keep the minimum bound of their
 operands; a derivation sum_v a_v d/dv (``Poly.derivation``) has bound
 min(bound - weight(v) over the vector's variables v, bounds of the a_v with
 a nonzero partial), lower even if every partial vanishes; and substitution
-into a truncated series requires every replaced variable's binding to
-vanish at the origin (otherwise discarded high-degree terms could influence
-low degrees and no bound would be valid).  A product under a bound groups
+into a truncated series requires the binding of each replaced variable that
+occurs in it or has positive weight to vanish at the origin (otherwise
+discarded high-degree terms could influence low degrees and no bound would
+be valid).  A product under a bound groups
 each operand's terms by weighted degree, in one pass over each, and
 multiplies only the groups whose degrees sum to at most the bound, so no
 term pair above it is formed.
@@ -106,22 +107,23 @@ def _by_degree(terms: dict, weights, bound: int) -> dict:
     return buckets
 
 
-def _add_into(out: dict, terms: dict) -> None:
-    """Add the terms into ``out`` in place, dropping sums that vanish.
+def _add_into(out: dict, terms: dict, negate: bool = False) -> None:
+    """Add the terms into ``out`` in place, or subtract them when
+    ``negate``, dropping sums that vanish.
 
     ``terms`` holds no zero coefficient (a Poly never stores one, and a
     product of nonzero Gaussian rationals is nonzero), so an empty ``out``
-    takes them unchanged and a new monomial needs no check.
+    takes them unchanged (or negated) and a new monomial needs no check.
     """
-    if not out:
+    if not out and not negate:
         out.update(terms)
         return
     for m, c in terms.items():
         acc = out.get(m)
         if acc is None:
-            out[m] = c
+            out[m] = -c if negate else c
         else:
-            s = acc + c
+            s = acc - c if negate else acc + c
             if s.is_zero():
                 del out[m]
             else:
@@ -181,21 +183,26 @@ class Poly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, False)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self._combine(other, True)
+
+    def _combine(self, other: "Poly", negate: bool) -> "Poly":
+        """self + other, or self - other when ``negate``: the terms of other
+        are merged into a copy of self's."""
         bound = _min_bound(self.bound, other.bound)
-        # An operand with a larger bound may hold terms the sum cannot keep.
+        # An operand with a larger bound may hold terms the result cannot keep.
         if self.bound != bound:
-            return self.truncate(bound) + other
+            return self.truncate(bound)._combine(other, negate)
         if other.bound != bound:
-            return self + other.truncate(bound)
+            return self._combine(other.truncate(bound), negate)
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        _add_into(out, other.terms, negate)
         return Poly(self.table, out, bound)
 
     def __neg__(self) -> "Poly":
         return Poly(self.table, {m: -c for m, c in self.terms.items()}, self.bound)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def scale(self, s: GaussScalar) -> "Poly":
         if s.is_zero():
@@ -277,11 +284,15 @@ class Poly:
         """sum_v vector[v] * d(self)/dv, for a map from variable ids to Polys
         on this table.
 
-        One pass over the terms collects every partial; each nonzero one is
-        multiplied by its coefficient under the result bound (see the module
-        docstring) and summed into one dict.
+        The exact zero maps to the exact zero at once, which is what the
+        bound rule gives it.  Otherwise one pass over the terms collects
+        every partial; each nonzero one is multiplied by its coefficient
+        under the result bound (see the module docstring) and summed into
+        one dict.
         """
         table = self.table
+        if not self.terms and self.bound is None:
+            return Poly(table)
         coeffs = {table.index(vid): a for vid, a in vector.items()}
         partials: dict[int, dict] = {}
         for m, c in self.terms.items():
@@ -352,10 +363,12 @@ def substitute_all(polys, bindings: dict) -> list:
     polynomials over one table.
 
     Scalars are accepted as constant bindings.  If a polynomial is a
-    truncated series, every replaced variable that occurs in it must be
-    bound to a series with zero constant term.  Each result's bound is the
-    minimum of its polynomial's bound and the bounds of the bindings of the
-    replaced variables that occur in it.
+    truncated series, every replaced variable that occurs in it, and every
+    replaced variable of positive weight, must be bound to a series with
+    zero constant term: its unknown terms above the bound may hold any
+    variable of positive weight, and a shift by a constant would move them
+    down.  Each result's bound is the minimum of its polynomial's bound and
+    the bounds of the bindings of the replaced variables that occur in it.
 
     Each polynomial's terms are grouped by their pattern (the powers of
     replaced variables they carry), and each group is multiplied by those
@@ -378,6 +391,8 @@ def substitute_all(polys, bindings: dict) -> list:
         if val.table is not table:
             raise ValueError("binding polynomial uses a different variable table")
         values[pos] = val
+    shifted = {p for p, val in values.items() if not val.constant_term().is_zero()}
+    shifts_remainder = any(table.weights[p] > 0 for p in shifted)
 
     powers: dict[tuple, list] = {}  # (position, bound) -> [v, v^2, ..] truncated at bound
 
@@ -397,15 +412,14 @@ def substitute_all(polys, bindings: dict) -> list:
             # m -> kept is one-to-one within a pattern, so nothing collides.
             groups.setdefault(pattern, {})[tuple(pe for pe in m if pe[0] not in values)] = c
         occurring = {p for pattern in groups for p, _ in pattern}
+        if f.bound is not None and (shifts_remainder or not shifted.isdisjoint(occurring)):
+            raise ValueError(
+                "cannot substitute a series with nonzero constant term into a "
+                "truncated series"
+            )
         bound = f.bound
         for p in occurring:
-            b = values[p]
-            if f.bound is not None and not b.constant_term().is_zero():
-                raise ValueError(
-                    "cannot substitute a series with nonzero constant term into a "
-                    "truncated series"
-                )
-            bound = _min_bound(bound, b.bound)
+            bound = _min_bound(bound, values[p].bound)
         if not occurring:
             results.append(f.truncate(bound))
             continue

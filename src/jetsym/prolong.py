@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from . import rings
 from .jets import JetContext, PDESystem, jet_order_of_poly, restricted_total_derivative, total_derivative
 from .poly import Poly
-from .rings import jet_var
+from .rings import JET, jet_var
 from .scalars import GaussScalar
 
 
@@ -33,10 +33,11 @@ class VectorField:
         eta = tuple(eta)
         if len(theta) != ctx.n or len(eta) != ctx.m:
             raise ValueError("coefficient counts must match (n, m)")
+        ids = ctx.table.ids
         for f in theta + eta:
             if f.table is not ctx.table:
                 raise ValueError("coefficients must live on the context's table")
-            if jet_order_of_poly(f) > 0:
+            if any(ids[p][0] == JET for m in f.terms for p, _ in m):
                 raise ValueError("point field coefficients cannot mention jet variables")
         self.theta = theta
         self.eta = eta

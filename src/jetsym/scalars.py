@@ -55,6 +55,8 @@ class GaussScalar:
 
     def parts(self) -> tuple["GaussScalar", "GaussScalar"]:
         """The real part and the imaginary part, each as a real GaussScalar."""
+        if not self._b:
+            return self, ZERO
         return _make(self._a, 0, self._d), _make(self._b, 0, self._d)
 
     # -- predicates ----------------------------------------------------

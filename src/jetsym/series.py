@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from .linalg import span_coordinates
 from .poly import Poly, _add_into, mono_degree, mono_weighted_degree, substitute_all
+from .rings import check_size
 from .scalars import GaussScalar, ONE
 
 
@@ -109,7 +110,9 @@ def _relaxed_layers(equations, unknowns, jac_inv, order: int) -> dict:
         split.append([(pattern, k, Poly(table, kept)) for (pattern, k), kept in parts.items()])
 
     layer = _PatternLayers(table, positions)
+    terms = 0  # in the layers solved so far, over every unknown
     for b in range(1, order + 1):
+        check_size("series solution", terms)
         residuals = []
         for parts in split:
             acc = {}
@@ -122,6 +125,7 @@ def _relaxed_layers(equations, unknowns, jac_inv, order: int) -> dict:
             for s, r in zip(row, residuals):
                 _add_into(acc, r.scale(-s).terms)
             layer.solved[p].append(Poly(table, acc))
+            terms += len(acc)
 
     return {
         v: Poly(table, {m: c for lay in layer.solved[p] for m, c in lay.terms.items()}, order)
@@ -146,7 +150,8 @@ def implicit_series_solve(equations, unknowns, order: int):
     name, so each is formed once; it is dropped before the whole series is
     substituted back into every equation at the full order, in one call that
     shares the powers of the unknowns across the equations, which raises
-    ArithmeticError if any equation does not vanish.
+    ArithmeticError if any equation does not vanish.  A solve whose terms
+    so far pass ``rings.MAX_SIZE`` before a sweep raises ValueError.
     """
     if order < 0:
         raise ValueError(f"series order must be nonnegative, got {order}")

@@ -13,7 +13,7 @@ from hypothesis import settings
 from jetsym import rings
 from jetsym.determining import InitialData, RowProvenance, alpha_factorial, split_unknown
 from jetsym.jets import InvolutivityVerdict, PDESystem, restricted_total_derivative
-from jetsym.linalg import sparse_rank
+from jetsym.linalg import LinearSolveResult, _Reducer, sparse_rank
 from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import COEF, jet_var
@@ -288,6 +288,10 @@ def reference_substitute(f: Poly, bindings: dict) -> Poly:
             if p in polys:
                 occurring.add(p)
     bound = f.bound
+    # A variable of positive weight shifted by a constant is refused too,
+    # whether or not it occurs.
+    if f.bound is not None and any(table.weights[p] > 0 and not b.constant_term().is_zero() for p, b in polys.items()):
+        raise ValueError("cannot substitute a series with nonzero constant term into a truncated series")
     for p in occurring:
         b = polys[p]
         if f.bound is not None and not b.constant_term().is_zero():
@@ -471,3 +475,95 @@ def reference_totally_real_check(fields) -> bool:
     with_i = [realify(row, True) for row in rows]
     r = sparse_rank(plain)
     return sparse_rank(plain + with_i) == 2 * r
+
+
+def reference_insert(red, row):
+    """The ``_Reducer.insert`` that cleared a new pivot column by scanning
+    every pivot row, kept as the reference for the one that reads the
+    ``holders`` map.  It keeps no ``holders`` of its own, so a reducer it
+    fills must only ever be filled by it."""
+    row = red.reduce(row)
+    if not row:
+        return None
+    pc = min(row)
+    inv = row[pc].inverse()
+    row = {c: v * inv for c, v in row.items()}
+    # Keep full Gauss-Jordan form: clear this column from earlier pivots.
+    for prow in red.pivots.values():
+        f = prow.pop(pc, None)
+        if f is None:
+            continue
+        for cc, vv in row.items():
+            if cc == pc:
+                continue
+            acc = prow.get(cc)
+            nv = (acc - f * vv) if acc is not None else -(f * vv)
+            if nv.is_zero():
+                prow.pop(cc, None)
+            else:
+                prow[cc] = nv
+    red.pivots[pc] = row
+    return pc
+
+
+def reference_solve_linear_exact(system):
+    """The ``solve_linear_exact`` that probed every pivot row once per free
+    column for the nullspace, on a reducer filled by ``reference_insert``."""
+    ncols = system.ncols
+    red = _Reducer()
+    for idx, (row, b) in enumerate(zip(system.rows, system.rhs)):
+        if reference_insert(red, {**row, ncols: -b} if not b.is_zero() else row) == ncols:
+            return LinearSolveResult(consistent=False, inconsistent_row=idx)
+    pivot_cols = sorted(red.pivots)
+    free_cols = [c for c in range(ncols) if c not in red.pivots]
+    particular = [ZERO] * ncols
+    for c in pivot_cols:
+        particular[c] = -red.pivots[c].get(ncols, ZERO)
+    nullspace = []
+    for f in free_cols:
+        vec = [ZERO] * ncols
+        vec[f] = ONE
+        for c in pivot_cols:
+            entry = red.pivots[c].get(f)
+            if entry is not None:
+                vec[c] = -entry
+        nullspace.append(vec)
+    return LinearSolveResult(
+        consistent=True,
+        particular=particular,
+        nullspace=nullspace,
+        pivot_columns=pivot_cols,
+    )
+
+
+def reference_span_coordinates(basis_rows, targets, ncols: int):
+    """The ``span_coordinates`` that looked up every tag column of a reduced
+    target, on a reducer filled by ``reference_insert``."""
+    red = _Reducer()
+    for k, row in enumerate(basis_rows):
+        reference_insert(red, {**row, ncols + k: ONE})
+    for target in targets:
+        row = red.reduce(target)
+        if any(c < ncols for c in row):
+            yield None
+        else:
+            yield [-row.get(ncols + k, ZERO) for k in range(len(basis_rows))]
+
+
+def reference_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """The ``lie_alg.bracket`` that built each field's derivation vector once
+    per component."""
+    if X.ctx.table is not Y.ctx.table:
+        raise ValueError("fields must share a context")
+    theta = tuple(
+        X.apply_to(Y.theta[j]) - Y.apply_to(X.theta[j]) for j in range(X.ctx.n)
+    )
+    eta = tuple(
+        X.apply_to(Y.eta[mu]) - Y.apply_to(X.eta[mu]) for mu in range(X.ctx.m)
+    )
+    return VectorField(X.ctx, theta, eta)
+
+
+def reference_sub(f: Poly, g: Poly) -> Poly:
+    """The ``Poly.__sub__`` that built -g as a new polynomial and added it."""
+    return f + (-g)

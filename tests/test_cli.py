@@ -365,6 +365,24 @@ def test_segre_derive_negative_order_exits_one(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        # The order passes the size cap before anything runs.
+        (["--signature", "+", "--order", "1000000"], "series layer list"),
+        # About 20 000 series terms at order 20: the solve stops before the
+        # first sweep that starts past the cap.
+        (["--signature", "++-", "--perturbation", "x1^2*s1^2 + x2*u1*s3 + x3*s2*s4", "--order", "20"], "series solution"),
+    ],
+)
+def test_segre_derive_past_the_size_cap_exits_one(capsys, argv, what):
+    rc, out, err = run_cli(capsys, ["segre-derive", *argv])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {what} needs at least ")
+    assert err.rstrip().endswith("over the size cap of 10000")
+
+
 def test_cr_aut_dimensions(capsys):
     rc, out, _ = run_cli(capsys, ["cr-aut", "--signature", "++", "--format", "json"])
     assert rc == 0

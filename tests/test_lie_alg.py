@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetsym.jets import JetContext
 from jetsym.lie_alg import (
@@ -14,7 +15,7 @@ from jetsym.lie_alg import (
 from jetsym.prolong import VectorField
 from jetsym.scalars import GaussScalar
 
-from helpers import random_point_field
+from helpers import budget, first_difference, random_point_field, reference_bracket
 
 
 def test_bracket_antisymmetry_trivial():
@@ -144,3 +145,28 @@ def test_span_equal():
     shuffled = list(reversed(basis.fields))
     assert span_equal(basis.fields, shuffled)
     assert not span_equal(basis.fields[:4], basis.fields)
+
+
+CONTEXTS = {shape: JetContext.create(*shape) for shape in [(1, 1), (2, 1), (1, 2), (2, 2)]}
+
+
+@settings(max_examples=budget(200), deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(sorted(CONTEXTS)))
+def test_bracket_matches_reference(seed, shape):
+    # Random point fields, with zero components and now and then a
+    # truncated one, against the bracket that built the derivation vectors
+    # once per component.
+    rng = Random(seed)
+    ctx = CONTEXTS[shape]
+
+    def field():
+        X = random_point_field(rng, ctx)
+        cut = [f.truncate(rng.choice([None, None, None, 0, 1, 2])) for f in X.theta + X.eta]
+        return VectorField(ctx, cut[: ctx.n], cut[ctx.n :])
+
+    X, Y = field(), field()
+    got, expected = bracket(X, Y), reference_bracket(X, Y)
+    assert first_difference(
+        [(f.terms, f.bound) for f in got.theta + got.eta],
+        [(f.terms, f.bound) for f in expected.theta + expected.eta],
+    ) is None

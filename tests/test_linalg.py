@@ -4,10 +4,18 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetsym.linalg import LinearSystemExact, express_in_span, solve_linear_exact, sparse_rank
+from jetsym.linalg import LinearSystemExact, _Reducer, express_in_span, solve_linear_exact, span_coordinates, sparse_rank
 from jetsym.scalars import GaussScalar, I, ONE, ZERO
 
-from helpers import budget, linear_residual, random_scalar
+from helpers import (
+    budget,
+    first_difference,
+    linear_residual,
+    random_scalar,
+    reference_insert,
+    reference_solve_linear_exact,
+    reference_span_coordinates,
+)
 
 
 def G(x):
@@ -201,3 +209,61 @@ def test_express_in_span_matches_transposed_solve(case):
     if sparse_rank(basis) == len(basis):
         # independent basis: the coordinates are unique
         assert got == expected
+
+
+# -- the holders map against the reducer that scanned every pivot row ----------------
+
+
+def random_sparse_rows(rng, nrows, ncols):
+    """Sparse Gaussian rows of mixed density; some repeat an earlier row and
+    some combine two earlier rows, so that many reduce to zero."""
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif len(rows) > 1 and pick < 0.35:
+            rows.append(combination(rng.sample(rows, 2), [random_scalar(rng, span=2) for _ in range(2)]))
+        else:
+            density = rng.choice([0.15, 0.3, 0.6])
+            row = {c: random_scalar(rng, span=3) for c in range(ncols) if rng.random() < density}
+            rows.append({c: v for c, v in row.items() if not v.is_zero()})
+    return rows
+
+
+@settings(max_examples=budget(200), deadline=None)
+@given(st.integers(0, 2**32))
+def test_sparse_solves_match_reference(seed):
+    # The same rows through the reducer, the solver (a right side now and
+    # then) and the span readout, each against the code it replaced; one
+    # assertion, so a failure is shrunk once.
+    rng = Random(seed)
+    ncols = rng.randint(1, 14)
+    rows = random_sparse_rows(rng, rng.randint(0, 16), ncols)
+    new, ref = _Reducer(), _Reducer()
+    got = [[new.insert(row) for row in rows], new.pivots]
+    expected = [[reference_insert(ref, row) for row in rows], ref.pivots]
+    system = LinearSystemExact(rows, [random_scalar(rng) if rng.random() < 0.2 else ZERO for _ in rows], ncols)
+    for res, out in ((solve_linear_exact(system), got), (reference_solve_linear_exact(system), expected)):
+        out += [res.consistent, res.inconsistent_row, res.pivot_columns, res.rank, res.particular, res.nullspace]
+    k = rng.randint(0, len(rows))
+    basis = rows[:k]
+    targets = rows[k:] + random_sparse_rows(rng, 2, ncols)
+    if basis:
+        targets.append(combination(basis, [random_scalar(rng, span=2) for _ in basis]))
+    got.append(list(span_coordinates(basis, targets, ncols)))
+    expected.append(list(reference_span_coordinates(basis, targets, ncols)))
+    assert first_difference(got, expected) is None
+
+
+@settings(max_examples=budget(200), deadline=None)
+@given(st.integers(0, 2**32))
+def test_holders_list_every_non_pivot_entry(seed):
+    rng = Random(seed)
+    ncols = rng.randint(1, 14)
+    red = _Reducer()
+    for row in random_sparse_rows(rng, rng.randint(0, 16), ncols):
+        red.insert(row)
+    entries = [(c, pc) for pc, row in red.pivots.items() for c in row if c != pc]
+    listed = [(c, pc) for c, pc in entries if pc in red.holders.get(c, ())]
+    assert first_difference(listed, entries) is None

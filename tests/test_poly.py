@@ -18,6 +18,7 @@ from helpers import (
     random_scalar,
     reference_convert,
     reference_monomial_str,
+    reference_sub,
     reference_substitute,
 )
 
@@ -404,6 +405,20 @@ def test_truncated_substitution_requires_positive_valuation():
         f.substitute({x_var(1): x1 + ctx.const(1)})
 
 
+def test_truncated_series_refuses_a_constant_shift_of_any_positive_weight_variable():
+    # u1 does not occur in x1 + O(3), but the unknown terms above degree 2
+    # may hold it (say x1*u1^2), and u1 -> u1 + 1 would move them to degree
+    # 1.  A weight-0 variable shifted by a constant moves no degree.
+    ctx = JetContext.create(1, 1)
+    x1 = ctx.x(1)
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        translate([(x1 + x1 ** 3).truncate(2)], {u_var(1): 1})
+    table = VarTable(((AUX, "x"), (AUX, "v")), (1, 0))
+    x = Poly.var(table, (AUX, "x"))
+    (shifted,) = translate([(x + x ** 3).truncate(2)], {(AUX, "v"): 1})
+    assert (shifted.terms, shifted.bound) == (x.terms, 2)
+
+
 def test_derivation_bound_follows_the_weight():
     """A partial along a variable of weight w loses w degrees, not one."""
     table = VarTable(((AUX, "v"), (AUX, "x")), (2, 1))
@@ -486,3 +501,27 @@ def test_rekey_renames_only_occurring_variables():
     swap = {x_var(1): u_var(1), u_var(1): x_var(1)}
     g = rekey(f, target, swap.__getitem__)
     assert (str(g), g.bound) == ("1 - 3*u1 + x1*u1^2", 4)
+
+
+@settings(max_examples=budget(300), deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS),
+    st.dictionaries(few_monomials, unit_coefficients, max_size=6),
+    st.dictionaries(few_monomials, unit_coefficients, max_size=6),
+    small_bounds,
+    small_bounds,
+)
+def test_sub_matches_reference(weights, terms_f, terms_g, bound_f, bound_g):
+    # Bounded and exact operands over a small monomial pool, so that many
+    # differences cancel; the terms are compared in their stored order.
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    f, g = Poly(table, terms_f).truncate(bound_f), Poly(table, terms_g).truncate(bound_g)
+    exact_f, exact_g = Poly(table, dict(f.terms)), Poly(table, dict(g.terms))
+    pairs = [(f, g), (g, f), (f, f), (f, exact_f), (exact_f, f), (exact_f, exact_g), (f, Poly.zero(table)), (Poly.zero(table), g)]
+
+    def outcome(d):
+        return list(d.terms.items()), d.bound
+
+    got = [outcome(a - b) for a, b in pairs]
+    expected = [outcome(reference_sub(a, b)) for a, b in pairs]
+    assert first_difference(got, expected) is None
