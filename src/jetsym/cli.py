@@ -26,7 +26,7 @@ from .determining import (
     taylor_from_initial_data,
 )
 from .expr import parse_poly, parse_scalar
-from .jets import JetContext, PDESystem, involutivity_check
+from .jets import JetContext, PDESystem, check_involutivity_size, involutivity_check
 from .lie_alg import FieldBasis, bracket, closure_check, flat_generators
 from .poly import mono_str, poly_to_str
 from .prolong import VectorField, lie_criterion_check
@@ -319,6 +319,7 @@ def cmd_closure(args):
 def cmd_segre_derive(args):
     check_size("series layer list", args.order)  # one relaxed sweep per order
     sig = Signature.parse(args.signature)
+    check_involutivity_size(sig.n, 1)  # the derived system is checked last
     table = defining_table(sig.n)
     R = parse_poly(args.perturbation, table) if args.perturbation else None
     defn = DefiningSeries(sig, R)

@@ -11,8 +11,9 @@ Grammar (whitespace insignificant, offsets are 0-based character positions):
     rational := uint ('/' uint)?
 
 Variable names are resolved against a VarTable: x<i>, u<mu>, first jets
-p<mu>_<i> (higher jets p<mu>_<i1>_<i2> are accepted too), and whatever
-auxiliary names the table defines (s<k> parameters, z<j>/w on the CR side).
+p<mu>_<i>, second jets p<mu>_<i1>_<i2>, and whatever auxiliary names the
+table defines (s<k> parameters, z<j>/w on the CR side).  The jet table stops
+at second jets, so a third-jet name is an unknown variable.
 """
 
 from __future__ import annotations

@@ -3,12 +3,16 @@ derivatives, and the involutivity (cross-derivative compatibility) check.
 
 A system prescribes every second derivative:  u^k_{ij} = F^k_{ij}(x, u, u^(1))
 with F symmetric in (i, j).  Only the representative with i <= j is stored,
-so the symmetry is structural.
+so the symmetry is structural.  The jet table stops at second jets, so D_i
+applies to functions of at most first order; the involutivity check works
+on the equation manifold, where the restricted total derivative keeps every
+function first order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from . import rings
 from .poly import Poly, translate
@@ -17,34 +21,27 @@ from .scalars import GaussScalar, ONE, ZERO
 
 
 class JetOrderError(ValueError):
-    """An operation would need jet variables beyond the table's maximum order."""
+    """An operation would need jet variables beyond the table's second jets."""
 
 
 class JetContext:
-    """A jet variable table plus convenience accessors."""
+    """A jet variable table plus convenience accessors.  n and m are read
+    once, from the table's x and u variables; the table may carry auxiliary
+    variables after the jets."""
 
     def __init__(self, table: VarTable):
-        if table.n < 1 or table.m < 1:
+        kinds = [v[0] for v in table.ids]
+        self.n, self.m = kinds.count(rings.X), kinds.count(rings.U)
+        if self.n < 1 or self.m < 1:
             raise ValueError("jet context needs n >= 1 and m >= 1")
-        if table.max_jet_order < 2:
-            raise ValueError("jet context needs max_jet_order >= 2")
+        seconds = combinations_with_replacement(range(1, self.n + 1), 2)
+        if any(jet_var(mu, ij) not in table for ij in seconds for mu in range(1, self.m + 1)):
+            raise ValueError("jet context needs a table with the second jets")
         self.table = table
 
     @staticmethod
-    def create(n: int, m: int, max_jet_order: int = 3) -> "JetContext":
-        return JetContext(jet_table(n, m, max_jet_order))
-
-    @property
-    def n(self) -> int:
-        return self.table.n
-
-    @property
-    def m(self) -> int:
-        return self.table.m
-
-    @property
-    def max_jet_order(self) -> int:
-        return self.table.max_jet_order
+    def create(n: int, m: int) -> "JetContext":
+        return JetContext(jet_table(n, m))
 
     def x(self, i: int) -> Poly:
         return Poly.var(self.table, x_var(i))
@@ -65,11 +62,12 @@ class JetContext:
 
 
 def jet_order_of_poly(f: Poly) -> int:
-    return _jet_order(f.table, f.variables())
+    return _jet_order(f.variables())
 
 
-def _jet_order(table: VarTable, vids) -> int:
-    return max((table.jet_order_of(v) for v in vids), default=0)
+def _jet_order(vids) -> int:
+    """0 for x, u and auxiliary variables, |I| for a jet u^mu_I."""
+    return max((len(v[2]) for v in vids if v[0] == rings.JET), default=0)
 
 
 class PDESystem:
@@ -133,15 +131,14 @@ def _total_vector(table: VarTable, vids, i: int, lift) -> dict:
 def total_derivative(ctx: JetContext, f: Poly, i: int) -> Poly:
     """D_i f, treating u and all jet variables as functions of x.
 
-    Raises JetOrderError if the result would need jets beyond the table's
-    maximum order.  Auxiliary (non-jet) variables are treated as constants.
+    Raises JetOrderError if f has second jets: D_i of them would need third
+    jets.  Auxiliary (non-jet) variables are treated as constants.
     """
     if not (1 <= i <= ctx.n):
         raise ValueError(f"direction {i} out of range")
-    top = ctx.max_jet_order
     vids = f.variables()
-    if _jet_order(f.table, vids) >= top:
-        raise JetOrderError(f"D_{i} needs jet order {top + 1}, table allows {top}")
+    if _jet_order(vids) >= 2:
+        raise JetOrderError(f"D_{i} of f needs third jets; the jet table stops at second jets")
     return f.derivation(_total_vector(f.table, vids, i, lambda mu, idx: Poly.var(f.table, jet_var(mu, idx + (i,)))))
 
 
@@ -151,7 +148,7 @@ def restricted_total_derivative(sys: PDESystem, f: Poly, i: int) -> Poly:
     f must involve only (x, u, first-jet) variables; so does the result.
     """
     vids = f.variables()
-    if _jet_order(f.table, vids) > 1:
+    if _jet_order(vids) > 1:
         raise ValueError("restricted total derivative needs a first-order jet function")
     return f.derivation(_total_vector(f.table, vids, i, lambda mu, idx: sys.F(mu, i, idx[0]).convert(f.table)))
 
@@ -165,15 +162,22 @@ class InvolutivityVerdict:
         return self.involutive
 
 
+def check_involutivity_size(n: int, m: int) -> None:
+    """Refuse an involutivity check by its m·n·n(n-1)/2 comparisons."""
+    rings.check_size("involutivity comparison list", m * n * n * (n - 1) // 2)
+
+
 def involutivity_check(sys: PDESystem) -> InvolutivityVerdict:
     """Cross-derivative compatibility of the prescribed second derivatives.
 
     The system is involutive iff D_l F^k_{ij} and D_i F^k_{lj} agree along
     solutions for all k, i, j, l.  For truncated entries the comparison is
     modulo the truncation bound.  Failures carry the nonzero difference.
+    A system over the size cap is refused before any derivative is formed.
     """
-    failures = []
     n, m = sys.ctx.n, sys.ctx.m
+    check_involutivity_size(n, m)
+    failures = []
     derivatives: dict[tuple, Poly] = {}
 
     def derivative(k: int, i: int, j: int, l: int) -> Poly:

@@ -153,9 +153,11 @@ def closure_check(basis: FieldBasis) -> ClosureResult:
     Returns the structure constants, or the first pair whose bracket falls
     outside the span together with the bracket itself.  One frame covers the
     basis and all brackets, and the basis is reduced once for every pair.
+    The d(d-1)/2 pairs pass ``rings.check_size`` before any bracket is formed.
     """
     fields = basis.fields
     d = len(fields)
+    check_size("closure bracket list", d * (d - 1) // 2)
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
     brackets = [bracket(fields[a], fields[b]) for a, b in pairs]
     rows, frame = field_rows(fields + brackets)

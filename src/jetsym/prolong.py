@@ -7,10 +7,11 @@ The prolongation coefficients follow the total-derivative recursion
     eta^mu_{I,i} = D_i eta^mu_I - sum_j (D_i theta_j) u^mu_{I,j}
 
 which is symmetric in the multi-index, so coefficients are stored against
-sorted indices only.  The symmetry criterion needs only the first
-prolongation: it takes the last step of the recursion on the equation
-manifold, with the restricted total derivative and F in place of the
-second jets.
+sorted indices only.  The jet table stops at second jets, so a field is
+prolonged to order 1 or 2, the most a second-order system needs.  The
+symmetry criterion needs only the first prolongation: it takes the last
+step of the recursion on the equation manifold, with the restricted total
+derivative and F in place of the second jets.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ class ProlongedField:
 
 
 def prolong(X: VectorField, order: int) -> ProlongedField:
-    """Lift X to the jet space of the given order by the recursion."""
+    """Lift X to the first or second jets by the recursion."""
     ctx = X.ctx
-    if order < 1 or order > ctx.max_jet_order:
-        raise ValueError(f"prolongation order must be within 1..{ctx.max_jet_order}")
+    if order not in (1, 2):
+        raise ValueError(f"prolongation order must be 1 or 2, got {order}")
     table = ctx.table
     eta_jet: dict[tuple[int, tuple[int, ...]], Poly] = {}
     d_theta = {

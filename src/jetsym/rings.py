@@ -4,19 +4,21 @@ A VarTable fixes the variables and their order once; every Poly carries a
 reference to its table and stores exponents against that order.  The jet
 table layout is
 
-    x_1 .. x_n,  u^1 .. u^m,  then jet variables u^mu_I graded by |I| and
-    then lexicographic in (mu, I),
+    x_1 .. x_n,  u^1 .. u^m,  then the first jets u^mu_i and the second
+    jets u^mu_{ij}, graded by order and then lexicographic in (mu, I),
 
 with multi-indices I always sorted ascending, so u^mu_{ij} and u^mu_{ji}
-are the same variable.  Tables can be extended with auxiliary variables
-(elimination parameters, symbolic coefficients); auxiliary variables may
-carry truncation weight 0 so they do not count toward series truncation.
+are the same variable.  The table stops at second jets: a system
+u_ij = F_ij(x, u, u_x) needs no more for its involutivity check, its
+symmetry criterion or a second prolongation.  Tables can be extended with
+auxiliary variables (elimination parameters, symbolic coefficients);
+auxiliary variables may carry truncation weight 0 so they do not count
+toward series truncation.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import comb
 
 VarId = tuple
 
@@ -88,9 +90,9 @@ def default_name(vid: VarId) -> str:
 class VarTable:
     """An immutable ordered collection of variables with truncation weights."""
 
-    __slots__ = ("ids", "pos", "weights", "n", "m", "max_jet_order", "names", "_by_name")
+    __slots__ = ("ids", "pos", "weights", "names", "_by_name")
 
-    def __init__(self, ids, weights=None, n=0, m=0, max_jet_order=0):
+    def __init__(self, ids, weights=None):
         self.ids: tuple[VarId, ...] = tuple(ids)
         self.pos: dict[VarId, int] = {v: k for k, v in enumerate(self.ids)}
         if len(self.pos) != len(self.ids):
@@ -100,9 +102,6 @@ class VarTable:
         )
         if len(self.weights) != len(self.ids):
             raise ValueError("weights length mismatch")
-        self.n = n
-        self.m = m
-        self.max_jet_order = max_jet_order
         self.names: tuple[str, ...] = tuple(default_name(v) for v in self.ids)
         self._by_name = {name: vid for name, vid in zip(self.names, self.ids)}
 
@@ -129,38 +128,22 @@ class VarTable:
         extra_ids = tuple(extra_ids)
         if extra_weights is None:
             extra_weights = (1,) * len(extra_ids)
-        return VarTable(
-            self.ids + extra_ids,
-            self.weights + tuple(extra_weights),
-            n=self.n,
-            m=self.m,
-            max_jet_order=self.max_jet_order,
-        )
-
-    # -- jet structure ---------------------------------------------------
-
-    def jet_order_of(self, vid: VarId) -> int:
-        """0 for x and u variables, |I| for jet variables, 0 for auxiliaries."""
-        return len(vid[2]) if vid[0] == JET else 0
+        return VarTable(self.ids + extra_ids, self.weights + tuple(extra_weights))
 
 
-def jet_table(n: int, m: int, max_jet_order: int = 3) -> VarTable:
-    """The canonical table for the n-independent, m-dependent jet setting."""
+def jet_table(n: int, m: int) -> VarTable:
+    """The canonical table for the n-independent, m-dependent jet setting:
+    x, u, and the n first and n(n+1)/2 second jets of each u^mu."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    if max_jet_order < 0:
-        raise ValueError("max_jet_order must be nonnegative")
-    # Order k holds C(n+k-1, k) >= n jets per u, so the orders 1..N sum to
-    # C(n+N, N) - 1 >= n*N; past the cap that binomial is not worth forming.
-    jets = comb(n + max_jet_order, n) - 1 if n * max_jet_order <= MAX_SIZE else n * max_jet_order
-    check_size("jet table", n + m + m * jets)
+    check_size("jet table", n + m + m * n * (n + 3) // 2)
     ids = [x_var(i) for i in range(1, n + 1)]
     ids += [u_var(mu) for mu in range(1, m + 1)]
-    for order in range(1, max_jet_order + 1):
+    for order in (1, 2):
         for mu in range(1, m + 1):
             for idx in combinations_with_replacement(range(1, n + 1), order):
                 ids.append(jet_var(mu, idx))
-    return VarTable(ids, n=n, m=m, max_jet_order=max_jet_order)
+    return VarTable(ids)
 
 
 def cr_table(n: int) -> VarTable:
@@ -171,7 +154,7 @@ def cr_table(n: int) -> VarTable:
     ids.append((W,))
     ids += [(ZBAR, j) for j in range(1, n + 1)]
     ids.append((WBAR,))
-    return VarTable(ids, n=n)
+    return VarTable(ids)
 
 
 def conjugate_id(vid: VarId) -> VarId:

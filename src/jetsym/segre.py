@@ -70,7 +70,7 @@ class Signature:
 def defining_table(n: int) -> VarTable:
     """Variables for the parameter elimination: the (n, 1) jet table extended
     by the family parameters s_1..s_{n+1}."""
-    return jet_table(n, 1, 2).extend([zeta_var(k) for k in range(1, n + 2)])
+    return jet_table(n, 1).extend([zeta_var(k) for k in range(1, n + 2)])
 
 
 class DefiningSeries:

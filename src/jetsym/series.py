@@ -4,15 +4,18 @@ in the remaining variables.
 
 The solution is built one homogeneous layer at a time by a relaxed recursion
 (van der Hoeven, "Relax, but don't be too lazy", 2002) with the constant
-Jacobian J at the base point.  Each equation is split once into terms
-c * kept * pattern, where ``kept`` is a monomial in the remaining variables,
-of weighted degree k, and ``pattern`` a product of powers of the unknowns.
+Jacobian J at the base point, read off the equations' own terms: the entry
+for equation g and unknown v is the coefficient of the monomial v alone.
+Each equation is split once into terms c * kept * pattern, where ``kept``
+is a monomial in the remaining variables, of weighted degree k, and
+``pattern`` a product of powers of the unknowns.
 Sweep b = 1 .. order forms only the degree-b layer of the residual,
 
     r_b = sum of c * kept * layer(pattern, b - k),
 
 without the linear terms of kept degree 0: they form J zeta, and their
-layer b is the one being solved, so zeta_b = -J^-1 r_b.  Here
+layer b is the one being solved, so zeta_b = -J^-1 r_b, summed over the
+nonzero entries of J^-1 only.  Here
 layer(pattern, d) is the degree-d part of the pattern's product of series.
 For a single unknown it is that unknown's layer d; for a power or a product
 of several unknowns it is the convolution of a head and a tail layer, held
@@ -37,7 +40,7 @@ from __future__ import annotations
 from .linalg import span_coordinates
 from .poly import Poly, _add_into, mono_degree, mono_weighted_degree, substitute_all
 from .rings import check_size
-from .scalars import GaussScalar, ONE
+from .scalars import GaussScalar, ONE, ZERO
 
 
 class SingularJacobianError(ValueError):
@@ -123,7 +126,8 @@ def _relaxed_layers(equations, unknowns, jac_inv, order: int) -> dict:
         for row, p in zip(jac_inv, positions):
             acc = {}
             for s, r in zip(row, residuals):
-                _add_into(acc, r.scale(-s).terms)
+                if not s.is_zero():
+                    _add_into(acc, r.scale(-s).terms)
             layer.solved[p].append(Poly(table, acc))
             terms += len(acc)
 
@@ -163,8 +167,7 @@ def implicit_series_solve(equations, unknowns, order: int):
     for g in equations:
         if g.table is not table:
             raise ValueError("equations must share one variable table")
-    for v in unknowns:
-        table.index(v)
+    positions = [table.index(v) for v in unknowns]
 
     eff_order = order
     for g in equations:
@@ -172,13 +175,11 @@ def implicit_series_solve(equations, unknowns, order: int):
             eff_order = min(eff_order, g.bound)
 
     for idx, g in enumerate(equations):
-        if not g.evaluate({}).is_zero():
+        if not g.constant_term().is_zero():
             raise InconsistentBaseError(f"equation {idx + 1} does not vanish at the base point")
 
-    jac = [
-        [g.differentiate(v).evaluate({}) for v in unknowns]
-        for g in equations
-    ]
+    # d g / d v at the origin is the coefficient of the monomial v alone.
+    jac = [[g.terms.get(((p, 1),), ZERO) for p in positions] for g in equations]
     jac_inv = _invert_matrix(jac)
 
     current = _relaxed_layers(equations, unknowns, jac_inv, eff_order)

@@ -18,7 +18,7 @@ from jetsym.determining import (
     symmetry_algebra,
     taylor_from_initial_data,
 )
-from jetsym.jets import JetContext, PDESystem, involutivity_check, total_derivative
+from jetsym.jets import JetContext, PDESystem, involutivity_check, restricted_total_derivative, total_derivative
 from jetsym.lie_alg import bracket, closure_check, flat_generators, span_equal
 from jetsym.poly import Poly, poly_to_str
 from jetsym.prolong import VectorField, lie_criterion_check, prolong
@@ -242,11 +242,13 @@ def test_criterion_10_property_suites():
             assert total_derivative(ctx, f * g, i) == (
                 total_derivative(ctx, f, i) * g + f * total_derivative(ctx, g, i)
             )
-        # commutation of total derivatives
+        # commutation of the total derivatives restricted to the flat system:
+        # D_1 D_2 of a first-order function would need third jets
+        flat = PDESystem(ctx)
         for _ in range(100):
             f = random_poly(rng, ctx.table, vids, max_terms=3, max_degree=2)
-            assert total_derivative(ctx, total_derivative(ctx, f, 1), 2) == total_derivative(
-                ctx, total_derivative(ctx, f, 2), 1
+            assert restricted_total_derivative(flat, restricted_total_derivative(flat, f, 1), 2) == (
+                restricted_total_derivative(flat, restricted_total_derivative(flat, f, 2), 1)
             )
         # prolongation degree bounds
         for _ in range(100):

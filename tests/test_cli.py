@@ -129,11 +129,17 @@ def test_oversized_expansion_exits_one_quickly(capsys, tmp_path, exponent, rc):
         (["symmetry-algebra", "--system", "FLAT33", "--order", "40"], "symmetry ansatz"),
         (["cr-aut", "--signature=" + "+" * 200], "CR ansatz"),
         (["involutive", "--system", "HUGE"], "jet table"),
+        # m·n·n(n-1)/2 = 10 584 comparisons at n = 28, m = 1
+        (["involutive", "--system", "FLAT28"], "involutivity comparison list"),
+        (["segre-derive", "--signature", "+" * 28], "involutivity comparison list"),
+        # d(d-1)/2 = 10 153 brackets of the d = 143 flat generators
+        (["closure", "--n", "10", "--m", "1"], "closure bracket list"),
     ],
 )
 def test_oversized_job_exits_one_quickly(capsys, tmp_path, argv, what):
     files = {
         "FLAT33": write_json(tmp_path / "flat33.json", {"n": 3, "m": 3, "entries": []}),
+        "FLAT28": write_json(tmp_path / "flat28.json", {"n": 28, "m": 1, "entries": []}),
         "HUGE": write_json(tmp_path / "huge.json", {"n": 10**6, "m": 1}),
     }
     start = time.perf_counter()
@@ -143,6 +149,22 @@ def test_oversized_job_exits_one_quickly(capsys, tmp_path, argv, what):
     assert out == ""
     assert err.startswith(f"error: {what} needs at least ")
     assert err.rstrip().endswith("over the size cap of 10000")
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["involutive", "--system", "FLAT27"], "involutive: true"),
+        (["segre-derive", "--signature", "+" * 27], "involutive: true"),
+        (["closure", "--n", "9", "--m", "1"], "closes: true"),
+    ],
+)
+def test_largest_admitted_job_succeeds(capsys, tmp_path, argv, first_line):
+    """One step below each work cap of the previous test the job runs."""
+    files = {"FLAT27": write_json(tmp_path / "flat27.json", {"n": 27, "m": 1, "entries": []})}
+    rc, out, _ = run_cli(capsys, [files.get(a, a) for a in argv])
+    assert rc == 0
+    assert out.splitlines()[0] == first_line
 
 
 def test_determining_flat(capsys, flat_system_file):

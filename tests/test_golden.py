@@ -1,5 +1,5 @@
-"""Golden corpus: canonical JSON output of every CLI subcommand, byte for byte,
-and the text output of ``determining``.
+"""Golden corpus: the canonical JSON output and the text output of every CLI
+subcommand, byte for byte.
 
 The expected files under ``tests/golden/expected`` are checked in; these tests
 only compare against them and never rewrite them.  A refactor that keeps
@@ -73,8 +73,7 @@ def test_golden_output(capsys, name):
 
 
 TEXT_CASES = {
-    "determining-flat": CASES["determining-flat"],
-    "determining-linearizable": CASES["determining-linearizable"],
+    **CASES,
     "determining-flat-n2": ["determining", "--system", _in("flat_n2.json"), "--order", "3"],
 }
 

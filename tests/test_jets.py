@@ -11,7 +11,7 @@ from jetsym.jets import (
     total_derivative,
 )
 from jetsym.poly import Poly
-from jetsym.rings import jet_var, u_var, x_var, zeta_var
+from jetsym.rings import JET, VarTable, jet_table, jet_var, u_var, x_var, zeta_var
 from jetsym.segre import DefiningSeries, Signature, defining_table, segre_system
 
 from helpers import first_difference, random_poly, reference_involutivity_check, second_jet_bindings
@@ -28,8 +28,8 @@ def test_total_derivative_examples():
 
 
 def test_total_derivatives_commute_random():
-    ctx = JetContext.create(2, 2, 3)
-    vids = [x_var(1), x_var(2), u_var(1), u_var(2), jet_var(1, (1,)), jet_var(2, (2,))]
+    ctx = JetContext.create(2, 2)
+    vids = [x_var(1), x_var(2), u_var(1), u_var(2)]  # D_1 D_2 of a first-order function needs third jets
     rng = Random(31337)
     for _ in range(110):
         f = random_poly(rng, ctx.table, vids, max_terms=3, max_degree=2)
@@ -39,7 +39,7 @@ def test_total_derivatives_commute_random():
 
 
 def test_total_derivative_is_derivation_random():
-    ctx = JetContext.create(2, 1, 3)
+    ctx = JetContext.create(2, 1)
     vids = [x_var(1), x_var(2), u_var(1), jet_var(1, (1,)), jet_var(1, (2,))]
     rng = Random(2029)
     for _ in range(110):
@@ -52,9 +52,37 @@ def test_total_derivative_is_derivation_random():
 
 
 def test_jet_order_overflow():
-    ctx = JetContext.create(1, 1, 2)
+    ctx = JetContext.create(1, 1)
     with pytest.raises(JetOrderError):
         total_derivative(ctx, ctx.jet(1, 1, 1), 1)
+
+
+def test_total_derivative_of_second_jet_function_raises():
+    ctx = JetContext.create(2, 1)
+    f = ctx.x(1) * ctx.jet(1, 1, 2) + ctx.u(1)
+    for i in (1, 2):
+        with pytest.raises(JetOrderError, match="stops at second jets"):
+            total_derivative(ctx, f, i)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 3), (4, 2)])
+def test_jet_table_holds_first_and_second_jets(n, m):
+    table = jet_table(n, m)
+    assert len(table) == n + m + m * n * (n + 3) // 2
+    orders = [len(v[2]) for v in table.ids if v[0] == JET]
+    assert sorted(orders) == [1] * (m * n) + [2] * (m * n * (n + 1) // 2)
+    ctx = JetContext(table)
+    assert (ctx.n, ctx.m) == (n, m)
+
+
+def test_jet_context_refuses_table_without_second_jets():
+    first = [x_var(1), x_var(2), u_var(1), jet_var(1, (1,)), jet_var(1, (2,))]
+    with pytest.raises(ValueError, match="second jets"):
+        JetContext(VarTable(first))
+    # one second jet short of the (2, 1) table
+    with pytest.raises(ValueError, match="second jets"):
+        JetContext(VarTable(first + [jet_var(1, (1, 1)), jet_var(1, (1, 2))]))
+    assert JetContext(VarTable(first + [jet_var(1, (1, 1)), jet_var(1, (1, 2)), jet_var(1, (2, 2))])).n == 2
 
 
 def test_restricted_total_derivative_examples():
@@ -77,7 +105,7 @@ def test_restricted_rejects_second_jets():
 
 
 def test_restricted_equals_substituted_total_random():
-    ctx = JetContext.create(2, 2, 3)
+    ctx = JetContext.create(2, 2)
     rng = Random(555)
     vids = [x_var(1), x_var(2), u_var(1), u_var(2), jet_var(1, (1,)), jet_var(2, (1,)), jet_var(1, (2,))]
     entries = {}

@@ -15,6 +15,14 @@ from jetsym.segre import DefiningSeries, HoloField, Signature, defining_table, s
 from helpers import budget, random_point_field, random_poly, second_jet_bindings
 
 
+@pytest.mark.parametrize("order", [0, 3])
+def test_prolongation_order_is_one_or_two(order):
+    ctx = JetContext.create(2, 1)
+    X = VectorField(ctx, (ctx.x(1), ctx.zero()), (ctx.u(1),))
+    with pytest.raises(ValueError, match="1 or 2"):
+        prolong(X, order)
+
+
 def test_translation_prolongs_to_zero():
     ctx = JetContext.create(2, 1)
     X = VectorField(ctx, (ctx.const(1), ctx.zero()), (ctx.zero(),))
