@@ -46,13 +46,24 @@ class CliError(ValueError):
 
 
 def _read_json(path: str):
+    # ValueError covers malformed JSON, bad UTF-8 and integers of over 4300
+    # digits; RecursionError covers nesting deeper than the interpreter's stack.
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _json_ints(doc, keys, message: str) -> list[int]:
+    """The named fields of a JSON object, each of which must be a JSON
+    integer (not a bool, a float or a string); else CliError(message)."""
+    values = [doc.get(key) for key in keys] if isinstance(doc, dict) else [None]
+    if any(type(v) is not int for v in values):
+        raise CliError(message)
+    return values
 
 
 def load_system(path: str) -> PDESystem:
@@ -60,29 +71,21 @@ def load_system(path: str) -> PDESystem:
     the truncated series it is: its entries keep the document's "order" as
     their truncation bound."""
     doc = _read_json(path)
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise CliError("system file needs integer fields 'n' and 'm'") from None
+    n, m = _json_ints(doc, ("n", "m"), "system file needs integer fields 'n' and 'm'")
     bound = None
     if doc.get("command") == "segre-derive":
-        try:
-            bound = int(doc["order"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise CliError("segre-derive output needs an integer field 'order'") from None
+        (bound,) = _json_ints(doc, ("order",), "segre-derive output needs an integer field 'order'")
     entry_docs = doc.get("entries", [])
     if not isinstance(entry_docs, list):
         raise CliError("system field 'entries' must be an array")
     ctx = JetContext.create(n, m)
     entries = {}
+    entry_error = "system entry needs integer fields 'k', 'i', 'j' and an expression string 'F'"
     for entry in entry_docs:
-        try:
-            k, i, j = int(entry["k"]), int(entry["i"]), int(entry["j"])
-            text = entry["F"]
-            if not isinstance(text, str):
-                raise TypeError
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise CliError("system entry needs integer fields 'k', 'i', 'j' and an expression string 'F'") from None
+        k, i, j = _json_ints(entry, ("k", "i", "j"), entry_error)
+        text = entry.get("F")
+        if not isinstance(text, str):
+            raise CliError(entry_error)
         if i > j:
             raise CliError(f"system entry ({k},{i},{j}) must have i <= j")
         f = parse_poly(text, ctx.table)
@@ -97,11 +100,11 @@ def load_system(path: str) -> PDESystem:
 def field_from_doc(doc, ctx: JetContext | None = None) -> VectorField:
     """Build a field from one field document; on ctx, if given, whose shape
     the document must match."""
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-        theta_texts, eta_texts = doc["theta"], doc["eta"]
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise CliError("field document needs integer 'n', 'm' and arrays 'theta', 'eta'") from None
+    doc_error = "field document needs integer 'n', 'm' and arrays 'theta', 'eta'"
+    n, m = _json_ints(doc, ("n", "m"), doc_error)
+    if "theta" not in doc or "eta" not in doc:
+        raise CliError(doc_error)
+    theta_texts, eta_texts = doc["theta"], doc["eta"]
     if not (
         isinstance(theta_texts, list)
         and isinstance(eta_texts, list)
@@ -232,6 +235,9 @@ def cmd_taylor(args):
     data = _read_json(args.initial_data)
     if not isinstance(data, list):
         raise CliError("initial data must be a JSON array of scalar strings")
+    for k, v in enumerate(data):
+        if type(v) not in (str, int):
+            raise CliError(f"initial data entry {k} must be a scalar string or an integer")
     omega = InitialData.from_flat([parse_scalar(str(v)) for v in data], sys_.ctx.n, sys_.ctx.m)
     point = parse_point(args.point, sys_.ctx)
     X = taylor_from_initial_data(sys_, omega, order=args.order, point=point)

@@ -111,9 +111,6 @@ class VarTable:
     def __contains__(self, vid: VarId) -> bool:
         return vid in self.pos
 
-    def name_of(self, vid: VarId) -> str:
-        return self.names[self.pos[vid]]
-
     def id_by_name(self, name: str) -> VarId | None:
         return self._by_name.get(name)
 

@@ -6,15 +6,12 @@ A Levi nondegenerate hypersurface in normal form is cut out by
     w + wb + sum_j eps_j z_j zb_j + R(Z, Zb) = 0,        R = o(|Z|^2).
 
 Attaching to each parameter point the complex hypersurface obtained by
-freezing the conjugated argument produces a family of graphs u(x).  Viewing
-x = z as independent and u = w as dependent variables, the family is cut
-out by
-
-    u + s_{n+1} + sum_j eps_j x_j s_j + R((x, u), s) = 0
-
-with parameters s_1..s_{n+1}.  Differentiating in x and eliminating the
-parameters yields a completely overdetermined second-order system for u,
-derived here by one exact implicit solve.
+freezing the conjugated argument produces a family of graphs u(x).  In the
+Segre coordinates x = z (independent), u = w (dependent) and parameters
+s_j = zb_j, s_{n+1} = wb, the family is cut out by the same defining
+polynomial, rho((x, u), s) + R((x, u), s) = 0.  Its total derivatives in x,
+with the parameters eliminated, form a completely overdetermined
+second-order system for u, derived here by one exact implicit solve.
 
 Conjugated variables are independent polynomial variables; reality of a
 defining polynomial is a checked invariant and "Re" is the formal half sum
@@ -73,6 +70,17 @@ def defining_table(n: int) -> VarTable:
     return jet_table(n, 1).extend([zeta_var(k) for k in range(1, n + 2)])
 
 
+def _segre_coordinates(n: int) -> dict:
+    """Parameter space in the coordinates of the Segre family: x_j = z_j and
+    u = w, with the frozen conjugates zb_j and wb as the parameters s_j and
+    s_{n+1}."""
+    mapping = {(W,): u_var(1), (rings.WBAR,): zeta_var(n + 1)}
+    for j in range(1, n + 1):
+        mapping[(Z, j)] = x_var(j)
+        mapping[(rings.ZBAR, j)] = zeta_var(j)
+    return mapping
+
+
 class DefiningSeries:
     """Signature plus the higher-order part R of a defining series.
 
@@ -108,53 +116,27 @@ def hyperquadric(signature: Signature) -> DefiningSeries:
 def segre_system(defn: DefiningSeries, order: int) -> PDESystem:
     """Eliminate the family parameters and return the second-order system.
 
-    The defining relation, its first total derivatives, and their total
-    derivatives are solved jointly for the parameters and the second jets;
-    the second-jet components of the solution are the right sides F_{ij},
-    truncated at ``order``.  The result is involutive by construction (up to
-    the truncation order), which involutivity_check confirms.
+    The defining relation rho(Z, zeta) + R in the Segre coordinates, its first
+    total derivatives, and their total derivatives are solved jointly for the
+    parameters and the second jets; the second-jet components of the solution
+    are the right sides F_{ij}, truncated at ``order``.  The result is
+    involutive by construction (up to the truncation order), which
+    involutivity_check confirms.
     """
     n = defn.n
     table = defn.table
     ectx = JetContext(table)
-    eps = defn.signature.eps
-    R = defn.R
-    Ru = R.differentiate(u_var(1))
-
-    equations = []
-    unknowns = []
-    first = []
-    for k in range(1, n + 1):
-        p_k = Poly.var(table, jet_var(1, (k,)))
-        eq = (
-            p_k
-            + Poly.var(table, zeta_var(k)).scale(GaussScalar(eps[k - 1]))
-            + R.differentiate(x_var(k))
-            + Ru * p_k
-        )
-        first.append(eq)
-        equations.append(eq)
-        unknowns.append(zeta_var(k))
-    relation = Poly.var(table, u_var(1)) + Poly.var(table, zeta_var(n + 1)) + R
-    for j in range(1, n + 1):
-        relation = relation + (
-            Poly.var(table, x_var(j)) * Poly.var(table, zeta_var(j))
-        ).scale(GaussScalar(eps[j - 1]))
-    equations.append(relation)
-    unknowns.append(zeta_var(n + 1))
-    for k in range(1, n + 1):
-        for j in range(k, n + 1):
-            equations.append(total_derivative(ectx, first[k - 1], j))
-            unknowns.append(jet_var(1, (k, j)))
+    rho = hyperquadric_rho(defn.signature).rho
+    relation = rekey(rho, table, _segre_coordinates(n).__getitem__) + defn.R
+    first = [total_derivative(ectx, relation, k) for k in range(1, n + 1)]
+    pairs = [(k, j) for k in range(1, n + 1) for j in range(k, n + 1)]
+    equations = first + [relation] + [total_derivative(ectx, first[k - 1], j) for k, j in pairs]
+    unknowns = [zeta_var(k) for k in range(1, n + 2)] + [jet_var(1, pair) for pair in pairs]
 
     solution = implicit_series_solve(equations, unknowns, order)
 
     ctx = JetContext.create(n, 1)
-    entries = {}
-    for k in range(1, n + 1):
-        for j in range(k, n + 1):
-            entries[(1, k, j)] = solution[jet_var(1, (k, j))].convert(ctx.table)
-    return PDESystem(ctx, entries)
+    return PDESystem(ctx, {(1, k, j): solution[jet_var(1, (k, j))].convert(ctx.table) for k, j in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +318,6 @@ def to_xu_field(X: HoloField, ctx: JetContext):
     """Rewrite a field on (z, w) parameter space in the (x, u) variables of
     the associated second-order system (x_j = z_j, u = w)."""
     n = X.n
-    mapping = {(Z, j): x_var(j) for j in range(1, n + 1)}
-    mapping[(W,)] = u_var(1)
-    moved = [rekey(f, ctx.table, mapping.__getitem__) for f in X.coeffs]
+    rename = _segre_coordinates(n).__getitem__
+    moved = [rekey(f, ctx.table, rename) for f in X.coeffs]
     return VectorField(ctx, moved[:n], moved[n:])

@@ -12,13 +12,13 @@ from hypothesis import settings
 
 from jetsym import rings
 from jetsym.determining import InitialData, RowProvenance, alpha_factorial, split_unknown
-from jetsym.jets import InvolutivityVerdict, PDESystem, restricted_total_derivative
+from jetsym.jets import InvolutivityVerdict, JetContext, PDESystem, restricted_total_derivative, total_derivative
 from jetsym.linalg import LinearSolveResult, _Reducer, sparse_rank
 from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
-from jetsym.rings import COEF, jet_var
+from jetsym.rings import COEF, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import I, ONE, ZERO, GaussScalar
-from jetsym.series import InconsistentBaseError, _invert_matrix
+from jetsym.series import InconsistentBaseError, _invert_matrix, implicit_series_solve
 
 
 def budget(n: int) -> int:
@@ -123,8 +123,6 @@ def random_point(rng: Random, vids) -> dict:
 
 
 def random_point_field(rng: Random, ctx, max_terms: int = 3, max_degree: int = 2) -> VectorField:
-    from jetsym.rings import u_var, x_var
-
     wvars = [x_var(i) for i in range(1, ctx.n + 1)] + [u_var(mu) for mu in range(1, ctx.m + 1)]
     theta = tuple(
         random_poly(rng, ctx.table, wvars, max_terms, max_degree) for _ in range(ctx.n)
@@ -436,7 +434,7 @@ def reference_monomial_str(mono, table) -> str:
     if not mono:
         return "1"
     return "*".join(
-        table.name_of(table.ids[p]) + (f"^{e}" if e > 1 else "")
+        table.names[p] + (f"^{e}" if e > 1 else "")
         for p, e in mono
     )
 
@@ -446,7 +444,7 @@ def reference_label(field, cid) -> str:
     tuple itself."""
     func, alpha = cid[1], cid[2]
     inner = "*".join(
-        f"{field.ctx.table.name_of(v)}" + (f"^{e}" if e > 1 else "")
+        f"{field.ctx.table.names[field.ctx.table.index(v)]}" + (f"^{e}" if e > 1 else "")
         for v, e in zip(field.wvars, alpha)
         if e
     )
@@ -567,3 +565,49 @@ def reference_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def reference_sub(f: Poly, g: Poly) -> Poly:
     """The ``Poly.__sub__`` that built -g as a new polynomial and added it."""
     return f + (-g)
+
+
+def reference_segre_system(defn, order: int) -> PDESystem:
+    """The ``segre.segre_system`` that typed the normal-form relation and its
+    first total derivatives out term by term."""
+    n = defn.n
+    table = defn.table
+    ectx = JetContext(table)
+    eps = defn.signature.eps
+    R = defn.R
+    Ru = R.differentiate(u_var(1))
+
+    equations = []
+    unknowns = []
+    first = []
+    for k in range(1, n + 1):
+        p_k = Poly.var(table, jet_var(1, (k,)))
+        eq = (
+            p_k
+            + Poly.var(table, zeta_var(k)).scale(GaussScalar(eps[k - 1]))
+            + R.differentiate(x_var(k))
+            + Ru * p_k
+        )
+        first.append(eq)
+        equations.append(eq)
+        unknowns.append(zeta_var(k))
+    relation = Poly.var(table, u_var(1)) + Poly.var(table, zeta_var(n + 1)) + R
+    for j in range(1, n + 1):
+        relation = relation + (
+            Poly.var(table, x_var(j)) * Poly.var(table, zeta_var(j))
+        ).scale(GaussScalar(eps[j - 1]))
+    equations.append(relation)
+    unknowns.append(zeta_var(n + 1))
+    for k in range(1, n + 1):
+        for j in range(k, n + 1):
+            equations.append(total_derivative(ectx, first[k - 1], j))
+            unknowns.append(jet_var(1, (k, j)))
+
+    solution = implicit_series_solve(equations, unknowns, order)
+
+    ctx = JetContext.create(n, 1)
+    entries = {}
+    for k in range(1, n + 1):
+        for j in range(k, n + 1):
+            entries[(1, k, j)] = solution[jet_var(1, (k, j))].convert(ctx.table)
+    return PDESystem(ctx, entries)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jetsym
 from jetsym.cli import build_parser, load_system, main
 from jetsym.poly import poly_to_str
 
@@ -194,6 +196,43 @@ def test_taylor_rejects_bad_length(capsys, flat_system_file, tmp_path):
     assert "length" in err
 
 
+@pytest.mark.parametrize("value", [None, True, 1.5, ["0"]], ids=["null", "true", "float", "array"])
+def test_taylor_names_a_bad_initial_data_entry(capsys, flat_system_file, tmp_path, value):
+    data = write_json(tmp_path / "omega.json", ["0"] * 3 + [value] + ["0"] * 4)
+    rc, out, err = run_cli(capsys, ["taylor", "--system", flat_system_file, "--initial-data", data])
+    assert (rc, out, err) == (1, "", "error: initial data entry 3 must be a scalar string or an integer\n")
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["involutive", "--system", "FILE"], DEEP),
+        (["involutive", "--system", "FILE"], '{"n": 1, "m": 1, "entries": ' + DEEP + "}"),
+        (["involutive", "--system", "-"], DEEP),
+        (["bracket", "--field", "FILE", "--field2", "FILE"], '{"n": 1, "m": 1, "theta": ' + DEEP + ', "eta": ["0"]}'),
+        (["closure", "--basis", "FILE"], DEEP),
+        (["taylor", "--system", "FLAT", "--initial-data", "FILE"], DEEP),
+        (["involutive", "--system", "FILE"], '{"n": 1' + "0" * 5000 + ', "m": 1}'),
+        (["involutive", "--system", "FILE"], b'{"n": 1, "m": 1, "entries": ["\xff"]}'),
+    ],
+    ids=["system", "entries", "stdin", "field", "basis", "initial-data", "integer-too-long", "not-utf8"],
+)
+def test_unreadable_json_exits_one(capsys, monkeypatch, tmp_path, flat_system_file, argv, text):
+    # json.load recurses once per nesting level, and Python refuses to read
+    # an integer of over 4300 digits.  Each document is written as raw text,
+    # since json.dumps cannot build it either.
+    data = text if isinstance(text, bytes) else text.encode()
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    argv = [{"FILE": str(path), "FLAT": flat_system_file}.get(a, a) for a in argv]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out, err.startswith("error: cannot read ")) == (1, "", True)
+
+
 def test_symmetry_algebra_dimension(capsys, flat_system_file):
     rc, out, _ = run_cli(capsys, ["symmetry-algebra", "--system", flat_system_file, "--format", "json"])
     assert rc == 0
@@ -276,8 +315,20 @@ def test_closure_malformed_basis_exits_one(capsys, tmp_path, docs):
         },
         {"n": 1, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": "(" * 300 + "p1_1" + ")" * 300}]},
         {"command": "segre-derive", "n": 1, "m": 1, "order": None, "entries": []},
+        {"n": 1, "m": 1.0, "entries": []},
+        {"n": 1, "m": 1, "entries": [{"k": True, "i": 1, "j": 1, "F": "0"}]},
+        {"command": "segre-derive", "n": 1, "m": 1, "order": "8", "entries": []},
     ],
-    ids=["F-not-string", "entries-not-array", "repeated-entry", "parens-too-deep", "segre-order-null"],
+    ids=[
+        "F-not-string",
+        "entries-not-array",
+        "repeated-entry",
+        "parens-too-deep",
+        "segre-order-null",
+        "m-float",
+        "k-bool",
+        "segre-order-string",
+    ],
 )
 def test_involutive_malformed_system_exits_one(capsys, tmp_path, doc):
     system = write_json(tmp_path / "system.json", doc)
@@ -293,11 +344,16 @@ def test_involutive_malformed_system_exits_one(capsys, tmp_path, doc):
         ({"n": float("inf"), "m": 1}, "system file needs integer fields 'n' and 'm'"),
         ({"command": "segre-derive", "n": 1, "m": 1, "order": float("inf")}, "segre-derive output needs an integer"),
         ({"n": 1, "m": 1, "entries": [{"k": float("inf"), "i": 1, "j": 1, "F": "0"}]}, "system entry needs integer"),
+        ({"n": 1.7, "m": 1}, "system file needs integer fields 'n' and 'm'"),
+        ({"n": True, "m": 1}, "system file needs integer fields 'n' and 'm'"),
+        ({"n": 1, "m": 1, "entries": [{"k": 1, "i": 1.9, "j": 1, "F": "0"}]}, "system entry needs integer"),
+        ({"n": 1, "m": 1, "entries": [{"k": "1", "i": 1, "j": 1, "F": "0"}]}, "system entry needs integer"),
     ],
-    ids=["n", "order", "k"],
+    ids=["n", "order", "k", "n-float", "n-bool", "i-float", "k-string"],
 )
 def test_infinite_integer_field_is_named(capsys, tmp_path, doc, message):
-    # JSON "Infinity" reads as a float that int() refuses with OverflowError.
+    # Only a JSON integer reads as one: not Infinity, a fraction, a bool or a
+    # numeric string, each of which int() would have turned into a number.
     rc, out, err = run_cli(capsys, ["involutive", "--system", write_json(tmp_path / "system.json", doc)])
     assert (rc, out, err.startswith(f"error: {message}")) == (1, "", True)
 
@@ -491,11 +547,19 @@ def test_one_parser_serves_every_call(flat_system_file):
     assert first_difference(cached, fresh) is None
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the jetsym these
+    tests import, whether or not it is installed."""
+    src = os.path.dirname(os.path.dirname(jetsym.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "jetsym.cli", "flat-algebra", "--n", "2", "--m", "1", "--format", "json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dimension"] == 15
@@ -509,6 +573,7 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path):
         [sys.executable, "-m", "jetsym.cli", "determining", "--system", system, "--order", "3"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=child_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()

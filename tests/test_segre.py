@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetsym.determining import symmetry_algebra
 from jetsym.jets import JetContext, involutivity_check
+from jetsym.lie_alg import FieldBasis, closure_check, flat_generators, span_equal
 from jetsym.poly import Poly
 from jetsym.prolong import lie_criterion_check
 from jetsym.rings import COEF, W, WBAR, Z, ZBAR, cr_table, jet_var, u_var, x_var, zeta_var
@@ -32,6 +34,7 @@ from helpers import (
     first_difference,
     random_poly,
     reference_conjugate_poly,
+    reference_segre_system,
     reference_to_xu_field,
     reference_totally_real_check,
 )
@@ -119,6 +122,38 @@ def test_back_substitution_oracle_hyperquadric_n2():
     sys_ = segre_system(defn, order=5)
     for r in back_substitution_residual(defn, sys_, order=5):
         assert r.is_zero()
+
+
+def random_perturbation(rng: Random, n: int, kind: str):
+    """A seeded R of degree 3 or 4: none, rigid (x and s_1..s_n only), or
+    rigid with u1 or with s_{n+1} in its first monomial."""
+    if kind == "zero":
+        return None
+    table = defining_table(n)
+    rigid = [x_var(j) for j in range(1, n + 1)] + [zeta_var(j) for j in range(1, n + 1)]
+    forced = {"rigid": [], "u1": [u_var(1)], "s_n+1": [zeta_var(n + 1)]}[kind]
+    R = Poly.zero(table)
+    for t in range(rng.randint(1, 3)):
+        head = forced if t == 0 else []
+        term = Poly.const(table, GaussScalar(rng.choice([-2, -1, 1, 3]), rng.choice([0, 0, 1])))
+        for v in head + [rng.choice(rigid + forced) for _ in range(rng.randint(3, 4) - len(head))]:
+            term = term * Poly.var(table, v)
+        R = R + term
+    return R
+
+
+def test_segre_system_matches_reference():
+    # Twenty seeded cases: n <= 3 with both signs, orders 2 to 5, and each
+    # kind of R in turn.
+    got, expected = [], []
+    for seed in range(20):
+        rng = Random(seed)
+        sig = Signature(tuple(rng.choice((1, -1)) for _ in range(rng.randint(1, 3))))
+        defn = DefiningSeries(sig, random_perturbation(rng, sig.n, ("zero", "rigid", "u1", "s_n+1")[seed % 4]))
+        order = rng.randint(2, 5)
+        for out, derive in ((got, segre_system), (expected, reference_segre_system)):
+            out += [(str(sig), order, key, f.terms, f.bound) for key, f in sorted(derive(defn, order).entries.items())]
+    assert first_difference(got, expected) is None
 
 
 def test_defining_series_validation():
@@ -237,6 +272,65 @@ def test_cr_basis_is_tangent_and_totally_real():
         assert totally_real_check(alg.basis)
 
 
+def symmetric_inertia(B):
+    """(positive, negative, zero) counts of a symmetric rational matrix, by
+    exact congruence (Sylvester's law of inertia)."""
+    B = [row[:] for row in B]
+    pos = neg = 0
+    while B:
+        k = next((i for i in range(len(B)) if B[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in range(len(B)) for j in range(len(B)) if B[i][j]), None)
+            if pair is None:
+                break
+            # Add row and column j to row and column i: the new B[i][i] is 2 B[i][j].
+            k, j = pair
+            for row in B:
+                row[k] += row[j]
+            B[k] = [a + b for a, b in zip(B[k], B[j])]
+        p = B[k][k]
+        pos, neg = pos + (p > 0), neg + (p < 0)
+        B = [[B[r][c] - B[r][k] * B[k][c] / p for c in range(len(B)) if c != k] for r in range(len(B)) if r != k]
+    return pos, neg, len(B)
+
+
+def killing_form(basis: FieldBasis):
+    """Whether every structure constant of a closing basis is real, and the
+    inertia of its Killing form B(a, b) = sum_ij c_ai^j c_bj^i over the real
+    parts."""
+    result = closure_check(basis)
+    assert result.closes
+    d = len(basis)
+    ad = [{} for _ in range(d)]  # ad[a][(j, i)] = c_ai^j, the nonzero entries of ad X_a
+    real = True
+    for (a, b), coeffs in result.structure_constants.items():
+        for k, c in enumerate(coeffs):
+            if not c.is_zero():
+                real = real and c.im == 0
+                ad[a][(k, b)], ad[b][(k, a)] = c.re, -c.re
+    B = [[sum(v * ad[b].get((i, j), 0) for (j, i), v in ad[a].items()) for b in range(d)] for a in range(d)]
+    return real, symmetric_inertia(B)
+
+
+def test_killing_form_certifies_the_real_form():
+    # The hyperquadric of signature (p, q) has automorphism algebra
+    # su(p+1, q+1); the flat system in (n, m) has sl(n+m+1, R).
+    got, expected = [], []
+    for n in (1, 2, 3):
+        for eps in product((1, -1), repeat=n):
+            sig = Signature(eps)
+            ctx = JetContext.create(n, 1)
+            basis = FieldBasis([to_xu_field(X, ctx) for X in cr_automorphism_algebra(sig).basis])
+            p, q = eps.count(1), eps.count(-1)
+            got.append((str(sig), killing_form(basis)))
+            expected.append((str(sig), (True, (2 * (p + 1) * (q + 1), (p + 1) ** 2 + (q + 1) ** 2 - 1, 0))))
+    for n, m in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        N = n + m + 1
+        got.append(((n, m), killing_form(flat_generators(n, m))))
+        expected.append(((n, m), (True, (N * (N + 1) // 2 - 1, N * (N - 1) // 2, 0))))
+    assert first_difference(got, expected) is None
+
+
 def test_totally_real_counterexamples():
     t = cr_table(1)
     z = Poly.var(t, (Z, 1))
@@ -297,7 +391,6 @@ def test_real_dimension_bounded_by_complex_symmetry_dimension():
 
 
 def test_hyperquadric_symmetry_algebra_matches_flat():
-    from jetsym.lie_alg import flat_generators, span_equal
 
     sys_ = segre_system(hyperquadric(Signature((1,))), order=5)
     sym = symmetry_algebra(sys_, order=3)
