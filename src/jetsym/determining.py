@@ -4,13 +4,13 @@ The symmetry coefficients theta_j, eta^mu are replaced by polynomials of
 total degree <= N in (x, u) whose coefficients are formal unknowns.  The
 tangency criterion then becomes a single polynomial identity; collecting
 the coefficient of every monomial (in x, u, and the first-jet variables)
-yields one homogeneous linear equation per monomial.  The collector groups
-each residual's terms by monomial and sorts only that residual's distinct
-monomials, building each monomial's graded-lex key once.  Rows whose (x, u)
-degree exceeds N - 2 are discarded: they would also constrain Taylor
-coefficients beyond the ansatz order, so for a degree-N truncation they are
-incomplete.  Each monomial's (x, u) and jet degrees are computed once, and
-the cut is made on them before any row provenance is built.  The ansatz
+yields one homogeneous linear equation per monomial.  The criterion is a
+linear second-order operator in (theta, eta) whose coefficients depend on
+the system only (Olver 1986, section 2.4): they are read off one expansion
+on the degree-2 ansatz, and each equation of the degree-N ansatz is
+written straight from them.  Terms of (x, u) degree above N - 2 are never
+formed: their rows would also constrain Taylor coefficients beyond the
+ansatz order, so for a degree-N truncation they are incomplete.  The ansatz
 itself is a ``LinearAnsatz``, which builds, collects, solves and realizes
 for the CR automorphism solve too: ``LinearAnsatz.solutions`` is the one
 exact nullspace call of the package.
@@ -34,14 +34,15 @@ are tested against each other:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, inf, perm, prod
 
 from . import rings
 from .jets import JetContext, PDESystem
 from .linalg import LinearSystemExact, _Reducer, solve_linear_exact
-from .poly import Poly, mono_sort_key, mono_str, mono_weighted_degree, translate
+from .poly import Poly, mono_mul, mono_sort_key, mono_str, mono_weighted_degree, translate
 from .prolong import VectorField, lie_criterion_check
 from .rings import COEF, check_size, u_var, x_var
 from .scalars import GaussScalar, ZERO, ONE
@@ -125,34 +126,29 @@ class LinearAnsatz:
 
     def collect(self, polys: dict) -> dict:
         """One linear equation per (slot, ordinary monomial) of polynomials
-        that are linear in the unknowns.
+        that are linear in the unknowns: the rows of ``group`` as
+        {(slot, monomial): {column: coefficient}}, in the order of
+        ``graded_rows``."""
+        return graded_rows(self.group(polys))
 
-        polys maps sortable slot keys to Polys over the extended table.
-        Returns {(slot, monomial): {column: coefficient}} in slot, then
-        graded-lex order.  Each slot's terms are grouped by ordinary
-        monomial and only that slot's distinct monomials are sorted; the
-        graded-lex key of a monomial is built once, however many slots and
-        columns it occurs in.
-        """
+    def group(self, polys: dict) -> dict:
+        """{slot: {ordinary monomial: {column: coefficient}}} of polys, a map
+        from sortable slot keys to Polys over the extended table, linear in
+        the unknowns."""
         offset = len(self.table)
-        sort_keys: dict[tuple, tuple] = {}
-        rows: dict[tuple, dict[int, GaussScalar]] = {}
-        for slot in sorted(polys):
-            groups: dict[tuple, dict[int, GaussScalar]] = {}
-            for mono, coeff in polys[slot].terms.items():
+        groups: dict = {}
+        for slot, f in polys.items():
+            by_mono = groups[slot] = {}
+            for mono, coeff in f.terms.items():
                 ordinary, c = split_unknown(mono, offset)
                 # Each (monomial, column) pair is a distinct term of the
                 # slot's polynomial, so no entry is written twice.
-                row = groups.get(ordinary)
+                row = by_mono.get(ordinary)
                 if row is None:
-                    groups[ordinary] = {c: coeff}
-                    if ordinary not in sort_keys:
-                        sort_keys[ordinary] = mono_sort_key(ordinary)
+                    by_mono[ordinary] = {c: coeff}
                 else:
                     row[c] = coeff
-            for ordinary in sorted(groups, key=sort_keys.__getitem__):
-                rows[(slot, ordinary)] = groups[ordinary]
-        return rows
+        return groups
 
     def solutions(self, rows) -> list[list[GaussScalar]]:
         """A nullspace basis of the homogeneous ``rows`` ({column: coefficient}
@@ -165,6 +161,23 @@ class LinearAnsatz:
         unknown of column c replaced by values[c]."""
         terms = {mono: values[c] for mono, c in self._terms[name] if not values[c].is_zero()}
         return Poly(self.table, terms)
+
+
+def graded_rows(groups: dict) -> dict:
+    """{(slot, monomial): row} from {slot: {monomial: row}}, in slot, then
+    graded-lex order.  Only each slot's own distinct monomials are sorted,
+    and the graded-lex key of a monomial is built once, however many slots
+    it occurs in."""
+    sort_keys: dict[tuple, tuple] = {}
+    rows: dict[tuple, dict[int, GaussScalar]] = {}
+    for slot in sorted(groups):
+        by_mono = groups[slot]
+        for mono in by_mono:
+            if mono not in sort_keys:
+                sort_keys[mono] = mono_sort_key(mono)
+        for mono in sorted(by_mono, key=sort_keys.__getitem__):
+            rows[(slot, mono)] = by_mono[mono]
+    return rows
 
 
 def split_unknown(mono, offset: int):
@@ -267,10 +280,12 @@ class DeterminingSystem:
 
 def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> DeterminingSystem:
     """Expand the symmetry criterion for the ansatz and collect one equation
-    per complete monomial coefficient."""
-    residuals = lie_criterion_check(field.ansatz_field(), PDESystem(field.ext_ctx, sys.entries))
-
+    per complete monomial coefficient: the unknown (f, alpha) carries
+    sum_{beta <= alpha} A_{f,beta} d^beta w^alpha (``_criterion_operator``),
+    and no term above the N - 2 row cut or the residual's bound is formed."""
     N = field.order
+    quad = field if N == 2 else UnknownCoefficientField(field.ctx, 2)
+    residuals = lie_criterion_check(quad.ansatz_field(), PDESystem(quad.ext_ctx, sys.entries))
     for (mu, i, j) in sorted(residuals):
         r = residuals[(mu, i, j)]
         if r.bound is not None and r.bound < N + 1:
@@ -279,20 +294,102 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
                 f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
             )
 
-    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in field.ext_table.ids]
-    jet_weights = [int(vid[0] == rings.JET) for vid in field.ext_table.ids]
+    bounds = {slot: r.bound for slot, r in residuals.items()}
+    groups = _spread(quad, field, _criterion_operator(quad, residuals), bounds, N - 2, _power_factor)
+    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in field.table.ids]
+    jet_weights = [int(vid[0] == rings.JET) for vid in field.table.ids]
     degrees: dict[tuple, tuple[int, int]] = {}  # monomial -> (xu_degree, jet_degree)
     rows = []
     provenance = []
-    for ((mu, i, j), mono), row in field.collect(residuals).items():
+    for ((mu, i, j), mono), row in graded_rows(groups).items():
         deg = degrees.get(mono)
         if deg is None:
             deg = degrees[mono] = (mono_weighted_degree(mono, xu_weights), mono_weighted_degree(mono, jet_weights))
-        if deg[0] > N - 2:
-            continue
         rows.append(row)
         provenance.append(RowProvenance(mu, i, j, mono, *deg))
     return DeterminingSystem(field, rows, provenance)
+
+
+def _criterion_operator(quad: UnknownCoefficientField, residuals: dict) -> dict:
+    """The criterion as an operator, R(X) = sum_{f, |beta| <= 2} A_{f,beta}
+    d^beta X_f, read off its residuals on the degree-2 ansatz ``quad``:
+    {slot: {monomial: {column of (f, beta): coefficient}}}, the terms of each
+    A_{f,beta} to the slot's bound.  The unknown of (f, beta) carries
+    P_{f,beta} = sum_{gamma <= beta} A_{f,gamma} d^gamma w^beta, so
+    A_{f,beta} = sum_{gamma <= beta} (-w)^delta P_{f,gamma} / (gamma! delta!)
+    with delta = beta - gamma."""
+    bounds = {slot: r.bound for slot, r in residuals.items()}
+    return _spread(quad, quad, quad.group(residuals), bounds, inf, _inverse_factor)
+
+
+def _power_factor(alpha, beta) -> int:
+    """The k of d^beta w^alpha = k w^(alpha - beta)."""
+    return prod(perm(a, b) for a, b in zip(alpha, beta) if b)
+
+
+def _inverse_factor(beta, gamma) -> Fraction:
+    """The k of k w^(beta - gamma) P_{f,gamma} in A_{f,beta}."""
+    delta = tuple(b - g for b, g in zip(beta, gamma))
+    return Fraction((-1) ** sum(delta), alpha_factorial(gamma) * alpha_factorial(delta))
+
+
+def _spread(source: UnknownCoefficientField, target: UnknownCoefficientField, groups, bounds, cut, factor) -> dict:
+    """Rows {slot: {monomial: {column: coefficient}}} over the unknowns of
+    ``target`` from rows over those of ``source``: the term c m of unknown
+    (f, beta) adds factor(alpha, beta) c w^delta m to unknown (f, alpha)
+    for each alpha = beta + delta of the target with |delta| <= cut.  A
+    term is formed only if its (x, u)-degree is at most ``cut`` and its
+    weighted degree at most the slot's bound."""
+    weights = target.table.weights
+    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in target.table.ids]
+    last_w = max(target.wpos)
+    q = len(target.wpos)
+    deltas = [(delta, target.monomial(delta)) for delta in monomials_up_to(q, min(cut, target.order))]
+    # source column -> [(w^delta, |delta|, its weighted degree, target column,
+    # factor or None for 1)], graded by |delta|
+    shifts: dict[int, list] = {}
+    out = {}
+    for slot, rows in groups.items():
+        bound = bounds[slot]
+        spread = out[slot] = {}
+        for m, row in rows.items():
+            room = cut - mono_weighted_degree(m, xu_weights)
+            limit = inf if bound is None else bound - mono_weighted_degree(m, weights)
+            # x and u sit before every other variable of m: a product is then
+            # a concatenation.
+            concat = not m or m[0][0] > last_w
+            for c, coeff in row.items():
+                targets = shifts.get(c)
+                if targets is None:
+                    _, func, beta = source.unknowns[c]
+                    targets = shifts[c] = []
+                    for delta, dmono in deltas[: comb(q + min(cut, target.order - sum(beta)), q)]:
+                        alpha = tuple(b + d for b, d in zip(beta, delta))
+                        k = factor(alpha, beta)
+                        k = None if k == 1 else GaussScalar(k)
+                        col = target.col[(COEF, func, alpha)]
+                        targets.append((dmono, sum(delta), mono_weighted_degree(dmono, weights), col, k))
+                for dmono, dd, dw, col, k in targets:
+                    if dd > room:
+                        break
+                    if dw > limit:
+                        continue
+                    key = dmono + m if concat else mono_mul(dmono, m)
+                    v = coeff if k is None else coeff * k
+                    out_row = spread.get(key)
+                    if out_row is None:
+                        spread[key] = {col: v}
+                        continue
+                    acc = out_row.get(col)
+                    if acc is not None:
+                        v = acc + v
+                        if v.is_zero():
+                            del out_row[col]
+                            if not out_row:
+                                del spread[key]
+                            continue
+                    out_row[col] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ from random import Random
 from hypothesis import settings
 
 from jetsym import rings
-from jetsym.determining import InitialData, RowProvenance, alpha_factorial, split_unknown
+from jetsym.determining import InitialData, RowProvenance, TruncationOrderError, alpha_factorial, split_unknown
 from jetsym.jets import InvolutivityVerdict, JetContext, PDESystem, restricted_total_derivative, total_derivative
 from jetsym.linalg import LinearSolveResult, _Reducer, sparse_rank
 from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import COEF, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import I, ONE, ZERO, GaussScalar
+from jetsym.segre import defining_table
 from jetsym.series import InconsistentBaseError, _invert_matrix, implicit_series_solve
 
 
@@ -161,14 +162,24 @@ def sort_all_collect(ansatz, polys: dict) -> dict:
 
 def reference_determining(sys_, field):
     """(rows, provenance) of ``generate_determining`` by the path it replaced:
-    ``sort_all_collect``, then degree sums per row and the N - 2 cut."""
+    the whole degree-N ansatz through the criterion, TruncationOrderError
+    from those residuals' bounds, then ``sort_all_collect``, degree sums per
+    row and the N - 2 cut."""
     ext_sys = PDESystem(field.ext_ctx, {key: f.convert(field.ext_table) for key, f in sys_.entries.items()})
     residuals = lie_criterion_check(field.ansatz_field(), ext_sys)
+    N = field.order
+    for (mu, i, j) in sorted(residuals):
+        r = residuals[(mu, i, j)]
+        if r.bound is not None and r.bound < N + 1:
+            raise TruncationOrderError(
+                f"residual for (mu={mu}, i={i}, j={j}) is only valid to degree "
+                f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
+            )
     kinds = [vid[0] for vid in field.ext_table.ids]
     rows, provenance = [], []
     for ((mu, i, j), mono), row in sort_all_collect(field, residuals).items():
         xu_deg = sum(e for p, e in mono if kinds[p] in (rings.X, rings.U))
-        if xu_deg > field.order - 2:
+        if xu_deg > N - 2:
             continue
         jet_deg = sum(e for p, e in mono if kinds[p] == rings.JET)
         rows.append(row)
@@ -565,6 +576,24 @@ def reference_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def reference_sub(f: Poly, g: Poly) -> Poly:
     """The ``Poly.__sub__`` that built -g as a new polynomial and added it."""
     return f + (-g)
+
+
+def random_perturbation(rng: Random, n: int, kind: str):
+    """A seeded R of degree 3 or 4: none, rigid (x and s_1..s_n only), or
+    rigid with u1 or with s_{n+1} in its first monomial."""
+    if kind == "zero":
+        return None
+    table = defining_table(n)
+    rigid = [x_var(j) for j in range(1, n + 1)] + [zeta_var(j) for j in range(1, n + 1)]
+    forced = {"rigid": [], "u1": [u_var(1)], "s_n+1": [zeta_var(n + 1)]}[kind]
+    R = Poly.zero(table)
+    for t in range(rng.randint(1, 3)):
+        head = forced if t == 0 else []
+        term = Poly.const(table, GaussScalar(rng.choice([-2, -1, 1, 3]), rng.choice([0, 0, 1])))
+        for v in head + [rng.choice(rigid + forced) for _ in range(rng.randint(3, 4) - len(head))]:
+            term = term * Poly.var(table, v)
+        R = R + term
+    return R
 
 
 def reference_segre_system(defn, order: int) -> PDESystem:

@@ -14,6 +14,7 @@ from jetsym.determining import (
     TruncationOrderError,
     UnderdeterminedLayerError,
     UnknownCoefficientField,
+    _criterion_operator,
     _shift_field,
     alpha_factorial,
     generate_determining,
@@ -38,6 +39,7 @@ from helpers import (
     first_difference,
     linear_residual,
     random_point,
+    random_perturbation,
     random_point_field,
     random_poly,
     reference_determining,
@@ -268,6 +270,75 @@ def test_collect_matches_sort_all_reference(lie_shape, cr_n, shape, seed):
     rows, provenance = reference_determining(sys_, field)
     generated = first_difference(zip(det.rows, det.provenance), zip(rows, provenance))
     assert (lie, cr, generated) == (None, None, None)
+
+
+def determining_outcome(derive, sys_, order):
+    """The rows and provenance of a derivation as one list, or the message
+    of its TruncationOrderError."""
+    field = UnknownCoefficientField(sys_.ctx, order)
+    try:
+        rows, provenance = derive(sys_, field)
+    except TruncationOrderError as exc:
+        return str(exc)
+    return list(zip(rows, provenance))
+
+
+def generated(sys_, field):
+    det = generate_determining(sys_, field)
+    return det.rows, det.provenance
+
+
+def test_generate_determining_matches_reference_on_truncated_and_edge_cases():
+    # Truncated Segre systems: each signature with each kind of R, at one
+    # ansatz order N each (every N = 2..5 four times), truncated at N + 1
+    # (too low: TruncationOrderError from the full ansatz's bounds), N + 2
+    # and N + 4.  Then random exact systems with Gaussian coefficients:
+    # n = 3 at N = 2 and 3, and n <= 2 at N = 2, where only the top layer 0
+    # is kept.  One assertion, so a failure is cheap to report.
+    cases = []
+    for s, sig in enumerate(("+", "+-", "++", "+++")):
+        for k, kind in enumerate(("zero", "rigid", "u1", "s_n+1")):
+            signature = Signature.parse(sig)
+            defn = DefiningSeries(signature, random_perturbation(Random(sig + kind), signature.n, kind))
+            N = 2 + (s + k) % 4
+            cases += [(f"{sig} {kind} N={N} t={t}", segre_system(defn, t), N) for t in (N + 1, N + 2, N + 4)]
+    rng = Random(22)
+    for n, m, N in [(3, 1, 2), (3, 1, 3), (3, 2, 2), (3, 2, 3), (1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2)] * 2:
+        cases.append((f"random {n}x{m} N={N}", random_first_order_system(rng, n, m), N))
+    got = [(label, determining_outcome(generated, sys_, N)) for label, sys_, N in cases]
+    expected = [(label, determining_outcome(reference_determining, sys_, N)) for label, sys_, N in cases]
+    refused = sum(isinstance(outcome, str) for _, outcome in expected)
+    assert (first_difference(got, expected), refused) == (None, 16)
+
+
+def test_criterion_operator_reproduces_the_criterion():
+    # The coefficients read off the degree-2 ansatz, applied to random point
+    # fields of degree <= 4 as sum A_{f,beta} d^beta X_f, give the
+    # criterion's residuals slot by slot.
+    got, expected = [], []
+    for seed in range(12):
+        rng = Random(seed)
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        sys_ = random_first_order_system(rng, n, m)
+        ctx = sys_.ctx
+        quad = UnknownCoefficientField(ctx, 2)
+        operator = _criterion_operator(quad, lie_criterion_check(quad.ansatz_field(), PDESystem(quad.ext_ctx, sys_.entries)))
+        X = random_point_field(rng, ctx, max_terms=8, max_degree=4)
+        funcs = dict(zip([(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)], X.theta + X.eta))
+        wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
+        for slot, residual in sorted(lie_criterion_check(X, sys_).items()):
+            value = Poly.zero(ctx.table)
+            for mono, row in operator[slot].items():
+                for c, coeff in row.items():
+                    _, func, beta = quad.unknowns[c]
+                    derivative = funcs[func]
+                    for v, e in zip(wvars, beta):
+                        for _ in range(e):
+                            derivative = derivative.differentiate(v)
+                    value = value + Poly(ctx.table, {mono: coeff}) * derivative
+            got.append((seed, slot, value.terms))
+            expected.append((seed, slot, residual.terms))
+    assert first_difference(got, expected) is None
 
 
 # -- the second-order layer of the propagator -------------------------------------
@@ -649,7 +720,7 @@ def test_base_point_shifts_match_per_polynomial_reference(seed):
     }
     sys_ = PDESystem(ctx, entries)
     point = random_point(rng, xu)
-    X = random_point_field(rng, ctx, max_terms=4, max_degree=4)
+    X = random_point_field(rng, ctx, max_terms=8, max_degree=4)
     got = [shift_outcome(lambda: sys_.translated(point)), shift_outcome(lambda: _shift_field(X, point))]
     expected = [
         shift_outcome(lambda: reference_translated(sys_, point)),

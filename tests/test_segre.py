@@ -32,6 +32,7 @@ from jetsym.series import implicit_series_solve
 from helpers import (
     budget,
     first_difference,
+    random_perturbation,
     random_poly,
     reference_conjugate_poly,
     reference_segre_system,
@@ -122,24 +123,6 @@ def test_back_substitution_oracle_hyperquadric_n2():
     sys_ = segre_system(defn, order=5)
     for r in back_substitution_residual(defn, sys_, order=5):
         assert r.is_zero()
-
-
-def random_perturbation(rng: Random, n: int, kind: str):
-    """A seeded R of degree 3 or 4: none, rigid (x and s_1..s_n only), or
-    rigid with u1 or with s_{n+1} in its first monomial."""
-    if kind == "zero":
-        return None
-    table = defining_table(n)
-    rigid = [x_var(j) for j in range(1, n + 1)] + [zeta_var(j) for j in range(1, n + 1)]
-    forced = {"rigid": [], "u1": [u_var(1)], "s_n+1": [zeta_var(n + 1)]}[kind]
-    R = Poly.zero(table)
-    for t in range(rng.randint(1, 3)):
-        head = forced if t == 0 else []
-        term = Poly.const(table, GaussScalar(rng.choice([-2, -1, 1, 3]), rng.choice([0, 0, 1])))
-        for v in head + [rng.choice(rigid + forced) for _ in range(rng.randint(3, 4) - len(head))]:
-            term = term * Poly.var(table, v)
-        R = R + term
-    return R
 
 
 def test_segre_system_matches_reference():
