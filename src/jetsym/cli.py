@@ -225,8 +225,8 @@ def cmd_determining(args):
         "rows": rows,
     }
     lines = [f"unknowns: {det.unknown_count}", f"equations: {det.row_count}"]
-    for r in rows:
-        lines.append(f"  (mu={r['mu']}, i={r['i']}, j={r['j']}) [{r['monomial']}]  {r['equation']}")
+    if args.format == "text":
+        lines += [f"  (mu={r['mu']}, i={r['i']}, j={r['j']}) [{r['monomial']}]  {r['equation']}" for r in rows]
     return report, lines
 
 

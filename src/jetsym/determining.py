@@ -13,12 +13,20 @@ formed: their rows would also constrain Taylor coefficients beyond the
 ansatz order, so for a degree-N truncation they are incomplete.  The ansatz
 itself is a ``LinearAnsatz``, which builds, collects, solves and realizes
 for the CR automorphism solve too: ``LinearAnsatz.solutions`` is the one
-exact nullspace call of the package.
+exact nullspace call of the package.  The rows keep the order they are
+written in; ``DeterminingSystem.rows`` puts them in residual, then graded-lex
+order on first read.
 
-Two independent algorithms are provided on top of the generated rows and
-are tested against each other:
+The systems are overdetermined, and many rows repeat.  Both solvers below
+hand the reducer each distinct row once (``_distinct``); the reducer keeps
+full Gauss-Jordan form, and the reduced row echelon form of a row space is
+unique, so leaving out the repeats changes no result, and the nullspace
+does not depend on the rows' order either.  Two independent algorithms
+are provided on top of the generated rows and are tested against each
+other:
 
-* ``symmetry_algebra``: the exact nullspace of all rows at once;
+* ``symmetry_algebra``: the exact nullspace of all rows at once, in the
+  order they were written;
 * ``taylor_from_initial_data``: the layer-by-layer recursion that rebuilds
   a symmetry from its initial data omega (values, first derivatives, and
   the distinguished second-derivative slice gamma).  The recursion is
@@ -255,12 +263,52 @@ class RowProvenance:
 
 class DeterminingSystem:
     """Homogeneous linear system over the ansatz unknowns, with per-row
-    provenance (which residual and monomial produced the row)."""
+    provenance (which residual and monomial produced the row).
 
-    def __init__(self, field: UnknownCoefficientField, rows, provenance):
+    ``generate_determining`` hands the rows over as ``_spread`` wrote them,
+    {slot: {monomial: row}}.  ``rows`` and ``provenance`` are ordered views,
+    in slot, then graded-lex order, built together on first read; the
+    groups are dropped then.  ``row_count`` and ``symmetry_algebra`` need no
+    order and build neither."""
+
+    def __init__(self, field: UnknownCoefficientField, rows=None, provenance=None, groups=None):
         self.field = field
-        self.rows = rows  # list of {column: GaussScalar}
-        self.provenance: list[RowProvenance] = provenance
+        self._rows = rows  # list of {column: GaussScalar}
+        self._provenance: list[RowProvenance] | None = provenance
+        self._groups = groups
+
+    @property
+    def rows(self) -> list:
+        if self._groups is not None:
+            self._order()
+        return self._rows
+
+    @property
+    def provenance(self) -> list[RowProvenance]:
+        if self._groups is not None:
+            self._order()
+        return self._provenance
+
+    def _order(self) -> None:
+        xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in self.field.table.ids]
+        jet_weights = [int(vid[0] == rings.JET) for vid in self.field.table.ids]
+        degrees: dict[tuple, tuple[int, int]] = {}  # monomial -> (xu_degree, jet_degree)
+        rows = []
+        provenance = []
+        for ((mu, i, j), mono), row in graded_rows(self._groups).items():
+            deg = degrees.get(mono)
+            if deg is None:
+                deg = degrees[mono] = (mono_weighted_degree(mono, xu_weights), mono_weighted_degree(mono, jet_weights))
+            rows.append(row)
+            provenance.append(RowProvenance(mu, i, j, mono, *deg))
+        self._rows, self._provenance, self._groups = rows, provenance, None
+
+    def unordered_rows(self):
+        """Every row once, in no promised order: as generated while the rows
+        are not ordered yet, so reading them orders nothing."""
+        if self._groups is None:
+            return self.rows
+        return [row for by_mono in self._groups.values() for row in by_mono.values()]
 
     @cached_property
     def propagator(self) -> "TaylorPropagator":
@@ -275,14 +323,31 @@ class DeterminingSystem:
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        if self._groups is None:
+            return len(self._rows)
+        return sum(len(by_mono) for by_mono in self._groups.values())
+
+
+def _distinct(rows):
+    """The (tag, row) pairs of ``rows`` whose row has not come before: each
+    one-entry row once per column, any other row once per exact content.
+    Every one-entry row on a column spans the same line, so the pairs left
+    out change no row space, and so no reduced row echelon form."""
+    seen = set()
+    for tag, row in rows:
+        key = next(iter(row)) if len(row) == 1 else frozenset(row.items())
+        if key not in seen:
+            seen.add(key)
+            yield tag, row
 
 
 def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> DeterminingSystem:
     """Expand the symmetry criterion for the ansatz and collect one equation
     per complete monomial coefficient: the unknown (f, alpha) carries
     sum_{beta <= alpha} A_{f,beta} d^beta w^alpha (``_criterion_operator``),
-    and no term above the N - 2 row cut or the residual's bound is formed."""
+    and no term above the N - 2 row cut or the residual's bound is formed.
+    The rows stay in the order ``_spread`` wrote them until ``rows`` or
+    ``provenance`` is read."""
     N = field.order
     quad = field if N == 2 else UnknownCoefficientField(field.ctx, 2)
     residuals = lie_criterion_check(quad.ansatz_field(), PDESystem(quad.ext_ctx, sys.entries))
@@ -296,18 +361,7 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
 
     bounds = {slot: r.bound for slot, r in residuals.items()}
     groups = _spread(quad, field, _criterion_operator(quad, residuals), bounds, N - 2, _power_factor)
-    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in field.table.ids]
-    jet_weights = [int(vid[0] == rings.JET) for vid in field.table.ids]
-    degrees: dict[tuple, tuple[int, int]] = {}  # monomial -> (xu_degree, jet_degree)
-    rows = []
-    provenance = []
-    for ((mu, i, j), mono), row in graded_rows(groups).items():
-        deg = degrees.get(mono)
-        if deg is None:
-            deg = degrees[mono] = (mono_weighted_degree(mono, xu_weights), mono_weighted_degree(mono, jet_weights))
-        rows.append(row)
-        provenance.append(RowProvenance(mu, i, j, mono, *deg))
-    return DeterminingSystem(field, rows, provenance)
+    return DeterminingSystem(field, groups=groups)
 
 
 def _criterion_operator(quad: UnknownCoefficientField, residuals: dict) -> dict:
@@ -561,9 +615,10 @@ class TaylorPropagator:
         tcol = {c: t for t, c in enumerate(targets)}
         k0 = len(targets)  # omega coordinate k sits in column k0 + k
         red = _Reducer()
-        for idx in row_ids:
+        # A repeated row reduces exactly as its first copy did.
+        for idx, det_row in _distinct((idx, det.rows[idx]) for idx in row_ids):
             row: dict[int, GaussScalar] = {}
-            for c, v in det.rows[idx].items():
+            for c, v in det_row.items():
                 if forms[c] is not None:
                     for k, f in forms[c].items():
                         acc = row.get(k0 + k)
@@ -677,12 +732,15 @@ class SymmetryAlgebra:
 
 def symmetry_algebra(sys: PDESystem, order: int = 3, point: dict | None = None) -> SymmetryAlgebra:
     """Basis of degree-``order`` truncated infinitesimal symmetries via the
-    exact nullspace of the full determining system."""
+    exact nullspace of the full determining system.  Each distinct row is
+    solved once, in the order it was generated: the reduced row echelon
+    form, and so the nullspace, is the same for any order and any repeats."""
     if point:
         sys = sys.translated(point)
     field = UnknownCoefficientField(sys.ctx, order)
     det = generate_determining(sys, field)
-    basis = [field.field_from_values(v) for v in field.solutions(det.rows)]
+    rows = [row for _, row in _distinct(enumerate(det.unordered_rows()))]
+    basis = [field.field_from_values(v) for v in field.solutions(rows)]
     if point:
         basis = [_shift_field(X, point) for X in basis]
     return SymmetryAlgebra(basis, det)

@@ -11,7 +11,16 @@ from random import Random
 from hypothesis import settings
 
 from jetsym import rings
-from jetsym.determining import InitialData, RowProvenance, TruncationOrderError, alpha_factorial, split_unknown
+from jetsym.determining import (
+    InitialData,
+    RowProvenance,
+    TruncationOrderError,
+    UnknownCoefficientField,
+    _shift_field,
+    alpha_factorial,
+    generate_determining,
+    split_unknown,
+)
 from jetsym.jets import InvolutivityVerdict, JetContext, PDESystem, restricted_total_derivative, total_derivative
 from jetsym.linalg import LinearSolveResult, _Reducer, sparse_rank
 from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_sort_key
@@ -185,6 +194,20 @@ def reference_determining(sys_, field):
         rows.append(row)
         provenance.append(RowProvenance(mu, i, j, mono, xu_deg, jet_deg))
     return rows, provenance
+
+
+def reference_symmetry_algebra(sys_, order: int, point: dict | None = None) -> list[VectorField]:
+    """The basis of ``symmetry_algebra`` by the solve it replaced: the
+    nullspace of all determining rows, repeats included, in provenance
+    order."""
+    if point:
+        sys_ = sys_.translated(point)
+    field = UnknownCoefficientField(sys_.ctx, order)
+    det = generate_determining(sys_, field)
+    basis = [field.field_from_values(v) for v in field.solutions(det.rows)]
+    if point:
+        basis = [_shift_field(X, point) for X in basis]
+    return basis
 
 
 def zero_initial_data(n: int, m: int) -> InitialData:

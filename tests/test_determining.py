@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetsym import determining
 from jetsym.determining import (
     ETA,
     THETA,
@@ -15,6 +16,7 @@ from jetsym.determining import (
     UnderdeterminedLayerError,
     UnknownCoefficientField,
     _criterion_operator,
+    _distinct,
     _shift_field,
     alpha_factorial,
     generate_determining,
@@ -46,6 +48,7 @@ from helpers import (
     reference_label,
     reference_monomial_str,
     reference_shift_field,
+    reference_symmetry_algebra,
     reference_translated,
     second_order_forms,
     sort_all_collect,
@@ -588,6 +591,62 @@ def test_sweep_reduces_each_layer_once(monkeypatch):
     assert len(inserts) == first
 
 
+def test_propagator_skips_a_repeated_check_row(monkeypatch):
+    # u_11 = u (n = 2) puts conditions on omega at layer 3.  An exact copy of
+    # the first of them, after every other row, must raise the reference's
+    # error, and the reducer must get the same calls as without the copy.
+    ctx = JetContext.create(2, 1)
+    sys_ = PDESystem(ctx, {(1, 1, 1): ctx.u(1)})
+    det = generate_determining(sys_, UnknownCoefficientField(ctx, 3))
+    step = next(step for step in det.propagator.layers if step.checks)
+    idx, form = step.checks[0]
+    vec = [ZERO] * InitialData.dimension(2, 1)
+    vec[min(form)] = ONE
+    omega = InitialData.from_flat(vec, 2, 1)
+    copied = DeterminingSystem(det.field, det.rows + [dict(det.rows[idx])], det.provenance + [det.provenance[idx]])
+    seen = {}
+    for name in ("reduce", "insert"):
+        original = getattr(_Reducer, name)
+
+        def counting(self, row, original=original, name=name):
+            seen[name].append(sorted(row))
+            return original(self, row)
+
+        monkeypatch.setattr(_Reducer, name, counting)
+    calls = []
+    for system in (det, copied):
+        seen.update(reduce=[], insert=[])
+        system.__dict__.pop("propagator", None)
+        got = outcome(lambda: taylor_from_initial_data(sys_, omega, order=3, det=system))
+        calls.append(dict(seen))
+    monkeypatch.undo()
+    expected = outcome(lambda: reference_taylor(copied, omega))
+    assert (got, calls[1], expected[:2]) == (expected, calls[0], (InconsistentLayerError, step.layer))
+
+
+def test_symmetry_algebra_orders_no_rows(monkeypatch):
+    # The rows are ordered, and their provenance built, only when read.
+    built = []
+    graded_rows = determining.graded_rows
+    row_provenance = determining.RowProvenance
+
+    def counting_graded_rows(groups):
+        built.append("graded_rows")
+        return graded_rows(groups)
+
+    def counting_provenance(*args):
+        built.append("RowProvenance")
+        return row_provenance(*args)
+
+    monkeypatch.setattr(determining, "graded_rows", counting_graded_rows)
+    monkeypatch.setattr(determining, "RowProvenance", counting_provenance)
+    det = symmetry_algebra(flat_system(2, 1), order=3).determining
+    count = det.row_count
+    before = list(built)
+    rows = det.rows
+    assert (before, len(rows), built[0], len(built), det._groups) == ([], count, "graded_rows", 1 + count, None)
+
+
 # -- symmetry_algebra ------------------------------------------------------------
 
 
@@ -655,6 +714,44 @@ def test_symmetry_algebra_at_point():
     alg = symmetry_algebra(sys_, order=3, point=pt)
     assert alg.dimension == 8
     assert span_equal(alg.basis, list(flat_generators(1, 1, sys_.ctx)))
+
+
+@settings(max_examples=budget(40), deadline=None)
+@given(
+    st.sampled_from(["random", "flat", "segre"]),
+    st.sampled_from([(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3), (1, 2, 3)]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_symmetry_algebra_matches_all_rows_reference(kind, shape, at_point, seed):
+    # The basis from each distinct row in generated order against the
+    # nullspace of all rows in provenance order; then all rows shuffled,
+    # with repeats (a one-entry row repeated at another scale), must give
+    # the same solutions, with or without ``_distinct``.  The truncated
+    # Segre system has no nonzero base point.  One assertion, so a failure
+    # is shrunk once.
+    rng = Random(seed)
+    n, m, order = shape
+    point = None
+    if kind == "segre":
+        sys_, order = perturbed_segre_system(), 3
+    else:
+        sys_ = random_first_order_system(rng, n, m) if kind == "random" else flat_system(n, m)
+        if at_point:
+            point = random_point(rng, [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)])
+    got = symmetry_algebra(sys_, order=order, point=point).basis
+    field = UnknownCoefficientField(sys_.ctx, order)
+    rows = generate_determining(sys_, field).rows
+    repeats = [
+        {c: v * GaussScalar(rng.choice([1, -2, 3])) for c, v in row.items()} if len(row) == 1 else dict(row)
+        for row in rng.choices(rows, k=len(rows) // 2 + 1)
+    ] if rows else []
+    mixed = rows + repeats
+    rng.shuffle(mixed)
+    solutions = field.solutions(rows)
+    mixed_solutions = [field.solutions(mixed), field.solutions([row for _, row in _distinct(enumerate(mixed))])]
+    expected = reference_symmetry_algebra(sys_, order, point)
+    assert first_difference([got, *mixed_solutions], [expected, solutions, solutions]) is None
 
 
 # -- initial data plumbing ---------------------------------------------------------
