@@ -200,14 +200,14 @@ def cmd_determining(args):
     labels = [field.label(cid) for cid in field.unknowns]
     monomials: dict[tuple, str] = {}
     rows = []
-    for row, prov in zip(det.rows, det.provenance):
+    for prov, row in det.ordered():
         parts = []
         for col in sorted(row):
             coeff = row[col]
             parts.append(labels[col] if coeff.is_one() else f"{coeff}*{labels[col]}")
         monomial = monomials.get(prov.mono)
         if monomial is None:
-            monomial = monomials[prov.mono] = mono_str(field.ext_table, prov.mono)
+            monomial = monomials[prov.mono] = mono_str(field.table, prov.mono)
         rows.append(
             {
                 "mu": prov.mu,

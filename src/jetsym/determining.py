@@ -13,9 +13,14 @@ formed: their rows would also constrain Taylor coefficients beyond the
 ansatz order, so for a degree-N truncation they are incomplete.  The ansatz
 itself is a ``LinearAnsatz``, which builds, collects, solves and realizes
 for the CR automorphism solve too: ``LinearAnsatz.solutions`` is the one
-exact nullspace call of the package.  The rows keep the order they are
-written in; ``DeterminingSystem.rows`` puts them in residual, then graded-lex
-order on first read.
+exact nullspace call of the package.  Only the degree-2 ansatz is ever
+built as a symbolic field.
+
+A ``DeterminingSystem`` holds the rows once, as they are written,
+{slot: {monomial: row}}.  ``DeterminingSystem.ordered`` is the package's
+one row sorter: it yields each row with its provenance in residual, then
+graded-lex order, and only the readers that need that order call it (the
+``determining`` command and the propagator, once each).
 
 The systems are overdetermined, and many rows repeat.  Both solvers below
 hand the reducer each distinct row once (``_distinct``); the reducer keeps
@@ -36,7 +41,8 @@ other:
   becomes a linear form in omega, and every row of a layer that its
   targets do not absorb becomes a compatibility condition C.omega = 0.
   One call checks those conditions and evaluates the forms.  The
-  propagator reads ``det.rows`` once; a later change to them is not seen.
+  propagator reads ``det.ordered()`` once; a later change to the rows is
+  not seen.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ class LinearAnsatz:
     to the table as weight-zero variables, so every expression built from
     the ansatz stays ordinary polynomial arithmetic, linear in the unknowns.
     The extended table keeps the base positions, so one monomial in wvars
-    serves both tables.
+    serves both tables; it is built on first use.
     """
 
     def __init__(self, table, wvars, unknowns):
@@ -116,12 +122,15 @@ class LinearAnsatz:
         self.wvars = list(wvars)
         self.unknowns = list(unknowns)
         self.col = {cid: c for c, cid in enumerate(self.unknowns)}
-        self.ext_table = table.extend(self.unknowns, (0,) * len(self.unknowns))
         self.wpos = [table.index(v) for v in self.wvars]
         # name -> [(monomial in wvars, column)], in column order
         self._terms: dict = {}
         for c, (_, name, alpha) in enumerate(self.unknowns):
             self._terms.setdefault(name, []).append((self.monomial(alpha), c))
+
+    @cached_property
+    def ext_table(self):
+        return self.table.extend(self.unknowns, (0,) * len(self.unknowns))
 
     def monomial(self, alpha) -> tuple:
         """The monomial w^alpha of a dense exponent tuple over wvars."""
@@ -132,17 +141,11 @@ class LinearAnsatz:
         offset = len(self.table)
         return Poly(self.ext_table, {mono + ((offset + c, 1),): ONE for mono, c in self._terms[name]})
 
-    def collect(self, polys: dict) -> dict:
-        """One linear equation per (slot, ordinary monomial) of polynomials
-        that are linear in the unknowns: the rows of ``group`` as
-        {(slot, monomial): {column: coefficient}}, in the order of
-        ``graded_rows``."""
-        return graded_rows(self.group(polys))
-
     def group(self, polys: dict) -> dict:
-        """{slot: {ordinary monomial: {column: coefficient}}} of polys, a map
-        from sortable slot keys to Polys over the extended table, linear in
-        the unknowns."""
+        """One linear equation per (slot, ordinary monomial) of polys, a map
+        from slot keys to Polys over the extended table that are linear in
+        the unknowns: {slot: {ordinary monomial: {column: coefficient}}}, in
+        the order the terms come."""
         offset = len(self.table)
         groups: dict = {}
         for slot, f in polys.items():
@@ -169,23 +172,6 @@ class LinearAnsatz:
         unknown of column c replaced by values[c]."""
         terms = {mono: values[c] for mono, c in self._terms[name] if not values[c].is_zero()}
         return Poly(self.table, terms)
-
-
-def graded_rows(groups: dict) -> dict:
-    """{(slot, monomial): row} from {slot: {monomial: row}}, in slot, then
-    graded-lex order.  Only each slot's own distinct monomials are sorted,
-    and the graded-lex key of a monomial is built once, however many slots
-    it occurs in."""
-    sort_keys: dict[tuple, tuple] = {}
-    rows: dict[tuple, dict[int, GaussScalar]] = {}
-    for slot in sorted(groups):
-        by_mono = groups[slot]
-        for mono in by_mono:
-            if mono not in sort_keys:
-                sort_keys[mono] = mono_sort_key(mono)
-        for mono in sorted(by_mono, key=sort_keys.__getitem__):
-            rows[(slot, mono)] = by_mono[mono]
-    return rows
 
 
 def split_unknown(mono, offset: int):
@@ -221,15 +207,12 @@ class UnknownCoefficientField(LinearAnsatz):
         unknowns = [(COEF, func, alpha) for alpha in monomials_up_to(n + m, order) for func in funcs]
         unknowns.sort(key=lambda cid: (sum(cid[2]), funcs.index(cid[1]), cid[2]))
         super().__init__(ctx.table, wvars, unknowns)
-        self.ext_ctx = JetContext(self.ext_table)
-        self.theta = tuple(self.poly((THETA, j)) for j in range(1, n + 1))
-        self.eta = tuple(self.poly((ETA, mu)) for mu in range(1, m + 1))
 
     def ansatz_field(self) -> VectorField:
-        return VectorField(self.ext_ctx, self.theta, self.eta)
-
-    def unknown_count(self) -> int:
-        return len(self.unknowns)
+        """The ansatz as a symbolic field over the extended table."""
+        theta = tuple(self.poly((THETA, j)) for j in range(1, self.ctx.n + 1))
+        eta = tuple(self.poly((ETA, mu)) for mu in range(1, self.ctx.m + 1))
+        return VectorField(JetContext(self.ext_table), theta, eta)
 
     def label(self, cid) -> str:
         func, alpha = cid[1], cid[2]
@@ -256,76 +239,48 @@ class RowProvenance:
     mu: int
     i: int
     j: int
-    mono: tuple  # ordinary (x, u, jet) monomial over the extended table
+    mono: tuple  # ordinary (x, u, jet) monomial
     xu_degree: int
-    jet_degree: int
 
 
 class DeterminingSystem:
-    """Homogeneous linear system over the ansatz unknowns, with per-row
-    provenance (which residual and monomial produced the row).
+    """Homogeneous linear system over the ansatz unknowns, held once as
+    ``_spread`` writes it: ``groups`` is {slot (mu, i, j): {monomial: row}},
+    one row {column: coefficient} per residual and ordinary monomial."""
 
-    ``generate_determining`` hands the rows over as ``_spread`` wrote them,
-    {slot: {monomial: row}}.  ``rows`` and ``provenance`` are ordered views,
-    in slot, then graded-lex order, built together on first read; the
-    groups are dropped then.  ``row_count`` and ``symmetry_algebra`` need no
-    order and build neither."""
-
-    def __init__(self, field: UnknownCoefficientField, rows=None, provenance=None, groups=None):
+    def __init__(self, field: UnknownCoefficientField, groups: dict):
         self.field = field
-        self._rows = rows  # list of {column: GaussScalar}
-        self._provenance: list[RowProvenance] | None = provenance
-        self._groups = groups
+        self.groups = groups
 
-    @property
-    def rows(self) -> list:
-        if self._groups is not None:
-            self._order()
-        return self._rows
-
-    @property
-    def provenance(self) -> list[RowProvenance]:
-        if self._groups is not None:
-            self._order()
-        return self._provenance
-
-    def _order(self) -> None:
+    def ordered(self):
+        """(RowProvenance, row) of every row, in slot, then graded-lex order:
+        the package's one row sorter.  Only each slot's own monomials are
+        sorted, and a monomial's key is built once, however many slots it
+        occurs in."""
         xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in self.field.table.ids]
-        jet_weights = [int(vid[0] == rings.JET) for vid in self.field.table.ids]
-        degrees: dict[tuple, tuple[int, int]] = {}  # monomial -> (xu_degree, jet_degree)
-        rows = []
-        provenance = []
-        for ((mu, i, j), mono), row in graded_rows(self._groups).items():
-            deg = degrees.get(mono)
-            if deg is None:
-                deg = degrees[mono] = (mono_weighted_degree(mono, xu_weights), mono_weighted_degree(mono, jet_weights))
-            rows.append(row)
-            provenance.append(RowProvenance(mu, i, j, mono, *deg))
-        self._rows, self._provenance, self._groups = rows, provenance, None
-
-    def unordered_rows(self):
-        """Every row once, in no promised order: as generated while the rows
-        are not ordered yet, so reading them orders nothing."""
-        if self._groups is None:
-            return self.rows
-        return [row for by_mono in self._groups.values() for row in by_mono.values()]
+        keys: dict[tuple, tuple] = {}
+        for slot in sorted(self.groups):
+            by_mono = self.groups[slot]
+            for mono in by_mono:
+                if mono not in keys:
+                    keys[mono] = mono_sort_key(mono)
+            for mono in sorted(by_mono, key=keys.__getitem__):
+                yield RowProvenance(*slot, mono, mono_weighted_degree(mono, xu_weights)), by_mono[mono]
 
     @cached_property
     def propagator(self) -> "TaylorPropagator":
         """The Taylor layer recursion for symbolic initial data, built on
-        first use from the rows as they are then; a later change to ``rows``
-        is not seen by it."""
+        first use from the rows as they are then; a later change to
+        ``groups`` is not seen by it."""
         return TaylorPropagator(self)
 
     @property
     def unknown_count(self) -> int:
-        return self.field.unknown_count()
+        return len(self.field.unknowns)
 
     @property
     def row_count(self) -> int:
-        if self._groups is None:
-            return len(self._rows)
-        return sum(len(by_mono) for by_mono in self._groups.values())
+        return sum(len(by_mono) for by_mono in self.groups.values())
 
 
 def _distinct(rows):
@@ -346,11 +301,11 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
     per complete monomial coefficient: the unknown (f, alpha) carries
     sum_{beta <= alpha} A_{f,beta} d^beta w^alpha (``_criterion_operator``),
     and no term above the N - 2 row cut or the residual's bound is formed.
-    The rows stay in the order ``_spread`` wrote them until ``rows`` or
-    ``provenance`` is read."""
+    The rows keep the order ``_spread`` writes them in."""
     N = field.order
     quad = field if N == 2 else UnknownCoefficientField(field.ctx, 2)
-    residuals = lie_criterion_check(quad.ansatz_field(), PDESystem(quad.ext_ctx, sys.entries))
+    X = quad.ansatz_field()
+    residuals = lie_criterion_check(X, PDESystem(X.ctx, sys.entries))
     for (mu, i, j) in sorted(residuals):
         r = residuals[(mu, i, j)]
         if r.bound is not None and r.bound < N + 1:
@@ -361,7 +316,7 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
 
     bounds = {slot: r.bound for slot, r in residuals.items()}
     groups = _spread(quad, field, _criterion_operator(quad, residuals), bounds, N - 2, _power_factor)
-    return DeterminingSystem(field, groups=groups)
+    return DeterminingSystem(field, groups)
 
 
 def _criterion_operator(quad: UnknownCoefficientField, residuals: dict) -> dict:
@@ -564,7 +519,7 @@ def _omega_columns(field: UnknownCoefficientField) -> list[tuple[int, GaussScala
 @dataclass
 class _Layer:
     """One Taylor layer of a propagator: its compatibility forms
-    (row index, {omega index: coefficient}) in provenance order, and the
+    (RowProvenance, {omega index: coefficient}) in provenance order, and the
     error to raise once they hold, if the layer cannot be solved."""
 
     layer: int
@@ -588,27 +543,26 @@ class TaylorPropagator:
     """
 
     def __init__(self, det: DeterminingSystem):
-        fld = det.field
-        self.provenance = det.provenance
-        self.table = fld.ext_table
+        fld = self.field = det.field
         self.omega_columns = _omega_columns(fld)
         # column -> linear form over omega, None while unknown
         self.forms: list[dict | None] = [None] * len(fld.unknowns)
         for k, (c, scale) in enumerate(self.omega_columns):
             self.forms[c] = {k: scale}
-        by_degree: dict[int, list[int]] = {}
-        for idx, prov in enumerate(det.provenance):
-            by_degree.setdefault(prov.xu_degree, []).append(idx)
+        by_degree: dict[int, list] = {}
+        for prov, row in det.ordered():
+            by_degree.setdefault(prov.xu_degree, []).append((prov, row))
         self.layers: list[_Layer] = []
         for layer in range(2, fld.order + 1):
             step = _Layer(layer, [], None)
             self.layers.append(step)
-            if not self._solve_layer(det, step, by_degree.get(layer - 2, [])):
+            if not self._solve_layer(step, by_degree.get(layer - 2, [])):
                 break
 
-    def _solve_layer(self, det, step: _Layer, row_ids) -> bool:
-        """Reduce the layer's rows once; returns False if the layer fails."""
-        fld, forms = det.field, self.forms
+    def _solve_layer(self, step: _Layer, pairs) -> bool:
+        """Reduce the layer's (provenance, row) pairs once; returns False if
+        the layer fails."""
+        fld, forms = self.field, self.forms
         targets = [
             c for c, cid in enumerate(fld.unknowns) if fld.layer_of(cid) == step.layer and forms[c] is None
         ]
@@ -616,7 +570,7 @@ class TaylorPropagator:
         k0 = len(targets)  # omega coordinate k sits in column k0 + k
         red = _Reducer()
         # A repeated row reduces exactly as its first copy did.
-        for idx, det_row in _distinct((idx, det.rows[idx]) for idx in row_ids):
+        for prov, det_row in _distinct(pairs):
             row: dict[int, GaussScalar] = {}
             for c, v in det_row.items():
                 if forms[c] is not None:
@@ -637,7 +591,7 @@ class TaylorPropagator:
             if reduced and min(reduced) < k0:
                 red.insert(reduced)
             elif reduced:
-                step.checks.append((idx, {c - k0: v for c, v in reduced.items()}))
+                step.checks.append((prov, {c - k0: v for c, v in reduced.items()}))
         if len(red.pivots) < k0:
             step.failure = lambda: UnderdeterminedLayerError(step.layer)
             return False
@@ -669,13 +623,12 @@ class TaylorPropagator:
             return acc
 
         for step in self.layers:
-            for idx, form in step.checks:
+            for prov, form in step.checks:
                 if not at(form).is_zero():
-                    prov = self.provenance[idx]
                     raise InconsistentLayerError(
                         step.layer,
                         f"residual (mu={prov.mu}, i={prov.i}, j={prov.j}) at monomial "
-                        f"{mono_str(self.table, prov.mono)}",
+                        f"{mono_str(self.field.table, prov.mono)}",
                     )
             if step.failure is not None:
                 raise step.failure()
@@ -739,7 +692,7 @@ def symmetry_algebra(sys: PDESystem, order: int = 3, point: dict | None = None) 
         sys = sys.translated(point)
     field = UnknownCoefficientField(sys.ctx, order)
     det = generate_determining(sys, field)
-    rows = [row for _, row in _distinct(enumerate(det.unordered_rows()))]
+    rows = [row for _, row in _distinct(pair for by_mono in det.groups.values() for pair in by_mono.items())]
     basis = [field.field_from_values(v) for v in field.solutions(rows)]
     if point:
         basis = [_shift_field(X, point) for X in basis]

@@ -290,7 +290,7 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
     table = ansatz.ext_table
     X = HoloField(table, [ansatz.poly(("aR", c)) + ansatz.poly(("aI", c)).scale(I) for c in range(n + 1)])
     remainder = tangency_remainder(X, hyperquadric_rho(signature, table))
-    rows = [part for row in ansatz.collect({0: remainder}).values() for part in _real_parts(row) if part]
+    rows = [part for row in ansatz.group({0: remainder})[0].values() for part in _real_parts(row) if part]
     basis = [
         HoloField(
             base,

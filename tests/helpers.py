@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import zip_longest
+from math import comb
 from random import Random
 
 from hypothesis import settings
@@ -13,21 +14,31 @@ from hypothesis import settings
 from jetsym import rings
 from jetsym.determining import (
     InitialData,
+    LinearAnsatz,
     RowProvenance,
     TruncationOrderError,
     UnknownCoefficientField,
     _shift_field,
     alpha_factorial,
     generate_determining,
+    monomials_up_to,
     split_unknown,
 )
 from jetsym.jets import InvolutivityVerdict, JetContext, PDESystem, restricted_total_derivative, total_derivative
 from jetsym.linalg import LinearSolveResult, _Reducer, sparse_rank
 from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
-from jetsym.rings import COEF, jet_var, u_var, x_var, zeta_var
+from jetsym.rings import COEF, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import I, ONE, ZERO, GaussScalar
-from jetsym.segre import defining_table
+from jetsym.segre import (
+    CRAutomorphismAlgebra,
+    HoloField,
+    Signature,
+    _real_parts,
+    defining_table,
+    hyperquadric_rho,
+    tangency_remainder,
+)
 from jetsym.series import InconsistentBaseError, _invert_matrix, implicit_series_solve
 
 
@@ -157,9 +168,9 @@ def first_difference(a, b):
 
 
 def sort_all_collect(ansatz, polys: dict) -> dict:
-    """The row collector that ``LinearAnsatz.collect`` replaced: every row of
-    every slot in one dict, then one sort of all keys by (slot, graded-lex
-    key of the monomial)."""
+    """Sorted rows by one sort of everything, the reference for
+    ``DeterminingSystem.ordered``: every row of every slot in one dict, then
+    one sort of all keys by (slot, graded-lex key of the monomial)."""
     offset = len(ansatz.table)
     rows = {}
     for slot, f in polys.items():
@@ -174,8 +185,9 @@ def reference_determining(sys_, field):
     the whole degree-N ansatz through the criterion, TruncationOrderError
     from those residuals' bounds, then ``sort_all_collect``, degree sums per
     row and the N - 2 cut."""
-    ext_sys = PDESystem(field.ext_ctx, {key: f.convert(field.ext_table) for key, f in sys_.entries.items()})
-    residuals = lie_criterion_check(field.ansatz_field(), ext_sys)
+    X = field.ansatz_field()
+    ext_sys = PDESystem(X.ctx, {key: f.convert(field.ext_table) for key, f in sys_.entries.items()})
+    residuals = lie_criterion_check(X, ext_sys)
     N = field.order
     for (mu, i, j) in sorted(residuals):
         r = residuals[(mu, i, j)]
@@ -190,9 +202,8 @@ def reference_determining(sys_, field):
         xu_deg = sum(e for p, e in mono if kinds[p] in (rings.X, rings.U))
         if xu_deg > N - 2:
             continue
-        jet_deg = sum(e for p, e in mono if kinds[p] == rings.JET)
         rows.append(row)
-        provenance.append(RowProvenance(mu, i, j, mono, xu_deg, jet_deg))
+        provenance.append(RowProvenance(mu, i, j, mono, xu_deg))
     return rows, provenance
 
 
@@ -204,10 +215,41 @@ def reference_symmetry_algebra(sys_, order: int, point: dict | None = None) -> l
         sys_ = sys_.translated(point)
     field = UnknownCoefficientField(sys_.ctx, order)
     det = generate_determining(sys_, field)
-    basis = [field.field_from_values(v) for v in field.solutions(det.rows)]
+    basis = [field.field_from_values(v) for v in field.solutions([row for _, row in det.ordered()])]
     if point:
         basis = [_shift_field(X, point) for X in basis]
     return basis
+
+
+def reference_cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
+    """``cr_automorphism_algebra`` by the solve it replaced: the rows sorted
+    by slot, then graded-lex monomial, before the real split.  The body is
+    the replaced one, with its row collector by ``sort_all_collect``, which
+    gave the same rows in the same order."""
+    n = signature.n
+    rings.check_size("CR ansatz", 2 * (n + 1) * comb(n + 3, 2))
+    base = cr_table(n)
+    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
+    # Columns: component, then exponent, then real and imaginary part.
+    unknowns = [
+        (COEF, (part, comp), alpha)
+        for comp in range(n + 1)
+        for alpha in monomials_up_to(n + 1, 2)
+        for part in ("aR", "aI")
+    ]
+    ansatz = LinearAnsatz(base, zw, unknowns)
+    table = ansatz.ext_table
+    X = HoloField(table, [ansatz.poly(("aR", c)) + ansatz.poly(("aI", c)).scale(I) for c in range(n + 1)])
+    remainder = tangency_remainder(X, hyperquadric_rho(signature, table))
+    rows = [part for row in sort_all_collect(ansatz, {0: remainder}).values() for part in _real_parts(row) if part]
+    basis = [
+        HoloField(
+            base,
+            [ansatz.realize(("aR", c), vec) + ansatz.realize(("aI", c), vec).scale(I) for c in range(n + 1)],
+        )
+        for vec in ansatz.solutions(rows)
+    ]
+    return CRAutomorphismAlgebra(signature, basis, base)
 
 
 def zero_initial_data(n: int, m: int) -> InitialData:

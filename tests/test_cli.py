@@ -196,6 +196,20 @@ def test_taylor_rejects_bad_length(capsys, flat_system_file, tmp_path):
     assert "length" in err
 
 
+def test_taylor_reports_the_inconsistent_layer(capsys, tmp_path):
+    # u_11 = x2 is not involutive (n = 2): with d theta_1 / dx_1 = 1 the
+    # recursion contradicts itself at layer 3, and the message names the
+    # first violated determining row.
+    system = write_json(tmp_path / "bad.json", {"n": 2, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": "x2"}]})
+    data = write_json(tmp_path / "omega.json", ["1"] + ["0"] * 14)
+    rc, out, err = run_cli(capsys, ["taylor", "--system", system, "--initial-data", data, "--order", "3"])
+    assert (rc, out, err) == (
+        1,
+        "",
+        "error: recursion inconsistent at Taylor layer 3: residual (mu=1, i=1, j=2) at monomial x1\n",
+    )
+
+
 @pytest.mark.parametrize("value", [None, True, 1.5, ["0"]], ids=["null", "true", "float", "array"])
 def test_taylor_names_a_bad_initial_data_entry(capsys, flat_system_file, tmp_path, value):
     data = write_json(tmp_path / "omega.json", ["0"] * 3 + [value] + ["0"] * 4)

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetsym import determining
 from jetsym.determining import (
     ETA,
     THETA,
@@ -27,12 +28,13 @@ from jetsym.determining import (
     symmetry_algebra,
     taylor_from_initial_data,
 )
+from jetsym.cli import main
 from jetsym.jets import JetContext, PDESystem
 from jetsym.linalg import LinearSystemExact, _Reducer, solve_linear_exact
 from jetsym.lie_alg import flat_generators, span_equal
 from jetsym.poly import Poly
 from jetsym.prolong import VectorField, lie_criterion_check
-from jetsym.rings import COEF, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
+from jetsym.rings import COEF, JET, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, hyperquadric, segre_system
 
@@ -85,11 +87,16 @@ def perturbed_segre_system(order=6):
 # -- generation ---------------------------------------------------------------
 
 
+def jet_degree(mono, table):
+    """The first-jet degree of an ordinary monomial."""
+    return sum(e for p, e in mono if table.ids[p][0] == JET)
+
+
 def test_classical_equations_flat_11():
     sys_ = flat_system(1, 1)
     field = UnknownCoefficientField(sys_.ctx, 2)
     det = generate_determining(sys_, field)
-    assert field.unknown_count() == 12
+    assert det.unknown_count == 12
     assert det.row_count == 4
 
     def cid(func, alpha):
@@ -104,10 +111,10 @@ def test_classical_equations_flat_11():
         3: {cid((THETA, 1), (0, 2)): -two},                              # theta_uu = 0
     }
     seen = {}
-    for row, prov in zip(det.rows, det.provenance):
+    for prov, row in det.ordered():
         assert (prov.mu, prov.i, prov.j) == (1, 1, 1)
         assert prov.xu_degree == 0
-        seen[prov.jet_degree] = row
+        seen[jet_degree(prov.mono, field.table)] = row
     assert seen == expected
 
 
@@ -118,7 +125,7 @@ def test_row_layering_flat_11_order_3():
     field = UnknownCoefficientField(sys_.ctx, 3)
     det = generate_determining(sys_, field)
     by_degree = {}
-    for prov in det.provenance:
+    for prov, _ in det.ordered():
         by_degree[prov.xu_degree] = by_degree.get(prov.xu_degree, 0) + 1
     assert by_degree == {0: 4, 1: 8}
 
@@ -127,8 +134,8 @@ def test_zero_ansatz_satisfies_all_rows():
     sys_ = flat_system(2, 1)
     field = UnknownCoefficientField(sys_.ctx, 3)
     det = generate_determining(sys_, field)
-    zero_vec = [ZERO] * field.unknown_count()
-    system = LinearSystemExact(det.rows, [ZERO] * det.row_count, ncols=det.unknown_count)
+    zero_vec = [ZERO] * det.unknown_count
+    system = LinearSystemExact([row for _, row in det.ordered()], [ZERO] * det.row_count, ncols=det.unknown_count)
     assert all(v.is_zero() for v in linear_residual(system, zero_vec))
 
 
@@ -141,7 +148,7 @@ def test_unknown_count_formula():
         # number of monomials of degree <= order in q variables: C(q+order, order)
         from math import comb
 
-        assert field.unknown_count() == q * comb(q + order, order)
+        assert len(field.unknowns) == q * comb(q + order, order)
 
 
 def test_truncation_too_small_rejected():
@@ -167,9 +174,13 @@ def ansatz_round_trip(ansatz, targets):
     """Solve poly(name) = P for every (name, P), one equation per collected
     row with P's coefficient as its right side, and realize the solution."""
     names = list(targets)
-    collected = ansatz.collect({k: ansatz.poly(name) for k, name in enumerate(names)})
-    rhs = [targets[names[k]].terms.get(mono, ZERO) for k, mono in collected]
-    system = LinearSystemExact(list(collected.values()), rhs, ncols=len(ansatz.unknowns))
+    groups = ansatz.group({k: ansatz.poly(name) for k, name in enumerate(names)})
+    rows, rhs = [], []
+    for k, by_mono in groups.items():
+        for mono, row in by_mono.items():
+            rows.append(row)
+            rhs.append(targets[names[k]].terms.get(mono, ZERO))
+    system = LinearSystemExact(rows, rhs, ncols=len(ansatz.unknowns))
     result = solve_linear_exact(system)
     assert result.consistent and not result.nullspace
     values = result.particular
@@ -253,26 +264,31 @@ def random_linear_polys(rng, ansatz, slots):
     st.integers(0, 2**32),
 )
 def test_collect_matches_sort_all_reference(lie_shape, cr_n, shape, seed):
-    # Lie slots (mu, i, j), handed over in a random order, and CR's one slot;
-    # then the rows and provenance of a whole determining system, cut
-    # included.  One assertion, so a failure is shrunk once.
+    # Lie slots (mu, i, j), handed over in a random order, through ``group``
+    # and ``DeterminingSystem.ordered``; CR's one slot through ``group``
+    # alone, which need not sort; then the ordered rows and provenance of a
+    # whole determining system, cut included.  One assertion, so a failure
+    # is shrunk once.
     rng = Random(seed)
     n, m, order = lie_shape
     field = UnknownCoefficientField(JetContext.create(n, m), order)
     slots = [(mu, i, j) for mu in range(1, m + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
     rng.shuffle(slots)
     polys = random_linear_polys(rng, field, slots)
-    lie = first_difference(field.collect(polys).items(), sort_all_collect(field, polys).items())
+    ordered = DeterminingSystem(field, field.group(polys)).ordered()
+    lie = first_difference(
+        [(((prov.mu, prov.i, prov.j), prov.mono), row) for prov, row in ordered], sort_all_collect(field, polys).items()
+    )
     ansatz = cr_ansatz(cr_n)
     polys = random_linear_polys(rng, ansatz, [0])
-    cr = first_difference(ansatz.collect(polys).items(), sort_all_collect(ansatz, polys).items())
+    cr = {(0, mono): row for mono, row in ansatz.group(polys)[0].items()} == sort_all_collect(ansatz, polys)
     n, m, order = shape
     sys_ = random_first_order_system(rng, n, m)
     field = UnknownCoefficientField(sys_.ctx, order)
     det = generate_determining(sys_, field)
     rows, provenance = reference_determining(sys_, field)
-    generated = first_difference(zip(det.rows, det.provenance), zip(rows, provenance))
-    assert (lie, cr, generated) == (None, None, None)
+    generated = first_difference([(row, prov) for prov, row in det.ordered()], zip(rows, provenance))
+    assert (lie, cr, generated) == (None, True, None)
 
 
 def determining_outcome(derive, sys_, order):
@@ -287,8 +303,8 @@ def determining_outcome(derive, sys_, order):
 
 
 def generated(sys_, field):
-    det = generate_determining(sys_, field)
-    return det.rows, det.provenance
+    pairs = list(generate_determining(sys_, field).ordered())
+    return [row for _, row in pairs], [prov for prov, _ in pairs]
 
 
 def test_generate_determining_matches_reference_on_truncated_and_edge_cases():
@@ -325,7 +341,8 @@ def test_criterion_operator_reproduces_the_criterion():
         sys_ = random_first_order_system(rng, n, m)
         ctx = sys_.ctx
         quad = UnknownCoefficientField(ctx, 2)
-        operator = _criterion_operator(quad, lie_criterion_check(quad.ansatz_field(), PDESystem(quad.ext_ctx, sys_.entries)))
+        Q = quad.ansatz_field()
+        operator = _criterion_operator(quad, lie_criterion_check(Q, PDESystem(Q.ctx, sys_.entries)))
         X = random_point_field(rng, ctx, max_terms=8, max_degree=4)
         funcs = dict(zip([(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)], X.theta + X.eta))
         wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
@@ -500,7 +517,7 @@ def reference_taylor(det, omega):
         targets = [cid for cid in field.unknowns if field.layer_of(cid) == layer and cid not in known]
         tidx = {cid: k for k, cid in enumerate(targets)}
         rows, rhs, used = [], [], []
-        for row, prov in zip(det.rows, det.provenance):
+        for prov, row in det.ordered():
             if prov.xu_degree != layer - 2:
                 continue
             new_row, acc = {}, ZERO
@@ -521,7 +538,7 @@ def reference_taylor(det, omega):
             raise InconsistentLayerError(
                 layer,
                 f"residual (mu={prov.mu}, i={prov.i}, j={prov.j}) at monomial "
-                f"{reference_monomial_str(prov.mono, field.ext_table)}",
+                f"{reference_monomial_str(prov.mono, field.table)}",
             )
         if result.nullspace:
             raise UnderdeterminedLayerError(layer)
@@ -560,8 +577,11 @@ def test_taylor_underdetermined_layer():
     # then leaves eta_xx free.
     sys_ = flat_system(1, 1)
     full = generate_determining(sys_, UnknownCoefficientField(sys_.ctx, 2))
-    assert full.rows[0] == {full.field.col[(COEF, (ETA, 1), (2, 0))]: GaussScalar(2)}
-    det = DeterminingSystem(full.field, full.rows[1:], full.provenance[1:])
+    prov, row = next(full.ordered())
+    assert row == {full.field.col[(COEF, (ETA, 1), (2, 0))]: GaussScalar(2)}
+    groups = {slot: dict(by_mono) for slot, by_mono in full.groups.items()}
+    del groups[(prov.mu, prov.i, prov.j)][prov.mono]
+    det = DeterminingSystem(full.field, groups)
     with pytest.raises(UnderdeterminedLayerError) as err:
         taylor_from_initial_data(sys_, zero_initial_data(1, 1), order=2, det=det)
     assert err.value.layer == 2
@@ -595,15 +615,18 @@ def test_propagator_skips_a_repeated_check_row(monkeypatch):
     # u_11 = u (n = 2) puts conditions on omega at layer 3.  An exact copy of
     # the first of them, after every other row, must raise the reference's
     # error, and the reducer must get the same calls as without the copy.
+    # The copy sits in a slot (2, 1, 1) past every residual's (m = 1), at
+    # the same monomial, so in the same layer.
     ctx = JetContext.create(2, 1)
     sys_ = PDESystem(ctx, {(1, 1, 1): ctx.u(1)})
     det = generate_determining(sys_, UnknownCoefficientField(ctx, 3))
     step = next(step for step in det.propagator.layers if step.checks)
-    idx, form = step.checks[0]
+    prov, form = step.checks[0]
     vec = [ZERO] * InitialData.dimension(2, 1)
     vec[min(form)] = ONE
     omega = InitialData.from_flat(vec, 2, 1)
-    copied = DeterminingSystem(det.field, det.rows + [dict(det.rows[idx])], det.provenance + [det.provenance[idx]])
+    row = det.groups[(prov.mu, prov.i, prov.j)][prov.mono]
+    copied = DeterminingSystem(det.field, {**det.groups, (2, 1, 1): {prov.mono: dict(row)}})
     seen = {}
     for name in ("reduce", "insert"):
         original = getattr(_Reducer, name)
@@ -624,27 +647,44 @@ def test_propagator_skips_a_repeated_check_row(monkeypatch):
     assert (got, calls[1], expected[:2]) == (expected, calls[0], (InconsistentLayerError, step.layer))
 
 
-def test_symmetry_algebra_orders_no_rows(monkeypatch):
-    # The rows are ordered, and their provenance built, only when read.
-    built = []
-    graded_rows = determining.graded_rows
-    row_provenance = determining.RowProvenance
+def test_symmetry_algebra_orders_no_rows(monkeypatch, tmp_path, capsys):
+    # Rows are ordered only where they are read in order: never by
+    # symmetry_algebra, once by the ``determining`` command, and once by a
+    # propagator however many omegas it evaluates.  Of the symbolic
+    # ansatz tables only the degree-2 one is built, by the criterion.
+    calls = []
+    ordered = DeterminingSystem.ordered
+    ext_table = LinearAnsatz.__dict__["ext_table"].func
 
-    def counting_graded_rows(groups):
-        built.append("graded_rows")
-        return graded_rows(groups)
+    def counting_ordered(self):
+        calls.append("ordered")
+        return ordered(self)
 
-    def counting_provenance(*args):
-        built.append("RowProvenance")
-        return row_provenance(*args)
+    def counting_ext_table(self):
+        calls.append(("ext_table", self.order))
+        return ext_table(self)
 
-    monkeypatch.setattr(determining, "graded_rows", counting_graded_rows)
-    monkeypatch.setattr(determining, "RowProvenance", counting_provenance)
-    det = symmetry_algebra(flat_system(2, 1), order=3).determining
-    count = det.row_count
-    before = list(built)
-    rows = det.rows
-    assert (before, len(rows), built[0], len(built), det._groups) == ([], count, "graded_rows", 1 + count, None)
+    counted = cached_property(counting_ext_table)
+    counted.__set_name__(LinearAnsatz, "ext_table")
+    monkeypatch.setattr(DeterminingSystem, "ordered", counting_ordered)
+    monkeypatch.setattr(LinearAnsatz, "ext_table", counted)
+    symmetry_algebra(flat_system(2, 1), order=3)
+    by_algebra = list(calls)
+    calls.clear()
+    system = tmp_path / "flat.json"
+    system.write_text(json.dumps({"n": 2, "m": 1, "entries": []}), encoding="utf-8")
+    rc = main(["determining", "--system", str(system), "--order", "3", "--format", "json"])
+    by_command = (rc, json.loads(capsys.readouterr().out)["row_count"], list(calls))
+    calls.clear()
+    sys_ = flat_system(2, 1)
+    det = generate_determining(sys_, UnknownCoefficientField(sys_.ctx, 3))
+    fields = [taylor_from_initial_data(sys_, om, order=3, det=det) for om in omega_basis(2, 1)]
+    by_propagator = (len(fields), list(calls))
+    assert (by_algebra, by_command, by_propagator) == (
+        [("ext_table", 2)],
+        (0, det.row_count, [("ext_table", 2), "ordered"]),
+        (15, [("ext_table", 2), "ordered"]),
+    )
 
 
 # -- symmetry_algebra ------------------------------------------------------------
@@ -741,7 +781,7 @@ def test_symmetry_algebra_matches_all_rows_reference(kind, shape, at_point, seed
             point = random_point(rng, [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)])
     got = symmetry_algebra(sys_, order=order, point=point).basis
     field = UnknownCoefficientField(sys_.ctx, order)
-    rows = generate_determining(sys_, field).rows
+    rows = [row for _, row in generate_determining(sys_, field).ordered()]
     repeats = [
         {c: v * GaussScalar(rng.choice([1, -2, 3])) for c, v in row.items()} if len(row) == 1 else dict(row)
         for row in rng.choices(rows, k=len(rows) // 2 + 1)

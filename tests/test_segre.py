@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetsym.determining import symmetry_algebra
+from jetsym.determining import LinearAnsatz, symmetry_algebra
 from jetsym.jets import JetContext, involutivity_check
 from jetsym.lie_alg import FieldBasis, closure_check, flat_generators, span_equal
 from jetsym.poly import Poly
@@ -35,6 +35,7 @@ from helpers import (
     random_perturbation,
     random_poly,
     reference_conjugate_poly,
+    reference_cr_automorphism_algebra,
     reference_segre_system,
     reference_to_xu_field,
     reference_totally_real_check,
@@ -312,6 +313,37 @@ def test_killing_form_certifies_the_real_form():
         got.append(((n, m), killing_form(flat_generators(n, m))))
         expected.append(((n, m), (True, (N * (N + 1) // 2 - 1, N * (N - 1) // 2, 0))))
     assert first_difference(got, expected) is None
+
+
+def test_cr_solve_matches_sorted_rows_reference(monkeypatch):
+    # All 14 signatures with n <= 3: the basis from the CR rows in the order
+    # they are written equals the sorted-rows solve's exactly, and seeded
+    # shuffles of those rows give the same solutions.
+    solutions = LinearAnsatz.solutions
+    solved = []
+
+    def capturing(ansatz, rows):
+        solved.append((ansatz, rows))
+        return solutions(ansatz, rows)
+
+    got, expected = [], []
+    for n in (1, 2, 3):
+        for eps in product((1, -1), repeat=n):
+            sig = Signature(eps)
+            with monkeypatch.context() as patch:
+                patch.setattr(LinearAnsatz, "solutions", capturing)
+                basis = cr_automorphism_algebra(sig).basis
+            ansatz, rows = solved.pop()
+            vectors = solutions(ansatz, rows)
+            for seed in (1, 2, 3):
+                shuffled = list(rows)
+                Random(seed).shuffle(shuffled)
+                got.append((str(sig), seed, solutions(ansatz, shuffled)))
+                expected.append((str(sig), seed, vectors))
+            reference = reference_cr_automorphism_algebra(sig).basis
+            got.append((str(sig), [[f.terms for f in X.coeffs] for X in basis]))
+            expected.append((str(sig), [[f.terms for f in X.coeffs] for X in reference]))
+    assert (len(got), first_difference(got, expected)) == (4 * 14, None)
 
 
 def test_totally_real_counterexamples():
