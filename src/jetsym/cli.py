@@ -288,7 +288,9 @@ def cmd_bracket(args):
 
 
 def cmd_closure(args):
-    if args.basis:
+    if args.basis is not None and (args.n is not None or args.m is not None):
+        raise CliError("closure takes either --basis or --n and --m, not both")
+    if args.basis is not None:
         docs = _read_json(args.basis)
         if not isinstance(docs, list) or not docs:
             raise CliError("basis file must be a nonempty JSON array of field objects")

@@ -29,10 +29,12 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 def field_rows(fields):
-    """Sparse coefficient vectors of the fields in a shared monomial frame.
+    """Sparse coefficient vectors of the fields, and their column count.
 
-    Columns are (coefficient slot, monomial) pairs; the frame covers exactly
-    the monomials present in the given fields, ordered degree first.
+    Columns are (coefficient slot, monomial) pairs, numbered in the order
+    they are first met; they cover exactly the monomials present in the
+    given fields.  Nothing is sorted: ranks do not depend on the column
+    order, nor do the coordinates of a vector in an independent basis.
     """
     return coefficient_rows([X.theta + X.eta for X in fields])
 
@@ -74,67 +76,41 @@ class FieldBasis:
 
 def flat_generators(n: int, m: int, ctx: JetContext | None = None) -> FieldBasis:
     """The (n+m+2)(n+m) polynomial fields generating the symmetry algebra of
-    the flat system (all second derivatives zero):
+    the flat system (all second derivatives zero).
+
+    The algebra is sl(n+m+1) acting on (x, u) by projective fields: the
+    fields w d/dv for w in (1, x, u) and v in (x, u), then the fields w E for
+    w in (x, u), with E = sum_k x_k d/dx_k + sum_mu u^mu d/du^mu the Euler
+    field.  In that order, they are named
 
         U_k = d/dx_k                         V_mu = d/du^mu
         W_jk = x_j d/dx_k                    A_jk = u^j d/dx_k
         B_kmu = x_k d/du^mu                  C_kmu = u^k d/du^mu
-        X_j = sum_k x_j x_k d/dx_k + sum_mu x_j u^mu d/du^mu
-        Y_nu = sum_k x_k u^nu d/dx_k + sum_mu u^nu u^mu d/du^mu
+        X_j = x_j E                          Y_nu = u^nu E
     """
     check_size("flat generator list", (n + m + 2) * (n + m))
     if ctx is None:
         ctx = JetContext.create(n, m)
     if ctx.n != n or ctx.m != m:
         raise ValueError("context shape mismatch")
+    coords = [ctx.x(k) for k in range(1, n + 1)] + [ctx.u(mu) for mu in range(1, m + 1)]
     zero = ctx.zero()
-
-    def field(theta, eta):
-        return VectorField(ctx, theta, eta)
-
-    def unit(count, pos, value):
-        return tuple(value if t == pos else zero for t in range(count))
-
-    out = []
-    names = []
-    one = ctx.const(1)
-    for k in range(1, n + 1):
-        out.append(field(unit(n, k - 1, one), (zero,) * m))
-        names.append(f"U{k}")
-    for mu in range(1, m + 1):
-        out.append(field((zero,) * n, unit(m, mu - 1, one)))
-        names.append(f"V{mu}")
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            out.append(field(unit(n, k - 1, ctx.x(j)), (zero,) * m))
-            names.append(f"W{j}{k}")
-    for j in range(1, m + 1):
-        for k in range(1, n + 1):
-            out.append(field(unit(n, k - 1, ctx.u(j)), (zero,) * m))
-            names.append(f"A{j}{k}")
-    for k in range(1, n + 1):
-        for mu in range(1, m + 1):
-            out.append(field((zero,) * n, unit(m, mu - 1, ctx.x(k))))
-            names.append(f"B{k}{mu}")
-    for k in range(1, m + 1):
-        for mu in range(1, m + 1):
-            out.append(field((zero,) * n, unit(m, mu - 1, ctx.u(k))))
-            names.append(f"C{k}{mu}")
-    for j in range(1, n + 1):
-        xj = ctx.x(j)
-        out.append(field(
-            tuple(xj * ctx.x(k) for k in range(1, n + 1)),
-            tuple(xj * ctx.u(mu) for mu in range(1, m + 1)),
-        ))
-        names.append(f"X{j}")
-    for nu in range(1, m + 1):
-        unu = ctx.u(nu)
-        out.append(field(
-            tuple(ctx.x(k) * unu for k in range(1, n + 1)),
-            tuple(unu * ctx.u(mu) for mu in range(1, m + 1)),
-        ))
-        names.append(f"Y{nu}")
-    return FieldBasis(out, names)
+    # (index label, w) for w = 1, for w in x and for w in u.
+    one = [("", ctx.const(1))]
+    xs = [(str(j), w) for j, w in enumerate(coords[:n], 1)]
+    us = [(str(j), w) for j, w in enumerate(coords[n:], 1)]
+    x_slots, u_slots = range(n), range(n, n + m)
+    named = []  # (name, coefficients in (x, u) order)
+    for letter, ws, slots in (
+        ("U", one, x_slots), ("V", one, u_slots), ("W", xs, x_slots),
+        ("A", us, x_slots), ("B", xs, u_slots), ("C", us, u_slots),
+    ):
+        for label, w in ws:
+            for b, slot in enumerate(slots, 1):
+                named.append((f"{letter}{label}{b}", [w if s == slot else zero for s in range(n + m)]))
+    for letter, ws in (("X", xs), ("Y", us)):
+        named += [(f"{letter}{label}", [w * v for v in coords]) for label, w in ws]
+    return FieldBasis([VectorField(ctx, c[:n], c[n:]) for _, c in named], [name for name, _ in named])
 
 
 @dataclass
@@ -160,9 +136,9 @@ def closure_check(basis: FieldBasis) -> ClosureResult:
     check_size("closure bracket list", d * (d - 1) // 2)
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
     brackets = [bracket(fields[a], fields[b]) for a, b in pairs]
-    rows, frame = field_rows(fields + brackets)
+    rows, ncols = field_rows(fields + brackets)
     constants = {}
-    coords = span_coordinates(rows[:d], rows[d:], len(frame))
+    coords = span_coordinates(rows[:d], rows[d:], ncols)
     for (a, b), br, c in zip(pairs, brackets, coords):
         if c is None:
             return ClosureResult(False, constants, failure=(a, b, br))

@@ -480,22 +480,20 @@ def mono_str(table: VarTable, mono: Mono) -> str:
 
 
 def coefficient_rows(families):
-    """Sparse coefficient vectors of polynomial tuples in one shared frame.
+    """Sparse coefficient vectors of polynomial tuples, and their column count.
 
     Each family is a sequence of Polys over one table.  Columns are (slot,
-    monomial) pairs covering exactly the monomials present, ordered by slot
-    and then graded-lex.  Returns (rows, frame), one row per family.
+    monomial) pairs covering exactly the monomials present, numbered in the
+    order they are first met; no frame is listed or sorted, since every
+    caller only ranks the rows or solves in them.  Returns (rows, column
+    count), one row per family.
     """
-    if not families:
-        return [], []
-    keys = {(slot, mono) for fam in families for slot, f in enumerate(fam) for mono in f.terms}
-    frame = sorted(keys, key=lambda sm: (sm[0], mono_sort_key(sm[1])))
-    index = {key: c for c, key in enumerate(frame)}
+    index = {}  # (slot, monomial) -> column
     rows = [
-        {index[(slot, mono)]: coeff for slot, f in enumerate(fam) for mono, coeff in f.terms.items()}
+        {index.setdefault((slot, mono), len(index)): v for slot, f in enumerate(fam) for mono, v in f.terms.items()}
         for fam in families
     ]
-    return rows, frame
+    return rows, len(index)
 
 
 def poly_to_str(f: Poly) -> str:

@@ -305,12 +305,12 @@ def totally_real_check(fields) -> bool:
     """True iff the real span A of the fields satisfies A meet iA = {0}:
     A + iA is the complex span of A, so that holds exactly when the complex
     rank of the coefficient rows equals the rank of their real forms."""
-    rows, frame = coefficient_rows([X.coeffs for X in fields])
+    rows, ncols = coefficient_rows([X.coeffs for X in fields])
     real_rows = []
     for row in rows:
-        # Real parts keep column c; imaginary parts move to column len(frame) + c.
+        # Real parts keep column c; imaginary parts move to column ncols + c.
         re_row, im_row = _real_parts(row)
-        real_rows.append({**re_row, **{len(frame) + c: v for c, v in im_row.items()}})
+        real_rows.append({**re_row, **{ncols + c: v for c, v in im_row.items()}})
     return sparse_rank(rows) == sparse_rank(real_rows)
 
 

@@ -25,10 +25,11 @@ from jetsym.determining import (
     split_unknown,
 )
 from jetsym.jets import InvolutivityVerdict, JetContext, PDESystem, restricted_total_derivative, total_derivative
+from jetsym.lie_alg import FieldBasis
 from jetsym.linalg import LinearSolveResult, _Reducer, sparse_rank
 from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
-from jetsym.rings import COEF, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
+from jetsym.rings import COEF, W, Z, check_size, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import I, ONE, ZERO, GaussScalar
 from jetsym.segre import (
     CRAutomorphismAlgebra,
@@ -636,6 +637,91 @@ def reference_bracket(X: VectorField, Y: VectorField) -> VectorField:
         X.apply_to(Y.eta[mu]) - Y.apply_to(X.eta[mu]) for mu in range(X.ctx.m)
     )
     return VectorField(X.ctx, theta, eta)
+
+
+def reference_flat_generators(n: int, m: int, ctx: JetContext | None = None) -> FieldBasis:
+    """The ``lie_alg.flat_generators`` that wrote each of the eight
+    generator families of the flat system's symmetry algebra out by hand:
+
+        U_k = d/dx_k                         V_mu = d/du^mu
+        W_jk = x_j d/dx_k                    A_jk = u^j d/dx_k
+        B_kmu = x_k d/du^mu                  C_kmu = u^k d/du^mu
+        X_j = sum_k x_j x_k d/dx_k + sum_mu x_j u^mu d/du^mu
+        Y_nu = sum_k x_k u^nu d/dx_k + sum_mu u^nu u^mu d/du^mu
+    """
+    check_size("flat generator list", (n + m + 2) * (n + m))
+    if ctx is None:
+        ctx = JetContext.create(n, m)
+    if ctx.n != n or ctx.m != m:
+        raise ValueError("context shape mismatch")
+    zero = ctx.zero()
+
+    def field(theta, eta):
+        return VectorField(ctx, theta, eta)
+
+    def unit(count, pos, value):
+        return tuple(value if t == pos else zero for t in range(count))
+
+    out = []
+    names = []
+    one = ctx.const(1)
+    for k in range(1, n + 1):
+        out.append(field(unit(n, k - 1, one), (zero,) * m))
+        names.append(f"U{k}")
+    for mu in range(1, m + 1):
+        out.append(field((zero,) * n, unit(m, mu - 1, one)))
+        names.append(f"V{mu}")
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            out.append(field(unit(n, k - 1, ctx.x(j)), (zero,) * m))
+            names.append(f"W{j}{k}")
+    for j in range(1, m + 1):
+        for k in range(1, n + 1):
+            out.append(field(unit(n, k - 1, ctx.u(j)), (zero,) * m))
+            names.append(f"A{j}{k}")
+    for k in range(1, n + 1):
+        for mu in range(1, m + 1):
+            out.append(field((zero,) * n, unit(m, mu - 1, ctx.x(k))))
+            names.append(f"B{k}{mu}")
+    for k in range(1, m + 1):
+        for mu in range(1, m + 1):
+            out.append(field((zero,) * n, unit(m, mu - 1, ctx.u(k))))
+            names.append(f"C{k}{mu}")
+    for j in range(1, n + 1):
+        xj = ctx.x(j)
+        out.append(field(
+            tuple(xj * ctx.x(k) for k in range(1, n + 1)),
+            tuple(xj * ctx.u(mu) for mu in range(1, m + 1)),
+        ))
+        names.append(f"X{j}")
+    for nu in range(1, m + 1):
+        unu = ctx.u(nu)
+        out.append(field(
+            tuple(ctx.x(k) * unu for k in range(1, n + 1)),
+            tuple(unu * ctx.u(mu) for mu in range(1, m + 1)),
+        ))
+        names.append(f"Y{nu}")
+    return FieldBasis(out, names)
+
+
+def reference_coefficient_rows(families):
+    """The ``poly.coefficient_rows`` that listed and sorted its frame:
+    sparse coefficient vectors of polynomial tuples in one shared frame.
+
+    Each family is a sequence of Polys over one table.  Columns are (slot,
+    monomial) pairs covering exactly the monomials present, ordered by slot
+    and then graded-lex.  Returns (rows, frame), one row per family.
+    """
+    if not families:
+        return [], []
+    keys = {(slot, mono) for fam in families for slot, f in enumerate(fam) for mono in f.terms}
+    frame = sorted(keys, key=lambda sm: (sm[0], mono_sort_key(sm[1])))
+    index = {key: c for c, key in enumerate(frame)}
+    rows = [
+        {index[(slot, mono)]: coeff for slot, f in enumerate(fam) for mono, coeff in f.terms.items()}
+        for fam in families
+    ]
+    return rows, frame
 
 
 def reference_sub(f: Poly, g: Poly) -> Poly:

@@ -318,6 +318,23 @@ def test_closure_malformed_basis_exits_one(capsys, tmp_path, docs):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "2", "--m", "2", "--basis", "BASIS"], "closure takes either --basis or --n and --m, not both"),
+        (["--m", "1", "--basis", "BASIS"], "closure takes either --basis or --n and --m, not both"),
+        (["--basis", "", "--n", "1", "--m", "1"], "closure takes either --basis or --n and --m, not both"),
+        (["--n", "2"], "closure needs either --basis or both --n and --m"),
+        ([], "closure needs either --basis or both --n and --m"),
+    ],
+    ids=["basis-and-shape", "basis-and-m", "empty-basis-and-shape", "n-only", "nothing"],
+)
+def test_closure_needs_one_source_of_fields(capsys, tmp_path, argv, message):
+    basis = write_json(tmp_path / "basis.json", [{"n": 1, "m": 1, "theta": ["1"], "eta": ["0"]}])
+    rc, out, err = run_cli(capsys, ["closure", *[basis if a == "BASIS" else a for a in argv]])
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"n": 1, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": 5}]},

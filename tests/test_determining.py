@@ -30,7 +30,7 @@ from jetsym.determining import (
 )
 from jetsym.cli import main
 from jetsym.jets import JetContext, PDESystem
-from jetsym.linalg import LinearSystemExact, _Reducer, solve_linear_exact
+from jetsym.linalg import LinearSystemExact, _Reducer, solve_linear_exact, sparse_rank
 from jetsym.lie_alg import flat_generators, span_equal
 from jetsym.poly import Poly
 from jetsym.prolong import VectorField, lie_criterion_check
@@ -696,6 +696,34 @@ def test_flat_dimensions_small():
         alg = symmetry_algebra(sys_, order=3)
         assert alg.dimension == dim
         assert span_equal(alg.basis, list(flat_generators(n, m, sys_.ctx)))
+
+
+@pytest.mark.parametrize(
+    "n, F, dimensions",
+    [
+        (1, lambda c: c.u(1) * c.u(1), [8, 8, 6, 4, 3, 2, 2]),
+        (1, lambda c: c.x(1) * c.u(1) * c.u(1), [8, 8, 7, 5, 3, 3, 2, 1, 1]),
+        (2, lambda c: c.u(1), [15, 10, 7, 7]),
+        (2, lambda c: c.zero(), [15, 15, 15]),
+    ],
+    ids=["u''=u^2", "u''=x*u^2", "u_11=u", "flat-2x1"],
+)
+def test_truncated_dimension_tower(n, F, dimensions):
+    """``symmetry_algebra(sys, N).dimension`` for N = 2, 3, ... is the
+    dimension of the degree-N truncated solution space: an upper bound on
+    the symmetry algebra's dimension, not that dimension.  The true algebras
+    of u'' = u^2 and u'' = x u^2 have dimension 2 and 1; u_11 = u (n = 2) is
+    not involutive.  Each value is also (n+m+2)(n+m) minus the rank of all
+    compatibility forms of the Taylor layer recursion."""
+    ctx = JetContext.create(n, 1)
+    sys_ = PDESystem(ctx, {(1, 1, 1): F(ctx)})
+    got, by_forms = [], []
+    for N in range(2, 2 + len(dimensions)):
+        alg = symmetry_algebra(sys_, N)
+        forms = [form for layer in alg.determining.propagator.layers for _, form in layer.checks]
+        got.append(alg.dimension)
+        by_forms.append(InitialData.dimension(n, 1) - sparse_rank(forms))
+    assert got == by_forms == dimensions
 
 
 def test_dimension_bound_perturbed():

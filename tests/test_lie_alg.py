@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetsym.cli import field_from_doc
 from jetsym.jets import JetContext
 from jetsym.lie_alg import (
     FieldBasis,
@@ -12,10 +15,18 @@ from jetsym.lie_alg import (
     span_dimension,
     span_equal,
 )
+from jetsym.linalg import span_coordinates, sparse_rank
 from jetsym.prolong import VectorField
 from jetsym.scalars import GaussScalar
 
-from helpers import budget, first_difference, random_point_field, reference_bracket
+from helpers import (
+    budget,
+    first_difference,
+    random_point_field,
+    reference_bracket,
+    reference_coefficient_rows,
+    reference_flat_generators,
+)
 
 
 def test_bracket_antisymmetry_trivial():
@@ -83,6 +94,42 @@ def test_flat_generator_counts():
 def test_flat_generator_names_follow_listing_order():
     basis = flat_generators(1, 1)
     assert basis.names == ["U1", "V1", "W11", "A11", "B11", "C11", "X1", "Y1"]
+
+
+def test_flat_generators_match_hand_written_reference():
+    # Every shape with n, m >= 1 and n + m <= 6: names, order and fields.
+    for n in range(1, 6):
+        for m in range(1, 7 - n):
+            ctx = JetContext.create(n, m)
+            got, want = flat_generators(n, m, ctx), reference_flat_generators(n, m, ctx)
+            assert (n, m, got.names) == (n, m, want.names)
+            assert got.fields == want.fields
+
+
+def sl2_basis():
+    docs = json.loads((Path(__file__).parent / "golden" / "inputs" / "sl2_basis.json").read_text())
+    first = field_from_doc(docs[0])
+    return FieldBasis([first] + [field_from_doc(doc, first.ctx) for doc in docs[1:]])
+
+
+def test_counted_frame_matches_sorted_frame_reference():
+    # Structure constants and span dimensions on the counted frame equal
+    # those the sorted frame gives for the hand-written generators.
+    for got, want in [
+        (flat_generators(2, 2), reference_flat_generators(2, 2)),
+        (flat_generators(1, 2), reference_flat_generators(1, 2)),
+        (sl2_basis(), sl2_basis()),
+    ]:
+        fields = want.fields
+        d = len(fields)
+        pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+        brackets = [bracket(fields[a], fields[b]) for a, b in pairs]
+        rows, frame = reference_coefficient_rows([X.theta + X.eta for X in fields + brackets])
+        coords = span_coordinates(rows[:d], rows[d:], len(frame))
+        assert closure_check(got).structure_constants == {pair: tuple(c) for pair, c in zip(pairs, coords)}
+        assert span_dimension(got.fields) == sparse_rank(rows[:d]) == d
+        got_brackets = [bracket(got.fields[a], got.fields[b]) for a, b in pairs]
+        assert span_dimension(got.fields + got_brackets) == sparse_rank(rows) == d
 
 
 def test_closure_flat():
