@@ -247,6 +247,11 @@ def cmd_taylor(args):
 
 def cmd_symmetry_algebra(args):
     sys_ = load_system(args.system)
+    if not involutivity_check(sys_):
+        raise CliError(
+            "the system is not involutive, so its determining equations do not give its symmetry "
+            "algebra (see the involutive command)"
+        )
     point = parse_point(args.point, sys_.ctx)
     alg = symmetry_algebra(sys_, order=args.order, point=point)
     report = {

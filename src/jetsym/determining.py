@@ -6,15 +6,15 @@ tangency criterion then becomes a single polynomial identity; collecting
 the coefficient of every monomial (in x, u, and the first-jet variables)
 yields one homogeneous linear equation per monomial.  The criterion is a
 linear second-order operator in (theta, eta) whose coefficients depend on
-the system only (Olver 1986, section 2.4): they are read off one expansion
-on the degree-2 ansatz, and each equation of the degree-N ansatz is
-written straight from them.  Terms of (x, u) degree above N - 2 are never
+the system only (Olver 1986, section 2.4): ``prolong.lie_operator`` writes
+them in closed form from F and its first partials, and each equation of
+the degree-N ansatz is written straight from them.  The ansatz is never
+built as a symbolic field.  Terms of (x, u) degree above N - 2 are never
 formed: their rows would also constrain Taylor coefficients beyond the
 ansatz order, so for a degree-N truncation they are incomplete.  The ansatz
 itself is a ``LinearAnsatz``, which builds, collects, solves and realizes
 for the CR automorphism solve too: ``LinearAnsatz.solutions`` is the one
-exact nullspace call of the package.  Only the degree-2 ansatz is ever
-built as a symbolic field.
+exact nullspace call of the package.
 
 A ``DeterminingSystem`` holds the rows once, as they are written,
 {slot: {monomial: row}}.  ``DeterminingSystem.ordered`` is the package's
@@ -48,7 +48,6 @@ other:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb, factorial, inf, perm, prod
@@ -57,7 +56,7 @@ from . import rings
 from .jets import JetContext, PDESystem
 from .linalg import LinearSystemExact, _Reducer, solve_linear_exact
 from .poly import Poly, mono_mul, mono_sort_key, mono_str, mono_weighted_degree, translate
-from .prolong import VectorField, lie_criterion_check
+from .prolong import VectorField, lie_operator
 from .rings import COEF, check_size, u_var, x_var
 from .scalars import GaussScalar, ZERO, ONE
 
@@ -203,16 +202,15 @@ class UnknownCoefficientField(LinearAnsatz):
         self.ctx = ctx
         self.order = order
         wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
-        funcs = [(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)]
+        funcs = self.funcs = [(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)]
         unknowns = [(COEF, func, alpha) for alpha in monomials_up_to(n + m, order) for func in funcs]
         unknowns.sort(key=lambda cid: (sum(cid[2]), funcs.index(cid[1]), cid[2]))
         super().__init__(ctx.table, wvars, unknowns)
 
-    def ansatz_field(self) -> VectorField:
-        """The ansatz as a symbolic field over the extended table."""
-        theta = tuple(self.poly((THETA, j)) for j in range(1, self.ctx.n + 1))
-        eta = tuple(self.poly((ETA, mu)) for mu in range(1, self.ctx.m + 1))
-        return VectorField(JetContext(self.ext_table), theta, eta)
+    def column(self, f: int, alpha) -> int:
+        """The column of the unknown (f, alpha), f indexing theta_1 ..
+        theta_n, eta^1 .. eta^m."""
+        return self.col[(COEF, self.funcs[f], alpha)]
 
     def label(self, cid) -> str:
         func, alpha = cid[1], cid[2]
@@ -297,49 +295,30 @@ def _distinct(rows):
 
 
 def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> DeterminingSystem:
-    """Expand the symmetry criterion for the ansatz and collect one equation
-    per complete monomial coefficient: the unknown (f, alpha) carries
-    sum_{beta <= alpha} A_{f,beta} d^beta w^alpha (``_criterion_operator``),
-    and no term above the N - 2 row cut or the residual's bound is formed.
-    The rows keep the order ``_spread`` writes them in."""
+    """Collect one equation per complete monomial coefficient of the
+    criterion on the ansatz: the unknown (f, alpha) carries
+    sum_{beta <= alpha} A_{f,beta} d^beta w^alpha (``lie_operator``), and no
+    term above the N - 2 row cut or the residual's bound is formed.  The
+    rows keep the order ``_spread`` writes them in."""
     N = field.order
     quad = field if N == 2 else UnknownCoefficientField(field.ctx, 2)
-    X = quad.ansatz_field()
-    residuals = lie_criterion_check(X, PDESystem(X.ctx, sys.entries))
-    for (mu, i, j) in sorted(residuals):
-        r = residuals[(mu, i, j)]
-        if r.bound is not None and r.bound < N + 1:
+    if sys.ctx.table is not field.table:
+        sys = PDESystem(field.ctx, sys.entries)
+    operator, bounds = lie_operator(sys, quad.column)
+    for (mu, i, j) in sorted(bounds):
+        bound = bounds[(mu, i, j)]
+        if bound is not None and bound < N + 1:
             raise TruncationOrderError(
                 f"residual for (mu={mu}, i={i}, j={j}) is only valid to degree "
-                f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
+                f"{bound}; the degree-{N} ansatz needs {N + 1}"
             )
-
-    bounds = {slot: r.bound for slot, r in residuals.items()}
-    groups = _spread(quad, field, _criterion_operator(quad, residuals), bounds, N - 2, _power_factor)
+    groups = _spread(quad, field, operator, bounds, N - 2, _power_factor)
     return DeterminingSystem(field, groups)
-
-
-def _criterion_operator(quad: UnknownCoefficientField, residuals: dict) -> dict:
-    """The criterion as an operator, R(X) = sum_{f, |beta| <= 2} A_{f,beta}
-    d^beta X_f, read off its residuals on the degree-2 ansatz ``quad``:
-    {slot: {monomial: {column of (f, beta): coefficient}}}, the terms of each
-    A_{f,beta} to the slot's bound.  The unknown of (f, beta) carries
-    P_{f,beta} = sum_{gamma <= beta} A_{f,gamma} d^gamma w^beta, so
-    A_{f,beta} = sum_{gamma <= beta} (-w)^delta P_{f,gamma} / (gamma! delta!)
-    with delta = beta - gamma."""
-    bounds = {slot: r.bound for slot, r in residuals.items()}
-    return _spread(quad, quad, quad.group(residuals), bounds, inf, _inverse_factor)
 
 
 def _power_factor(alpha, beta) -> int:
     """The k of d^beta w^alpha = k w^(alpha - beta)."""
     return prod(perm(a, b) for a, b in zip(alpha, beta) if b)
-
-
-def _inverse_factor(beta, gamma) -> Fraction:
-    """The k of k w^(beta - gamma) P_{f,gamma} in A_{f,beta}."""
-    delta = tuple(b - g for b, g in zip(beta, gamma))
-    return Fraction((-1) ** sum(delta), alpha_factorial(gamma) * alpha_factorial(delta))
 
 
 def _spread(source: UnknownCoefficientField, target: UnknownCoefficientField, groups, bounds, cut, factor) -> dict:

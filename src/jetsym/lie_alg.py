@@ -87,6 +87,9 @@ def flat_generators(n: int, m: int, ctx: JetContext | None = None) -> FieldBasis
         W_jk = x_j d/dx_k                    A_jk = u^j d/dx_k
         B_kmu = x_k d/du^mu                  C_kmu = u^k d/du^mu
         X_j = x_j E                          Y_nu = u^nu E
+
+    The two indices of W, A, B and C are joined by "_" when either is 10 or
+    more (W1_11, W11_1), so every name is unique.
     """
     check_size("flat generator list", (n + m + 2) * (n + m))
     if ctx is None:
@@ -107,7 +110,8 @@ def flat_generators(n: int, m: int, ctx: JetContext | None = None) -> FieldBasis
     ):
         for label, w in ws:
             for b, slot in enumerate(slots, 1):
-                named.append((f"{letter}{label}{b}", [w if s == slot else zero for s in range(n + m)]))
+                sep = "_" if label and (len(label) > 1 or b >= 10) else ""
+                named.append((f"{letter}{label}{sep}{b}", [w if s == slot else zero for s in range(n + m)]))
     for letter, ws in (("X", xs), ("Y", us)):
         named += [(f"{letter}{label}", [w * v for v in coords]) for label, w in ws]
     return FieldBasis([VectorField(ctx, c[:n], c[n:]) for _, c in named], [name for name, _ in named])

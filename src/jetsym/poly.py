@@ -294,18 +294,8 @@ class Poly:
         if not self.terms and self.bound is None:
             return Poly(table)
         coeffs = {table.index(vid): a for vid, a in vector.items()}
-        partials: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            for k, (p, e) in enumerate(m):
-                if p in coeffs:
-                    if e == 1:
-                        nm, nc = m[:k] + m[k + 1:], c
-                    else:
-                        nm, nc = m[:k] + ((p, e - 1),) + m[k + 1:], c * GaussScalar(e)
-                    # m -> nm is one-to-one for a fixed p, so nothing collides.
-                    partials.setdefault(p, {})[nm] = nc
-        own = None if self.bound is None or not coeffs else self.bound - max(table.weights[p] for p in coeffs)
-        bound = _min_bound(own, *(coeffs[p].bound for p in partials))
+        partials = partial_terms(self.terms, coeffs)
+        bound = _min_bound(derivation_bound(self.bound, table.weights, coeffs), *(coeffs[p].bound for p in partials))
         out: dict[Mono, GaussScalar] = {}
         for p, d in partials.items():
             if not coeffs[p].is_zero():
@@ -356,6 +346,33 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"<Poly {poly_to_str(self)}>"
+
+
+def derivation_bound(bound, weights, positions):
+    """The bound a derivation that moves the variables at ``positions``
+    leaves on a series of bound ``bound``, before its coefficients' bounds
+    are taken in: ``bound`` less the largest of their weights, or None when
+    the series is exact or nothing moves."""
+    if bound is None or not positions:
+        return None
+    return bound - max(weights[p] for p in positions)
+
+
+def partial_terms(terms: dict, positions) -> dict:
+    """The nonzero partials of a term dict with respect to the variables at
+    ``positions``, in one pass over the terms: {position: {monomial:
+    coefficient}}, with no bound applied."""
+    partials: dict[int, dict] = {}
+    for m, c in terms.items():
+        for k, (p, e) in enumerate(m):
+            if p in positions:
+                if e == 1:
+                    nm, nc = m[:k] + m[k + 1:], c
+                else:
+                    nm, nc = m[:k] + ((p, e - 1),) + m[k + 1:], c * GaussScalar(e)
+                # m -> nm is one-to-one for a fixed p, so nothing collides.
+                partials.setdefault(p, {})[nm] = nc
+    return partials
 
 
 def substitute_all(polys, bindings: dict) -> list:

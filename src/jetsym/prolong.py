@@ -11,7 +11,9 @@ sorted indices only.  The jet table stops at second jets, so a field is
 prolonged to order 1 or 2, the most a second-order system needs.  The
 symmetry criterion needs only the first prolongation: it takes the last
 step of the recursion on the equation manifold, with the restricted total
-derivative and F in place of the second jets.
+derivative and F in place of the second jets.  ``lie_operator`` gives the
+same criterion as a linear second-order operator in the field, its
+coefficients written in closed form from F.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from itertools import combinations_with_replacement
 
 from . import rings
 from .jets import JetContext, PDESystem, jet_order_of_poly, restricted_total_derivative, total_derivative
-from .poly import Poly
+from .poly import Poly, _add_into, _min_bound, derivation_bound, mono_mul, mono_weighted_degree, partial_terms
 from .rings import JET, jet_var
-from .scalars import GaussScalar
+from .scalars import GaussScalar, ONE
 
 
 class VectorField:
@@ -166,3 +168,81 @@ def lie_criterion_check(X: VectorField, sys: PDESystem) -> dict:
                         value = value - dt * sys.F(mu, i, l)
                 residuals[(mu, i, j)] = value - apply_prolonged(Xp, sys.F(mu, i, j))
     return residuals
+
+
+def lie_operator(sys: PDESystem, column) -> tuple[dict, dict]:
+    """The criterion as an operator, R(X) = sum_{f, |beta| <= 2} A_{f,beta}
+    d^beta X_f, written straight from F (Olver 1986, section 2.4), with f
+    the component theta_1 .. theta_n, eta^1 .. eta^m of X by index and beta
+    a dense exponent tuple over w = (x, u).  Returns {slot: {monomial:
+    {column(f, beta): coefficient}}} and each slot's truncation bound, the
+    bound ``lie_criterion_check`` gives that residual; every A is
+    truncated there.
+
+    For the slot (mu, i, j), with d_i[a] the coefficient of d/dw_a in D_i
+    (1 for x_i, p^nu_i for u^nu, else 0), each term c that reaches eta^nu
+    through the characteristic eta^nu - sum_l p^nu_l theta_l adds c to
+    A_{eta^nu,beta} and -p^nu_l c to A_{theta_l,beta}:
+
+    * c = d_i[a] d_j[b] at beta = e_a + e_b, for nu = mu;
+    * c = F^nu_ij at beta = e_{u^nu}, for nu = mu;
+    * c = -G d_k[a] at beta = e_a, for G = dF^mu_ij/dp^nu_k.
+
+    Besides, A_{theta_l,e_a} -= F^mu_lj d_i[a] + F^mu_il d_j[a],
+    A_{theta_l,0} = -dF^mu_ij/dx_l and A_{eta^nu,0} = -dF^mu_ij/du^nu.
+    """
+    table, n, m = sys.ctx.table, sys.ctx.n, sys.ctx.m
+    p = {(nu, k): ((table.index(jet_var(nu, (k,))), 1),) for nu in range(1, m + 1) for k in range(1, n + 1)}
+    w = [table.index(rings.x_var(i)) for i in range(1, n + 1)]
+    w += [table.index(rings.u_var(nu)) for nu in range(1, m + 1)]
+    # The prolonged field moves every x, u and first jet: X^(1) F is a
+    # derivation in them.
+    moved = set(w) | {mono[0][0] for mono in p.values()}
+    # d_i as [(a, d_i[a])] over its nonzero entries, each a monomial.
+    d = {i: [(i - 1, ())] + [(n + nu - 1, p[(nu, i)]) for nu in range(1, m + 1)] for i in range(1, n + 1)}
+    e = [tuple(int(t == a) for t in range(n + m)) for a in range(n + m)]
+    operator, bounds = {}, {}
+    for mu, i, j in sorted(sys.entries):
+        f = sys.F(mu, i, j)
+        # D^_j eta^mu_i reads F^nu_ij and F^mu_jl, the theta terms F^mu_il.
+        bound = bounds[(mu, i, j)] = _min_bound(
+            *(sys.F(nu, i, j).bound for nu in range(1, m + 1)),
+            *(sys.F(mu, k, l).bound for k in (i, j) for l in range(1, n + 1)),
+            derivation_bound(f.bound, table.weights, moved),
+        )
+        terms_of = {}  # (monomial, column) -> coefficient
+
+        def put(comp, beta, terms):
+            if terms:
+                col = column(comp, beta)
+                # A fixed factor times distinct monomials: no key repeats.
+                _add_into(terms_of, {(t, col): c for t, c in terms})
+
+        def characteristic(nu, beta, terms):
+            if not terms:
+                return
+            put(n + nu - 1, beta, terms)
+            negated = [(t, -c) for t, c in terms]
+            for l in range(1, n + 1):
+                put(l - 1, beta, [(mono_mul(p[(nu, l)], t), c) for t, c in negated])
+
+        for a, da in d[i]:
+            for b, db in d[j]:
+                characteristic(mu, tuple(map(sum, zip(e[a], e[b]))), [(mono_mul(da, db), ONE)])
+        for nu in range(1, m + 1):
+            characteristic(mu, e[n + nu - 1], list(sys.F(nu, i, j).terms.items()))
+        for l in range(1, n + 1):
+            for k, g in ((i, sys.F(mu, l, j)), (j, sys.F(mu, i, l))):
+                for a, da in d[k]:
+                    put(l - 1, e[a], [(mono_mul(da, t), -c) for t, c in g.terms.items()])
+        partials = partial_terms(f.terms, moved)
+        for (nu, k), pk in p.items():
+            for a, da in d[k]:
+                characteristic(nu, e[a], [(mono_mul(da, t), -c) for t, c in partials.get(pk[0][0], {}).items()])
+        for a, v in enumerate(w):
+            put(a, (0,) * (n + m), [(t, -c) for t, c in partials.get(v, {}).items()])
+        rows = operator[(mu, i, j)] = {}
+        for (t, col), c in terms_of.items():
+            if bound is None or mono_weighted_degree(t, table.weights) <= bound:
+                rows.setdefault(t, {})[col] = c
+    return operator, bounds

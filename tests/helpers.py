@@ -6,19 +6,22 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb
+from math import comb, inf
 from random import Random
 
 from hypothesis import settings
 
 from jetsym import rings
 from jetsym.determining import (
+    ETA,
+    THETA,
     InitialData,
     LinearAnsatz,
     RowProvenance,
     TruncationOrderError,
     UnknownCoefficientField,
     _shift_field,
+    _spread,
     alpha_factorial,
     generate_determining,
     monomials_up_to,
@@ -181,12 +184,39 @@ def sort_all_collect(ansatz, polys: dict) -> dict:
     return {key: rows[key] for key in sorted(rows, key=lambda k: (k[0], mono_sort_key(k[1])))}
 
 
+def ansatz_field(field) -> VectorField:
+    """The ansatz of an ``UnknownCoefficientField`` as a symbolic field over
+    its extended table, for the references that run the criterion on it."""
+    theta = tuple(field.poly((THETA, j)) for j in range(1, field.ctx.n + 1))
+    eta = tuple(field.poly((ETA, mu)) for mu in range(1, field.ctx.m + 1))
+    return VectorField(JetContext(field.ext_table), theta, eta)
+
+
+def _inverse_factor(beta, gamma) -> Fraction:
+    """The k of k w^(beta - gamma) P_{f,gamma} in A_{f,beta}."""
+    delta = tuple(b - g for b, g in zip(beta, gamma))
+    return Fraction((-1) ** sum(delta), alpha_factorial(gamma) * alpha_factorial(delta))
+
+
+def reference_criterion_operator(sys_, quad) -> tuple[dict, dict]:
+    """(operator, slot bounds) of ``prolong.lie_operator`` by the read-off
+    it replaced: the criterion run on the degree-2 ansatz ``quad``, then
+    inverted.  The unknown of (f, beta) carries
+    P_{f,beta} = sum_{gamma <= beta} A_{f,gamma} d^gamma w^beta, so
+    A_{f,beta} = sum_{gamma <= beta} (-w)^delta P_{f,gamma} / (gamma! delta!)
+    with delta = beta - gamma, each term to the residual's bound."""
+    X = ansatz_field(quad)
+    residuals = lie_criterion_check(X, PDESystem(X.ctx, sys_.entries))
+    bounds = {slot: r.bound for slot, r in residuals.items()}
+    return _spread(quad, quad, quad.group(residuals), bounds, inf, _inverse_factor), bounds
+
+
 def reference_determining(sys_, field):
     """(rows, provenance) of ``generate_determining`` by the path it replaced:
     the whole degree-N ansatz through the criterion, TruncationOrderError
     from those residuals' bounds, then ``sort_all_collect``, degree sums per
     row and the N - 2 cut."""
-    X = field.ansatz_field()
+    X = ansatz_field(field)
     ext_sys = PDESystem(X.ctx, {key: f.convert(field.ext_table) for key, f in sys_.entries.items()})
     residuals = lie_criterion_check(X, ext_sys)
     N = field.order

@@ -253,6 +253,14 @@ def test_symmetry_algebra_dimension(capsys, flat_system_file):
     assert json.loads(out)["dimension"] == 8
 
 
+def test_symmetry_algebra_refuses_a_noninvolutive_system(capsys, tmp_path):
+    # u_11 = u with n = 2 fails the cross-derivative test (D_2 u_11 = u_2,
+    # D_1 u_12 = 0), so the command exits 1 before it solves anything.
+    path = write_json(tmp_path / "u11.json", {"n": 2, "m": 1, "entries": [{"k": 1, "i": 1, "j": 1, "F": "u1"}]})
+    rc, out, err = run_cli(capsys, ["symmetry-algebra", "--system", path, "--format", "json"])
+    assert (rc, out, err.startswith("error: the system is not involutive")) == (1, "", True)
+
+
 def test_symmetry_algebra_at_point(capsys, flat_system_file):
     rc, out, _ = run_cli(
         capsys,

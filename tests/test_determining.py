@@ -16,7 +16,6 @@ from jetsym.determining import (
     TruncationOrderError,
     UnderdeterminedLayerError,
     UnknownCoefficientField,
-    _criterion_operator,
     _distinct,
     _shift_field,
     alpha_factorial,
@@ -33,7 +32,7 @@ from jetsym.jets import JetContext, PDESystem
 from jetsym.linalg import LinearSystemExact, _Reducer, solve_linear_exact, sparse_rank
 from jetsym.lie_alg import flat_generators, span_equal
 from jetsym.poly import Poly
-from jetsym.prolong import VectorField, lie_criterion_check
+from jetsym.prolong import VectorField, lie_criterion_check, lie_operator
 from jetsym.rings import COEF, JET, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, hyperquadric, segre_system
@@ -46,6 +45,7 @@ from helpers import (
     random_perturbation,
     random_point_field,
     random_poly,
+    reference_criterion_operator,
     reference_determining,
     reference_label,
     reference_monomial_str,
@@ -307,13 +307,13 @@ def generated(sys_, field):
     return [row for _, row in pairs], [prov for prov, _ in pairs]
 
 
-def test_generate_determining_matches_reference_on_truncated_and_edge_cases():
-    # Truncated Segre systems: each signature with each kind of R, at one
-    # ansatz order N each (every N = 2..5 four times), truncated at N + 1
-    # (too low: TruncationOrderError from the full ansatz's bounds), N + 2
-    # and N + 4.  Then random exact systems with Gaussian coefficients:
-    # n = 3 at N = 2 and 3, and n <= 2 at N = 2, where only the top layer 0
-    # is kept.  One assertion, so a failure is cheap to report.
+def truncated_and_edge_cases():
+    """(label, system, N) of truncated Segre systems: each signature with
+    each kind of R, at one ansatz order N each (every N = 2..5 four times),
+    truncated at N + 1 (too low: TruncationOrderError from the full
+    ansatz's bounds), N + 2 and N + 4.  Then random exact systems with
+    Gaussian coefficients: n = 3 at N = 2 and 3, and n <= 2 at N = 2, where
+    only the top layer 0 is kept."""
     cases = []
     for s, sig in enumerate(("+", "+-", "++", "+++")):
         for k, kind in enumerate(("zero", "rigid", "u1", "s_n+1")):
@@ -324,34 +324,48 @@ def test_generate_determining_matches_reference_on_truncated_and_edge_cases():
     rng = Random(22)
     for n, m, N in [(3, 1, 2), (3, 1, 3), (3, 2, 2), (3, 2, 3), (1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2)] * 2:
         cases.append((f"random {n}x{m} N={N}", random_first_order_system(rng, n, m), N))
+    return cases
+
+
+def test_generate_determining_matches_reference_on_truncated_and_edge_cases():
+    # One assertion, so a failure is cheap to report.
+    cases = truncated_and_edge_cases()
     got = [(label, determining_outcome(generated, sys_, N)) for label, sys_, N in cases]
     expected = [(label, determining_outcome(reference_determining, sys_, N)) for label, sys_, N in cases]
     refused = sum(isinstance(outcome, str) for _, outcome in expected)
     assert (first_difference(got, expected), refused) == (None, 16)
 
 
+def test_lie_operator_matches_the_read_off_reference():
+    # The closed form against the criterion run on the degree-2 ansatz and
+    # inverted: every slot's rows and its truncation bound, on the systems
+    # above (the refused ones too: the bounds are what refuses them).
+    got, expected = [], []
+    for label, sys_, _ in truncated_and_edge_cases():
+        quad = UnknownCoefficientField(sys_.ctx, 2)
+        got.append((label, lie_operator(sys_, quad.column)))
+        expected.append((label, reference_criterion_operator(sys_, quad)))
+    assert first_difference(got, expected) is None
+
+
 def test_criterion_operator_reproduces_the_criterion():
-    # The coefficients read off the degree-2 ansatz, applied to random point
-    # fields of degree <= 4 as sum A_{f,beta} d^beta X_f, give the
-    # criterion's residuals slot by slot.
+    # The closed-form coefficients, applied to random point fields of
+    # degree <= 4 as sum A_{f,beta} d^beta X_f, give the criterion's
+    # residuals slot by slot.
     got, expected = [], []
     for seed in range(12):
         rng = Random(seed)
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         sys_ = random_first_order_system(rng, n, m)
         ctx = sys_.ctx
-        quad = UnknownCoefficientField(ctx, 2)
-        Q = quad.ansatz_field()
-        operator = _criterion_operator(quad, lie_criterion_check(Q, PDESystem(Q.ctx, sys_.entries)))
+        operator, _ = lie_operator(sys_, lambda f, beta: (f, beta))
         X = random_point_field(rng, ctx, max_terms=8, max_degree=4)
-        funcs = dict(zip([(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)], X.theta + X.eta))
         wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
         for slot, residual in sorted(lie_criterion_check(X, sys_).items()):
             value = Poly.zero(ctx.table)
             for mono, row in operator[slot].items():
-                for c, coeff in row.items():
-                    _, func, beta = quad.unknowns[c]
-                    derivative = funcs[func]
+                for (f, beta), coeff in row.items():
+                    derivative = (X.theta + X.eta)[f]
                     for v, e in zip(wvars, beta):
                         for _ in range(e):
                             derivative = derivative.differentiate(v)
@@ -650,8 +664,8 @@ def test_propagator_skips_a_repeated_check_row(monkeypatch):
 def test_symmetry_algebra_orders_no_rows(monkeypatch, tmp_path, capsys):
     # Rows are ordered only where they are read in order: never by
     # symmetry_algebra, once by the ``determining`` command, and once by a
-    # propagator however many omegas it evaluates.  Of the symbolic
-    # ansatz tables only the degree-2 one is built, by the criterion.
+    # propagator however many omegas it evaluates.  No symbolic ansatz
+    # table is built at all: the operator is written from F in closed form.
     calls = []
     ordered = DeterminingSystem.ordered
     ext_table = LinearAnsatz.__dict__["ext_table"].func
@@ -680,11 +694,7 @@ def test_symmetry_algebra_orders_no_rows(monkeypatch, tmp_path, capsys):
     det = generate_determining(sys_, UnknownCoefficientField(sys_.ctx, 3))
     fields = [taylor_from_initial_data(sys_, om, order=3, det=det) for om in omega_basis(2, 1)]
     by_propagator = (len(fields), list(calls))
-    assert (by_algebra, by_command, by_propagator) == (
-        [("ext_table", 2)],
-        (0, det.row_count, [("ext_table", 2), "ordered"]),
-        (15, [("ext_table", 2), "ordered"]),
-    )
+    assert (by_algebra, by_command, by_propagator) == ([], (0, det.row_count, ["ordered"]), (15, ["ordered"]))
 
 
 # -- symmetry_algebra ------------------------------------------------------------

@@ -106,6 +106,18 @@ def test_flat_generators_match_hand_written_reference():
             assert got.fields == want.fields
 
 
+def test_flat_generator_names_stay_unique():
+    # Once an index reaches 10, the two indices of W, A, B and C are joined
+    # by "_" (W1_11 and W11_1, never two W111); every name whose indices are
+    # both below 10 is the hand-written reference's.
+    for n, m in [(10, 1), (11, 1), (1, 11), (3, 10), (12, 2)]:
+        names, want = flat_generators(n, m).names, reference_flat_generators(n, m).names
+        joined = [name[1:].split("_") for name in names if "_" in name]
+        assert len(set(names)) == len(names) == (n + m + 2) * (n + m)
+        assert all(len(pair) == 2 and max(map(int, pair)) >= 10 for pair in joined)
+        assert [(g, w) for g, w in zip(names, want) if "_" not in g and g != w] == []
+
+
 def sl2_basis():
     docs = json.loads((Path(__file__).parent / "golden" / "inputs" / "sl2_basis.json").read_text())
     first = field_from_doc(docs[0])
