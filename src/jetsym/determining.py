@@ -12,26 +12,29 @@ the degree-N ansatz is written straight from them.  The ansatz is never
 built as a symbolic field.  Terms of (x, u) degree above N - 2 are never
 formed: their rows would also constrain Taylor coefficients beyond the
 ansatz order, so for a degree-N truncation they are incomplete.  The ansatz
-itself is a ``LinearAnsatz``, which builds, collects, solves and realizes
-for the CR automorphism solve too: ``LinearAnsatz.solutions`` is the one
-exact nullspace call of the package.
+is an ``ansatz.LinearAnsatz``, as for the CR automorphism solve; its
+solutions reach the fields as sparse vectors of their nonzero values.
 
-A ``DeterminingSystem`` holds the rows once, as they are written,
-{slot: {monomial: row}}.  ``DeterminingSystem.ordered`` is the package's
-one row sorter: it yields each row with its provenance in residual, then
-graded-lex order, and only the readers that need that order call it (the
-``determining`` command and the propagator, once each).
+The systems are overdetermined, and most rows repeat.  A block of the
+operator is the rows of one slot whose monomials share a jet part, and
+many blocks are equal; ``generate_determining`` spreads each distinct
+block once (``_blocks``).  A ``DeterminingSystem`` holds the rows as
+blocks, {slot: {jet part: rows}}, and writes every row of the system,
+{slot: {monomial: row}}, only when that is read.
+``DeterminingSystem.ordered`` is the package's one row sorter: it yields
+each row with its provenance in residual, then graded-lex order, and only
+the readers that need that order call it (the ``determining`` command and
+the propagator, once each).
 
-The systems are overdetermined, and many rows repeat.  Both solvers below
-hand the reducer each distinct row once (``_distinct``); the reducer keeps
-full Gauss-Jordan form, and the reduced row echelon form of a row space is
-unique, so leaving out the repeats changes no result, and the nullspace
-does not depend on the rows' order either.  Two independent algorithms
-are provided on top of the generated rows and are tested against each
-other:
+Both solvers below hand the reducer each distinct row once
+(``_distinct``); the reducer keeps full Gauss-Jordan form, and the reduced
+row echelon form of a row space is unique, so leaving out the repeats
+changes no result, and the nullspace does not depend on the rows' order
+either.  Two independent algorithms are provided on top of the generated
+rows and are tested against each other:
 
-* ``symmetry_algebra``: the exact nullspace of all rows at once, in the
-  order they were written;
+* ``symmetry_algebra``: the exact nullspace of the rows of every distinct
+  block at once, with the full system never written out;
 * ``taylor_from_initial_data``: the layer-by-layer recursion that rebuilds
   a symmetry from its initial data omega (values, first derivatives, and
   the distinguished second-derivative slice gamma).  The recursion is
@@ -49,13 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
-from math import comb, factorial, inf, perm, prod
+from math import comb, inf, perm, prod
 
 from . import rings
+from .ansatz import LinearAnsatz, alpha_factorial, monomials_up_to
 from .jets import JetContext, PDESystem
-from .linalg import LinearSystemExact, _Reducer, solve_linear_exact
-from .poly import Poly, mono_mul, mono_sort_key, mono_str, mono_weighted_degree, translate
+from .linalg import _Reducer
+from .poly import mono_mul, mono_sort_key, mono_str, mono_weighted_degree, translate
 from .prolong import VectorField, lie_operator
 from .rings import COEF, check_size, u_var, x_var
 from .scalars import GaussScalar, ZERO, ONE
@@ -81,112 +84,8 @@ class UnderdeterminedLayerError(DeterminingError):
         super().__init__(f"Taylor layer {layer} is not determined (system not involutive?)")
 
 
-def monomials_up_to(nvars: int, degree: int):
-    """Dense exponent tuples of total degree <= degree, graded then lex."""
-    out = []
-    for deg in range(degree + 1):
-        for combo in combinations_with_replacement(range(nvars), deg):
-            alpha = [0] * nvars
-            for p in combo:
-                alpha[p] += 1
-            out.append(tuple(alpha))
-    return out
-
-
-def alpha_factorial(alpha) -> int:
-    f = 1
-    for e in alpha:
-        f *= factorial(e)
-    return f
-
-
 THETA = "theta"
 ETA = "eta"
-
-
-class LinearAnsatz:
-    """Polynomials in ``wvars`` whose coefficients are formal unknowns.
-
-    ``unknowns`` lists (COEF, name, alpha) ids in column order, alpha a dense
-    exponent tuple over wvars; the unknowns of one name make up the ansatz
-    polynomial sum_alpha c_alpha * w^alpha of that name.  They are appended
-    to the table as weight-zero variables, so every expression built from
-    the ansatz stays ordinary polynomial arithmetic, linear in the unknowns.
-    The extended table keeps the base positions, so one monomial in wvars
-    serves both tables; it is built on first use.
-    """
-
-    def __init__(self, table, wvars, unknowns):
-        self.table = table
-        self.wvars = list(wvars)
-        self.unknowns = list(unknowns)
-        self.col = {cid: c for c, cid in enumerate(self.unknowns)}
-        self.wpos = [table.index(v) for v in self.wvars]
-        # name -> [(monomial in wvars, column)], in column order
-        self._terms: dict = {}
-        for c, (_, name, alpha) in enumerate(self.unknowns):
-            self._terms.setdefault(name, []).append((self.monomial(alpha), c))
-
-    @cached_property
-    def ext_table(self):
-        return self.table.extend(self.unknowns, (0,) * len(self.unknowns))
-
-    def monomial(self, alpha) -> tuple:
-        """The monomial w^alpha of a dense exponent tuple over wvars."""
-        return tuple(sorted((p, e) for p, e in zip(self.wpos, alpha) if e))
-
-    def poly(self, name) -> Poly:
-        """The ansatz polynomial of ``name`` over the extended table."""
-        offset = len(self.table)
-        return Poly(self.ext_table, {mono + ((offset + c, 1),): ONE for mono, c in self._terms[name]})
-
-    def group(self, polys: dict) -> dict:
-        """One linear equation per (slot, ordinary monomial) of polys, a map
-        from slot keys to Polys over the extended table that are linear in
-        the unknowns: {slot: {ordinary monomial: {column: coefficient}}}, in
-        the order the terms come."""
-        offset = len(self.table)
-        groups: dict = {}
-        for slot, f in polys.items():
-            by_mono = groups[slot] = {}
-            for mono, coeff in f.terms.items():
-                ordinary, c = split_unknown(mono, offset)
-                # Each (monomial, column) pair is a distinct term of the
-                # slot's polynomial, so no entry is written twice.
-                row = by_mono.get(ordinary)
-                if row is None:
-                    by_mono[ordinary] = {c: coeff}
-                else:
-                    row[c] = coeff
-        return groups
-
-    def solutions(self, rows) -> list[list[GaussScalar]]:
-        """A nullspace basis of the homogeneous ``rows`` ({column: coefficient}
-        each): one value per unknown, one vector per free column in order."""
-        system = LinearSystemExact(rows, [ZERO] * len(rows), ncols=len(self.unknowns))
-        return solve_linear_exact(system).nullspace
-
-    def realize(self, name, values) -> Poly:
-        """The ansatz polynomial of ``name`` over the base table, with the
-        unknown of column c replaced by values[c]."""
-        terms = {mono: values[c] for mono, c in self._terms[name] if not values[c].is_zero()}
-        return Poly(self.table, terms)
-
-
-def split_unknown(mono, offset: int):
-    """Split a term's monomial into (ordinary monomial, unknown's column).
-
-    The unknowns sit at table positions offset, offset + 1, ... in column
-    order, after every ordinary variable, so a term's unknown is its last
-    factor.  The term must be linear in the unknowns: exactly one unknown,
-    to the first power, else ArithmeticError.
-    """
-    if not mono or mono[-1][0] < offset:
-        raise ArithmeticError("term has no unknown")
-    p, e = mono[-1]
-    if e != 1 or (len(mono) > 1 and mono[-2][0] >= offset):
-        raise ArithmeticError("term is not linear in the unknowns")
-    return mono[:-1], p - offset
 
 
 class UnknownCoefficientField(LinearAnsatz):
@@ -222,13 +121,12 @@ class UnknownCoefficientField(LinearAnsatz):
     def field_from_values(self, values) -> VectorField:
         """Realize concrete coefficients as a vector field on the base context.
 
-        values: mapping from unknown id to GaussScalar, or a flat sequence
-        aligned with the unknown ordering.
+        values: a sparse {column: value} vector of the nonzero coefficients;
+        only its entries are read (``realize``).
         """
-        if isinstance(values, dict):
-            values = [values.get(cid, ZERO) for cid in self.unknowns]
-        theta = tuple(self.realize((THETA, j), values) for j in range(1, self.ctx.n + 1))
-        eta = tuple(self.realize((ETA, mu), values) for mu in range(1, self.ctx.m + 1))
+        polys = self.realize(values)
+        theta = tuple(polys[(THETA, j)] for j in range(1, self.ctx.n + 1))
+        eta = tuple(polys[(ETA, mu)] for mu in range(1, self.ctx.m + 1))
         return VectorField(self.ctx, theta, eta)
 
 
@@ -242,13 +140,42 @@ class RowProvenance:
 
 
 class DeterminingSystem:
-    """Homogeneous linear system over the ansatz unknowns, held once as
-    ``_spread`` writes it: ``groups`` is {slot (mu, i, j): {monomial: row}},
-    one row {column: coefficient} per residual and ordinary monomial."""
+    """Homogeneous linear system over the ansatz unknowns, held as
+    ``generate_determining`` spreads it: ``blocks`` is {slot (mu, i, j):
+    {jet part: rows}}, and the rows {monomial: {column: coefficient}} of a
+    block, times its jet part, are the rows of the slot at those monomials.
+    The jet part is a monomial in the variables other than x and u; blocks
+    of equal content share one rows dict, so treat every row as read-only.
+    """
 
-    def __init__(self, field: UnknownCoefficientField, groups: dict):
+    def __init__(self, field: UnknownCoefficientField, blocks: dict):
         self.field = field
-        self.groups = groups
+        self.blocks = blocks
+
+    @cached_property
+    def groups(self) -> dict:
+        """Every row written out once, on first use: {slot: {monomial: row}}."""
+        last_w = max(self.field.wpos)
+        groups = {}
+        for slot, by_jet in self.blocks.items():
+            by_mono = groups[slot] = {}
+            for jet, rows in by_jet.items():
+                # With x and u before every variable of the jet part, the
+                # product is a concatenation.
+                concat = not jet or jet[0][0] > last_w
+                for mono, row in rows.items():
+                    by_mono[mono + jet if concat else mono_mul(mono, jet)] = row
+        return groups
+
+    def block_rows(self):
+        """(monomial, row) of every row of every distinct block once: a block
+        whose rows dict came before is left out."""
+        seen = set()
+        for by_jet in self.blocks.values():
+            for rows in by_jet.values():
+                if id(rows) not in seen:
+                    seen.add(id(rows))
+                    yield from rows.items()
 
     def ordered(self):
         """(RowProvenance, row) of every row, in slot, then graded-lex order:
@@ -268,8 +195,8 @@ class DeterminingSystem:
     @cached_property
     def propagator(self) -> "TaylorPropagator":
         """The Taylor layer recursion for symbolic initial data, built on
-        first use from the rows as they are then; a later change to
-        ``groups`` is not seen by it."""
+        first use from the rows as they are then; a later change to the
+        rows is not seen by it."""
         return TaylorPropagator(self)
 
     @property
@@ -278,7 +205,7 @@ class DeterminingSystem:
 
     @property
     def row_count(self) -> int:
-        return sum(len(by_mono) for by_mono in self.groups.values())
+        return sum(len(rows) for by_jet in self.blocks.values() for rows in by_jet.values())
 
 
 def _distinct(rows):
@@ -298,8 +225,8 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
     """Collect one equation per complete monomial coefficient of the
     criterion on the ansatz: the unknown (f, alpha) carries
     sum_{beta <= alpha} A_{f,beta} d^beta w^alpha (``lie_operator``), and no
-    term above the N - 2 row cut or the residual's bound is formed.  The
-    rows keep the order ``_spread`` writes them in."""
+    term above the N - 2 row cut or the residual's bound is formed.  Each
+    distinct block of the operator (``_blocks``) is spread once."""
     N = field.order
     quad = field if N == 2 else UnknownCoefficientField(field.ctx, 2)
     if sys.ctx.table is not field.table:
@@ -312,8 +239,51 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
                 f"residual for (mu={mu}, i={i}, j={j}) is only valid to degree "
                 f"{bound}; the degree-{N} ansatz needs {N + 1}"
             )
-    groups = _spread(quad, field, operator, bounds, N - 2, _power_factor)
-    return DeterminingSystem(field, groups)
+    blocks, rooms, layout = _blocks(operator, bounds, field.table)
+    spread = _spread(quad, field, blocks, rooms, N - 2, _power_factor)
+    by_slot = {slot: {jet: spread[k] for jet, k in keys.items()} for slot, keys in layout.items()}
+    return DeterminingSystem(field, by_slot)
+
+
+def _blocks(operator, bounds, table):
+    """The operator's rows in blocks, each spread by ``_spread`` on its own.
+
+    A block is the rows of one slot whose monomials share a jet part J (the
+    factors outside x and u), keyed by their (x, u) part.  Its bound room is
+    the slot's bound less the weighted degree of J, None for no bound.  The
+    rows of a block spread to those of the slot at the same J, and two
+    blocks with equal rows and equal room spread to equal rows.  Returns
+    ({k: block}, {k: room}, {slot: {J: k}}), one k per distinct block."""
+    is_xu = [vid[0] in (rings.X, rings.U) for vid in table.ids]
+    parts: dict = {}  # monomial -> (jet part, (x, u) part), for every slot
+    # hash of (room, rows) -> the k of each distinct block with that hash:
+    # one int per distinct block is kept, no copy of its rows.
+    index: dict = {}
+    blocks, rooms, layout = {}, {}, {}
+    for slot, rows in operator.items():
+        by_jet: dict = {}
+        for mono, row in rows.items():
+            split = parts.get(mono)
+            if split is None:
+                split = parts[mono] = (
+                    tuple(f for f in mono if not is_xu[f[0]]),
+                    tuple(f for f in mono if is_xu[f[0]]),
+                )
+            jet, xu = split
+            by_jet.setdefault(jet, {})[xu] = row
+        bound = bounds[slot]
+        keys = layout[slot] = {}
+        for jet, block in by_jet.items():
+            room = None if bound is None else bound - mono_weighted_degree(jet, table.weights)
+            content = frozenset((mono, frozenset(row.items())) for mono, row in block.items())
+            bucket = index.setdefault(hash((room, content)), [])
+            k = next((k for k in bucket if rooms[k] == room and blocks[k] == block), None)
+            if k is None:
+                k = len(blocks)
+                bucket.append(k)
+                blocks[k], rooms[k] = block, room
+            keys[jet] = k
+    return blocks, rooms, layout
 
 
 def _power_factor(alpha, beta) -> int:
@@ -579,8 +549,20 @@ class TaylorPropagator:
             forms[c] = {p - k0: -v for p, v in red.pivots[t].items() if p >= k0}
         return True
 
-    def values(self, omega: InitialData) -> list[GaussScalar]:
-        """Every unknown's value for the initial data omega, in column order.
+    @cached_property
+    def _by_omega(self) -> list[list]:
+        """For each omega coordinate k, (column, coefficient) of every form
+        that holds k, in column order."""
+        by_omega = [[] for _ in self.omega_columns]
+        for c, form in enumerate(self.forms):
+            for k, f in form.items():
+                by_omega[k].append((c, f))
+        return by_omega
+
+    def values(self, omega: InitialData) -> dict[int, GaussScalar]:
+        """The nonzero values of the unknowns for the initial data omega, as
+        a sparse vector {column: value} in column order; only the forms that
+        hold a nonzero coordinate of omega are read.
 
         The compatibility conditions are checked layer by layer in
         provenance order; the first one omega violates raises
@@ -611,7 +593,12 @@ class TaylorPropagator:
                     )
             if step.failure is not None:
                 raise step.failure()
-        return [at(form) for form in self.forms]
+        acc: dict[int, GaussScalar] = {}
+        for k, v in nonzero:
+            for c, f in self._by_omega[k]:
+                a = acc.get(c)
+                acc[c] = f * v if a is None else a + f * v
+        return {c: acc[c] for c in sorted(acc) if not acc[c].is_zero()}
 
 
 def taylor_from_initial_data(
@@ -664,14 +651,15 @@ class SymmetryAlgebra:
 
 def symmetry_algebra(sys: PDESystem, order: int = 3, point: dict | None = None) -> SymmetryAlgebra:
     """Basis of degree-``order`` truncated infinitesimal symmetries via the
-    exact nullspace of the full determining system.  Each distinct row is
-    solved once, in the order it was generated: the reduced row echelon
-    form, and so the nullspace, is the same for any order and any repeats."""
+    exact nullspace of the full determining system.  Each distinct row of
+    each distinct block is solved once: the reduced row echelon form, and
+    so the nullspace, is the same for any order and any repeats.  The full
+    system, ``SymmetryAlgebra.determining``, is written out only if read."""
     if point:
         sys = sys.translated(point)
     field = UnknownCoefficientField(sys.ctx, order)
     det = generate_determining(sys, field)
-    rows = [row for _, row in _distinct(pair for by_mono in det.groups.values() for pair in by_mono.items())]
+    rows = [row for _, row in _distinct(det.block_rows())]
     basis = [field.field_from_values(v) for v in field.solutions(rows)]
     if point:
         basis = [_shift_field(X, point) for X in basis]

@@ -15,6 +15,10 @@ row is listed there; an entry that cancelled may stay listed, and a row may
 be listed twice, so the lists are a superset.  A new pivot column is cleared
 only from the rows its holders name, not from every pivot row, and the
 results read the pivot rows' own entries rather than probing every column.
+
+A nullspace basis is sparse: ``LinearSolveResult.null_vectors`` holds one
+{column: value} vector of nonzero values per free column, read off the
+pivot rows; ``LinearSolveResult.nullspace`` writes them out densely.
 """
 
 from __future__ import annotations
@@ -49,13 +53,20 @@ class LinearSystemExact:
 class LinearSolveResult:
     consistent: bool
     particular: list[GaussScalar] | None = None
-    nullspace: list[list[GaussScalar]] = field(default_factory=list)
+    # one sparse {column: value} vector of nonzero values per free column
+    null_vectors: list[dict[int, GaussScalar]] = field(default_factory=list)
     pivot_columns: list[int] = field(default_factory=list)
     inconsistent_row: int | None = None  # 0-based index into the input rows
+    ncols: int = 0
 
     @property
     def rank(self) -> int:
         return len(self.pivot_columns)
+
+    @property
+    def nullspace(self) -> list[list[GaussScalar]]:
+        """The null vectors written out densely, one value per column."""
+        return [[vec.get(c, ZERO) for c in range(self.ncols)] for vec in self.null_vectors]
 
 
 class _Reducer:
@@ -119,8 +130,8 @@ class _Reducer:
 
 
 def solve_linear_exact(system: LinearSystemExact) -> LinearSolveResult:
-    """Solve exactly: particular solution plus a nullspace basis, or an
-    inconsistency report naming the offending input row.
+    """Solve exactly: particular solution plus a sparse nullspace basis, or
+    an inconsistency report naming the offending input row.
 
     The right side rides along as column ncols holding -b, so each row reads
     row . (x, 1) = 0; a pivot in that column is a row 0 = nonzero."""
@@ -128,29 +139,29 @@ def solve_linear_exact(system: LinearSystemExact) -> LinearSolveResult:
     red = _Reducer()
     for idx, (row, b) in enumerate(zip(system.rows, system.rhs)):
         if red.insert({**row, ncols: -b} if not b.is_zero() else row) == ncols:
-            return LinearSolveResult(consistent=False, inconsistent_row=idx)
+            return LinearSolveResult(consistent=False, inconsistent_row=idx, ncols=ncols)
     pivot_cols = sorted(red.pivots)
-    free_cols = [c for c in range(ncols) if c not in red.pivots]
     particular = [ZERO] * ncols
     for c in pivot_cols:
         particular[c] = -red.pivots[c].get(ncols, ZERO)
     # One pass over the pivot rows: every entry of row c other than the
-    # pivot and the right side sits in a free column f, and gives vector f
-    # its coordinate c.
-    slot = {f: k for k, f in enumerate(free_cols)}
-    nullspace = [[ZERO] * ncols for _ in free_cols]
-    for f, vec in zip(free_cols, nullspace):
-        vec[f] = ONE
+    # pivot and the right side sits in a free column f > c, and gives
+    # vector f its coordinate c; the free column's own 1 comes last, so
+    # each vector lists its columns in order.
+    vectors = {f: {} for f in range(ncols) if f not in red.pivots}
     for c in pivot_cols:
         for f, entry in red.pivots[c].items():
-            k = slot.get(f)
-            if k is not None:
-                nullspace[k][c] = -entry
+            vec = vectors.get(f)
+            if vec is not None:
+                vec[c] = -entry
+    for f, vec in vectors.items():
+        vec[f] = ONE
     return LinearSolveResult(
         consistent=True,
         particular=particular,
-        nullspace=nullspace,
+        null_vectors=list(vectors.values()),
         pivot_columns=pivot_cols,
+        ncols=ncols,
     )
 
 

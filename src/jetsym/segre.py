@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import rings
-from .determining import LinearAnsatz, monomials_up_to
+from .ansatz import LinearAnsatz, monomials_up_to
 from .jets import JetContext, PDESystem, total_derivative
 from .linalg import sparse_rank
 from .poly import Poly, coefficient_rows, mono_degree, rekey
@@ -291,13 +291,10 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
     X = HoloField(table, [ansatz.poly(("aR", c)) + ansatz.poly(("aI", c)).scale(I) for c in range(n + 1)])
     remainder = tangency_remainder(X, hyperquadric_rho(signature, table))
     rows = [part for row in ansatz.group({0: remainder})[0].values() for part in _real_parts(row) if part]
-    basis = [
-        HoloField(
-            base,
-            [ansatz.realize(("aR", c), vec) + ansatz.realize(("aI", c), vec).scale(I) for c in range(n + 1)],
-        )
-        for vec in ansatz.solutions(rows)
-    ]
+    basis = []
+    for vec in ansatz.solutions(rows):
+        polys = ansatz.realize(vec)
+        basis.append(HoloField(base, [polys[("aR", c)] + polys[("aI", c)].scale(I) for c in range(n + 1)]))
     return CRAutomorphismAlgebra(signature, basis, base)
 
 

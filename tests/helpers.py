@@ -12,9 +12,11 @@ from random import Random
 from hypothesis import settings
 
 from jetsym import rings
+from jetsym.ansatz import split_unknown
 from jetsym.determining import (
     ETA,
     THETA,
+    DeterminingSystem,
     InitialData,
     LinearAnsatz,
     RowProvenance,
@@ -25,7 +27,6 @@ from jetsym.determining import (
     alpha_factorial,
     generate_determining,
     monomials_up_to,
-    split_unknown,
 )
 from jetsym.jets import InvolutivityVerdict, JetContext, PDESystem, restricted_total_derivative, total_derivative
 from jetsym.lie_alg import FieldBasis
@@ -171,6 +172,12 @@ def first_difference(a, b):
     return next((k for k, (x, y) in enumerate(zip_longest(a, b, fillvalue=object())) if x != y), None)
 
 
+def system_of_rows(field, groups: dict) -> DeterminingSystem:
+    """A determining system holding the rows {slot: {monomial: row}} as
+    they are: each slot one block, with an empty jet part."""
+    return DeterminingSystem(field, {slot: {(): rows} for slot, rows in groups.items()})
+
+
 def sort_all_collect(ansatz, polys: dict) -> dict:
     """Sorted rows by one sort of everything, the reference for
     ``DeterminingSystem.ordered``: every row of every slot in one dict, then
@@ -273,13 +280,10 @@ def reference_cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlg
     X = HoloField(table, [ansatz.poly(("aR", c)) + ansatz.poly(("aI", c)).scale(I) for c in range(n + 1)])
     remainder = tangency_remainder(X, hyperquadric_rho(signature, table))
     rows = [part for row in sort_all_collect(ansatz, {0: remainder}).values() for part in _real_parts(row) if part]
-    basis = [
-        HoloField(
-            base,
-            [ansatz.realize(("aR", c), vec) + ansatz.realize(("aI", c), vec).scale(I) for c in range(n + 1)],
-        )
-        for vec in ansatz.solutions(rows)
-    ]
+    basis = []
+    for vec in ansatz.solutions(rows):
+        polys = ansatz.realize(vec)
+        basis.append(HoloField(base, [polys[("aR", c)] + polys[("aI", c)].scale(I) for c in range(n + 1)]))
     return CRAutomorphismAlgebra(signature, basis, base)
 
 
@@ -613,12 +617,14 @@ def reference_insert(red, row):
 
 def reference_solve_linear_exact(system):
     """The ``solve_linear_exact`` that probed every pivot row once per free
-    column for the nullspace, on a reducer filled by ``reference_insert``."""
+    column for a dense nullspace, on a reducer filled by
+    ``reference_insert``; its vectors are handed back sparse, every nonzero
+    value in column order."""
     ncols = system.ncols
     red = _Reducer()
     for idx, (row, b) in enumerate(zip(system.rows, system.rhs)):
         if reference_insert(red, {**row, ncols: -b} if not b.is_zero() else row) == ncols:
-            return LinearSolveResult(consistent=False, inconsistent_row=idx)
+            return LinearSolveResult(consistent=False, inconsistent_row=idx, ncols=ncols)
     pivot_cols = sorted(red.pivots)
     free_cols = [c for c in range(ncols) if c not in red.pivots]
     particular = [ZERO] * ncols
@@ -636,8 +642,9 @@ def reference_solve_linear_exact(system):
     return LinearSolveResult(
         consistent=True,
         particular=particular,
-        nullspace=nullspace,
+        null_vectors=[{c: v for c, v in enumerate(vec) if not v.is_zero()} for vec in nullspace],
         pivot_columns=pivot_cols,
+        ncols=ncols,
     )
 
 

@@ -17,7 +17,9 @@ from jetsym.determining import (
     UnderdeterminedLayerError,
     UnknownCoefficientField,
     _distinct,
+    _power_factor,
     _shift_field,
+    _spread,
     alpha_factorial,
     generate_determining,
     initial_data_of,
@@ -54,6 +56,7 @@ from helpers import (
     reference_translated,
     second_order_forms,
     sort_all_collect,
+    system_of_rows,
     zero_initial_data,
 )
 
@@ -182,9 +185,9 @@ def ansatz_round_trip(ansatz, targets):
             rhs.append(targets[names[k]].terms.get(mono, ZERO))
     system = LinearSystemExact(rows, rhs, ncols=len(ansatz.unknowns))
     result = solve_linear_exact(system)
-    assert result.consistent and not result.nullspace
-    values = result.particular
-    return {name: ansatz.realize(name, values) for name in names}
+    assert result.consistent and not result.null_vectors
+    polys = ansatz.realize({c: v for c, v in enumerate(result.particular) if not v.is_zero()})
+    return {name: polys[name] for name in names}
 
 
 def random_target(data, table, wvars, order):
@@ -275,7 +278,7 @@ def test_collect_matches_sort_all_reference(lie_shape, cr_n, shape, seed):
     slots = [(mu, i, j) for mu in range(1, m + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
     rng.shuffle(slots)
     polys = random_linear_polys(rng, field, slots)
-    ordered = DeterminingSystem(field, field.group(polys)).ordered()
+    ordered = system_of_rows(field, field.group(polys)).ordered()
     lie = first_difference(
         [(((prov.mu, prov.i, prov.j), prov.mono), row) for prov, row in ordered], sort_all_collect(field, polys).items()
     )
@@ -307,6 +310,18 @@ def generated(sys_, field):
     return [row for _, row in pairs], [prov for prov, _ in pairs]
 
 
+def linearizable_system(n, m):
+    """u^k_ij = -c_k u^k_i u^k_j with c_k = (k + 1)/2: v^k = exp(c_k u^k)
+    turns it into v_ij = 0, so its symmetry algebra is the flat one."""
+    ctx = JetContext.create(n, m)
+    return PDESystem(ctx, {
+        (k, i, j): ctx.const(GaussScalar(Fraction(-(k + 1), 2))) * ctx.jet(k, i) * ctx.jet(k, j)
+        for k in range(1, m + 1)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+    })
+
+
 def truncated_and_edge_cases():
     """(label, system, N) of truncated Segre systems: each signature with
     each kind of R, at one ansatz order N each (every N = 2..5 four times),
@@ -334,6 +349,28 @@ def test_generate_determining_matches_reference_on_truncated_and_edge_cases():
     expected = [(label, determining_outcome(reference_determining, sys_, N)) for label, sys_, N in cases]
     refused = sum(isinstance(outcome, str) for _, outcome in expected)
     assert (first_difference(got, expected), refused) == (None, 16)
+
+
+def test_distinct_blocks_give_the_rows_of_the_full_spread():
+    # Each distinct block of Lie's operator is spread once.  Its distinct
+    # rows, compared as sets, must be those of the whole operator spread at
+    # once, and written out the blocks must give that spread row for row.
+    # One assertion, so a failure is cheap to report.
+    cases = truncated_and_edge_cases() + [(f"flat {n}x{m} N=3", flat_system(n, m), 3) for n, m in [(3, 3), (4, 2)]]
+    cases += [(f"linearizable {n}x{m} N={N}", linearizable_system(n, m), N) for n, m, N in [(1, 1, 4), (2, 1, 5), (2, 2, 4), (3, 2, 3)]]
+    got, expected = [], []
+    for label, sys_, N in cases:
+        field = UnknownCoefficientField(sys_.ctx, N)
+        try:
+            det = generate_determining(sys_, field)
+        except TruncationOrderError:
+            continue
+        quad = UnknownCoefficientField(sys_.ctx, 2)
+        operator, bounds = lie_operator(sys_, quad.column)
+        full = _spread(quad, field, operator, bounds, N - 2, _power_factor)
+        got.append((label, {frozenset(row.items()) for _, row in det.block_rows()}, det.groups))
+        expected.append((label, {frozenset(row.items()) for rows in full.values() for row in rows.values()}, full))
+    assert (first_difference(got, expected), len(got)) == (None, len(cases) - 16)
 
 
 def test_lie_operator_matches_the_read_off_reference():
@@ -554,10 +591,10 @@ def reference_taylor(det, omega):
                 f"residual (mu={prov.mu}, i={prov.i}, j={prov.j}) at monomial "
                 f"{reference_monomial_str(prov.mono, field.table)}",
             )
-        if result.nullspace:
+        if result.null_vectors:
             raise UnderdeterminedLayerError(layer)
         known.update(zip(targets, result.particular))
-    return field.field_from_values(known)
+    return field.field_from_values({c: v for c, cid in enumerate(field.unknowns) if not (v := known.get(cid, ZERO)).is_zero()})
 
 
 def outcome(run):
@@ -595,7 +632,7 @@ def test_taylor_underdetermined_layer():
     assert row == {full.field.col[(COEF, (ETA, 1), (2, 0))]: GaussScalar(2)}
     groups = {slot: dict(by_mono) for slot, by_mono in full.groups.items()}
     del groups[(prov.mu, prov.i, prov.j)][prov.mono]
-    det = DeterminingSystem(full.field, groups)
+    det = system_of_rows(full.field, groups)
     with pytest.raises(UnderdeterminedLayerError) as err:
         taylor_from_initial_data(sys_, zero_initial_data(1, 1), order=2, det=det)
     assert err.value.layer == 2
@@ -640,7 +677,7 @@ def test_propagator_skips_a_repeated_check_row(monkeypatch):
     vec[min(form)] = ONE
     omega = InitialData.from_flat(vec, 2, 1)
     row = det.groups[(prov.mu, prov.i, prov.j)][prov.mono]
-    copied = DeterminingSystem(det.field, {**det.groups, (2, 1, 1): {prov.mono: dict(row)}})
+    copied = system_of_rows(det.field, {**det.groups, (2, 1, 1): {prov.mono: dict(row)}})
     seen = {}
     for name in ("reduce", "insert"):
         original = getattr(_Reducer, name)
@@ -695,6 +732,42 @@ def test_symmetry_algebra_orders_no_rows(monkeypatch, tmp_path, capsys):
     fields = [taylor_from_initial_data(sys_, om, order=3, det=det) for om in omega_basis(2, 1)]
     by_propagator = (len(fields), list(calls))
     assert (by_algebra, by_command, by_propagator) == ([], (0, det.row_count, ["ordered"]), (15, ["ordered"]))
+
+
+def test_symmetry_algebra_spreads_each_distinct_block_once(monkeypatch):
+    # Flat (3, 3) at N = 3: Lie's operator has 828 rows, one per block, and
+    # 219 distinct blocks; only those are spread.  The 5 796 rows of the
+    # full system are written only when they are read.
+    spread = []
+    original = _spread
+
+    def counting(source, target, groups, *rest):
+        spread.append(sum(len(rows) for rows in groups.values()))
+        return original(source, target, groups, *rest)
+
+    monkeypatch.setattr("jetsym.determining._spread", counting)
+    alg = symmetry_algebra(flat_system(3, 3), order=3)
+    written = "groups" in alg.determining.__dict__
+    det = alg.determining
+    full = sum(len(by_mono) for by_mono in det.groups.values())
+    assert (spread, written, alg.dimension, det.row_count, full) == ([219], False, 48, 5796, 5796)
+
+
+def test_propagator_values_match_the_dense_forms():
+    # The sparse values, in column order, against every form evaluated at
+    # omega one by one: each omega basis vector, a zero omega and a Gaussian
+    # omega, on systems that put no condition on omega.
+    got, expected = [], []
+    for sys_, N in [(flat_system(2, 1), 3), (linearizable_system(2, 2), 4)]:
+        n, m = sys_.ctx.n, sys_.ctx.m
+        prop = generate_determining(sys_, UnknownCoefficientField(sys_.ctx, N)).propagator
+        gaussian = [GaussScalar(Fraction(k % 5 - 2, 3), k % 3 - 1) for k in range(InitialData.dimension(n, m))]
+        for omega in omega_basis(n, m) + [zero_initial_data(n, m), InitialData.from_flat(gaussian, n, m)]:
+            flat = omega.flat()
+            dense = [sum((f * flat[k] for k, f in form.items()), ZERO) for form in prop.forms]
+            got.append(list(prop.values(omega).items()))
+            expected.append([(c, v) for c, v in enumerate(dense) if not v.is_zero()])
+    assert first_difference(got, expected) is None
 
 
 # -- symmetry_algebra ------------------------------------------------------------

@@ -246,6 +246,7 @@ def test_sparse_solves_match_reference(seed):
     system = LinearSystemExact(rows, [random_scalar(rng) if rng.random() < 0.2 else ZERO for _ in rows], ncols)
     for res, out in ((solve_linear_exact(system), got), (reference_solve_linear_exact(system), expected)):
         out += [res.consistent, res.inconsistent_row, res.pivot_columns, res.rank, res.particular, res.nullspace]
+        out.append([list(vec.items()) for vec in res.null_vectors])
     k = rng.randint(0, len(rows))
     basis = rows[:k]
     targets = rows[k:] + random_sparse_rows(rng, 2, ncols)
@@ -253,6 +254,28 @@ def test_sparse_solves_match_reference(seed):
         targets.append(combination(basis, [random_scalar(rng, span=2) for _ in basis]))
     got.append(list(span_coordinates(basis, targets, ncols)))
     expected.append(list(reference_span_coordinates(basis, targets, ncols)))
+    assert first_difference(got, expected) is None
+
+
+@settings(max_examples=budget(100), deadline=None)
+@given(st.integers(0, 2**32))
+def test_null_vectors_are_the_sparse_nullspace(seed):
+    # Each null vector holds nonzero values only, in column order, with 1 at
+    # its own free column, which is its last, and no other free column; it
+    # solves every row; the dense nullspace is the vectors written out.
+    rng = Random(seed)
+    ncols = rng.randint(1, 14)
+    rows = random_sparse_rows(rng, rng.randint(0, 16), ncols)
+    res = solve_linear_exact(LinearSystemExact(rows, [ZERO] * len(rows), ncols))
+    free = [c for c in range(ncols) if c not in res.pivot_columns]
+    got, expected = [], []
+    for f, vec in zip(free, res.null_vectors):
+        got.append((list(vec), vec[f], [c for c in vec if c in free], [v.is_zero() for v in vec.values()]))
+        expected.append((sorted(vec), ONE, [f], [False] * len(vec)))
+        got.append([sum((row[c] * v for c, v in vec.items() if c in row), ZERO) for row in rows])
+        expected.append([ZERO] * len(rows))
+    got.append((len(res.null_vectors), res.nullspace))
+    expected.append((len(free), [[vec.get(c, ZERO) for c in range(ncols)] for vec in res.null_vectors]))
     assert first_difference(got, expected) is None
 
 
