@@ -18,13 +18,14 @@ solutions reach the fields as sparse vectors of their nonzero values.
 The systems are overdetermined, and most rows repeat.  A block of the
 operator is the rows of one slot whose monomials share a jet part, and
 many blocks are equal; ``generate_determining`` spreads each distinct
-block once (``_blocks``).  A ``DeterminingSystem`` holds the rows as
-blocks, {slot: {jet part: rows}}, and writes every row of the system,
-{slot: {monomial: row}}, only when that is read.
-``DeterminingSystem.ordered`` is the package's one row sorter: it yields
-each row with its provenance in residual, then graded-lex order, and only
-the readers that need that order call it (the ``determining`` command and
-the propagator, once each).
+block once (``_blocks``, then ``_spread``).  A ``DeterminingSystem`` keeps
+``_blocks``' indexing: the layout {slot: {jet part: k}} and the spread
+rows {k: rows} of each distinct block.  ``DeterminingSystem.ordered``
+writes the rows of the system out, each a block's row at its monomial
+times the jet part, and is the package's one row sorter: it yields each
+row with its provenance in residual, then graded-lex order, and only the
+readers that need that order call it (the ``determining`` command and the
+propagator, once each).
 
 Both solvers below hand the reducer each distinct row once
 (``_distinct``); the reducer keeps full Gauss-Jordan form, and the reduced
@@ -141,56 +142,47 @@ class RowProvenance:
 
 class DeterminingSystem:
     """Homogeneous linear system over the ansatz unknowns, held as
-    ``generate_determining`` spreads it: ``blocks`` is {slot (mu, i, j):
-    {jet part: rows}}, and the rows {monomial: {column: coefficient}} of a
-    block, times its jet part, are the rows of the slot at those monomials.
-    The jet part is a monomial in the variables other than x and u; blocks
-    of equal content share one rows dict, so treat every row as read-only.
+    ``_blocks`` indexes it: ``layout`` is {slot (mu, i, j): {jet part: k}},
+    and ``blocks`` is {k: rows}, the rows {monomial: {column: coefficient}}
+    that distinct block k spreads to.  The rows of a slot are those of its
+    blocks, each at its monomial times the jet part.  A block's monomials
+    hold only x and u, and the jet part is a monomial in the other
+    variables.  Every slot that lists a block shares its rows, so treat
+    every row as read-only.
     """
 
-    def __init__(self, field: UnknownCoefficientField, blocks: dict):
+    def __init__(self, field: UnknownCoefficientField, layout: dict, blocks: dict):
         self.field = field
+        self.layout = layout
         self.blocks = blocks
 
-    @cached_property
-    def groups(self) -> dict:
-        """Every row written out once, on first use: {slot: {monomial: row}}."""
-        last_w = max(self.field.wpos)
-        groups = {}
-        for slot, by_jet in self.blocks.items():
-            by_mono = groups[slot] = {}
-            for jet, rows in by_jet.items():
-                # With x and u before every variable of the jet part, the
-                # product is a concatenation.
-                concat = not jet or jet[0][0] > last_w
-                for mono, row in rows.items():
-                    by_mono[mono + jet if concat else mono_mul(mono, jet)] = row
-        return groups
-
     def block_rows(self):
-        """(monomial, row) of every row of every distinct block once: a block
-        whose rows dict came before is left out."""
-        seen = set()
-        for by_jet in self.blocks.values():
-            for rows in by_jet.values():
-                if id(rows) not in seen:
-                    seen.add(id(rows))
-                    yield from rows.items()
+        """(monomial, row) of every row of every distinct block once."""
+        for rows in self.blocks.values():
+            yield from rows.items()
 
     def ordered(self):
         """(RowProvenance, row) of every row, in slot, then graded-lex order:
-        the package's one row sorter.  Only each slot's own monomials are
-        sorted, and a monomial's key is built once, however many slots it
-        occurs in."""
-        xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in self.field.table.ids]
+        the package's one row sorter, and the one place that multiplies a
+        block's monomial by its jet part.  Only each slot's own monomials
+        are sorted, and a monomial's key is built once, however many slots
+        it occurs in."""
+        last_w = max(self.field.wpos)
         keys: dict[tuple, tuple] = {}
-        for slot in sorted(self.groups):
-            by_mono = self.groups[slot]
-            for mono in by_mono:
-                if mono not in keys:
-                    keys[mono] = mono_sort_key(mono)
+        for slot in sorted(self.layout):
+            by_mono = {}
+            for jet, k in self.layout[slot].items():
+                # With x and u before every variable of the jet part, the
+                # product is a concatenation.
+                concat = not jet or jet[0][0] > last_w
+                for xu, row in self.blocks[k].items():
+                    mono = xu + jet if concat else mono_mul(xu, jet)
+                    by_mono[mono] = (xu, row)
+                    if mono not in keys:
+                        keys[mono] = mono_sort_key(mono)
             for mono in sorted(by_mono, key=keys.__getitem__):
-                yield RowProvenance(*slot, mono, mono_weighted_degree(mono, xu_weights)), by_mono[mono]
+                xu, row = by_mono[mono]
+                yield RowProvenance(*slot, mono, sum(e for _, e in xu)), row
 
     @cached_property
     def propagator(self) -> "TaylorPropagator":
@@ -205,7 +197,7 @@ class DeterminingSystem:
 
     @property
     def row_count(self) -> int:
-        return sum(len(rows) for by_jet in self.blocks.values() for rows in by_jet.values())
+        return sum(len(self.blocks[k]) for keys in self.layout.values() for k in keys.values())
 
 
 def _distinct(rows):
@@ -228,10 +220,11 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
     term above the N - 2 row cut or the residual's bound is formed.  Each
     distinct block of the operator (``_blocks``) is spread once."""
     N = field.order
-    quad = field if N == 2 else UnknownCoefficientField(field.ctx, 2)
     if sys.ctx.table is not field.table:
         sys = PDESystem(field.ctx, sys.entries)
-    operator, bounds = lie_operator(sys, quad.column)
+    # Columns sort by degree first, so the unknowns with |beta| <= 2 lead
+    # every ansatz: the operator is written in the degree-N columns.
+    operator, bounds = lie_operator(sys, field.column)
     for (mu, i, j) in sorted(bounds):
         bound = bounds[(mu, i, j)]
         if bound is not None and bound < N + 1:
@@ -240,9 +233,7 @@ def generate_determining(sys: PDESystem, field: UnknownCoefficientField) -> Dete
                 f"{bound}; the degree-{N} ansatz needs {N + 1}"
             )
     blocks, rooms, layout = _blocks(operator, bounds, field.table)
-    spread = _spread(quad, field, blocks, rooms, N - 2, _power_factor)
-    by_slot = {slot: {jet: spread[k] for jet, k in keys.items()} for slot, keys in layout.items()}
-    return DeterminingSystem(field, by_slot)
+    return DeterminingSystem(field, layout, _spread(field, blocks, rooms, N - 2))
 
 
 def _blocks(operator, bounds, table):
@@ -286,54 +277,45 @@ def _blocks(operator, bounds, table):
     return blocks, rooms, layout
 
 
-def _power_factor(alpha, beta) -> int:
-    """The k of d^beta w^alpha = k w^(alpha - beta)."""
-    return prod(perm(a, b) for a, b in zip(alpha, beta) if b)
-
-
-def _spread(source: UnknownCoefficientField, target: UnknownCoefficientField, groups, bounds, cut, factor) -> dict:
-    """Rows {slot: {monomial: {column: coefficient}}} over the unknowns of
-    ``target`` from rows over those of ``source``: the term c m of unknown
-    (f, beta) adds factor(alpha, beta) c w^delta m to unknown (f, alpha)
-    for each alpha = beta + delta of the target with |delta| <= cut.  A
-    term is formed only if its (x, u)-degree is at most ``cut`` and its
-    weighted degree at most the slot's bound."""
-    weights = target.table.weights
-    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in target.table.ids]
-    last_w = max(target.wpos)
-    q = len(target.wpos)
-    deltas = [(delta, target.monomial(delta)) for delta in monomials_up_to(q, min(cut, target.order))]
-    # source column -> [(w^delta, |delta|, its weighted degree, target column,
-    # factor or None for 1)], graded by |delta|
+def _spread(field: UnknownCoefficientField, blocks, rooms, cut) -> dict:
+    """The rows {k: {monomial: {column: coefficient}}} over the unknowns of
+    ``field`` that the blocks {k: {monomial: {column: coefficient}}} of Lie's
+    operator spread to, each monomial in x and u only: the term c m of
+    unknown (f, beta) adds alpha!/delta! c w^delta m to unknown (f, alpha)
+    for each alpha = beta + delta of the ansatz with |delta| <= cut.  A term
+    is formed only if its degree is at most ``cut`` and its weighted degree
+    at most the block's room (None for no bound)."""
+    weights = field.table.weights
+    q = len(field.wpos)
+    deltas = [(delta, field.monomial(delta)) for delta in monomials_up_to(q, min(cut, field.order))]
+    # column of beta -> [(w^delta, |delta|, its weighted degree, column of
+    # alpha, alpha!/delta! or None for 1)], graded by |delta|
     shifts: dict[int, list] = {}
     out = {}
-    for slot, rows in groups.items():
-        bound = bounds[slot]
-        spread = out[slot] = {}
+    for k, rows in blocks.items():
+        room = rooms[k]
+        spread = out[k] = {}
         for m, row in rows.items():
-            room = cut - mono_weighted_degree(m, xu_weights)
-            limit = inf if bound is None else bound - mono_weighted_degree(m, weights)
-            # x and u sit before every other variable of m: a product is then
-            # a concatenation.
-            concat = not m or m[0][0] > last_w
+            spare = cut - sum(e for _, e in m)
+            limit = inf if room is None else room - mono_weighted_degree(m, weights)
             for c, coeff in row.items():
                 targets = shifts.get(c)
                 if targets is None:
-                    _, func, beta = source.unknowns[c]
+                    _, func, beta = field.unknowns[c]
                     targets = shifts[c] = []
-                    for delta, dmono in deltas[: comb(q + min(cut, target.order - sum(beta)), q)]:
+                    for delta, dmono in deltas[: comb(q + min(cut, field.order - sum(beta)), q)]:
                         alpha = tuple(b + d for b, d in zip(beta, delta))
-                        k = factor(alpha, beta)
-                        k = None if k == 1 else GaussScalar(k)
-                        col = target.col[(COEF, func, alpha)]
-                        targets.append((dmono, sum(delta), mono_weighted_degree(dmono, weights), col, k))
-                for dmono, dd, dw, col, k in targets:
-                    if dd > room:
+                        factor = prod(perm(a, b) for a, b in zip(alpha, beta) if b)
+                        factor = None if factor == 1 else GaussScalar(factor)
+                        col = field.col[(COEF, func, alpha)]
+                        targets.append((dmono, sum(delta), mono_weighted_degree(dmono, weights), col, factor))
+                for dmono, dd, dw, col, factor in targets:
+                    if dd > spare:
                         break
                     if dw > limit:
                         continue
-                    key = dmono + m if concat else mono_mul(dmono, m)
-                    v = coeff if k is None else coeff * k
+                    key = mono_mul(dmono, m)
+                    v = coeff if factor is None else coeff * factor
                     out_row = spread.get(key)
                     if out_row is None:
                         spread[key] = {col: v}
@@ -654,7 +636,7 @@ def symmetry_algebra(sys: PDESystem, order: int = 3, point: dict | None = None) 
     exact nullspace of the full determining system.  Each distinct row of
     each distinct block is solved once: the reduced row echelon form, and
     so the nullspace, is the same for any order and any repeats.  The full
-    system, ``SymmetryAlgebra.determining``, is written out only if read."""
+    system is written out only by ``SymmetryAlgebra.determining.ordered()``."""
     if point:
         sys = sys.translated(point)
     field = UnknownCoefficientField(sys.ctx, order)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, inf
+from math import comb, inf, perm, prod
 from random import Random
 
 from hypothesis import settings
@@ -23,7 +23,6 @@ from jetsym.determining import (
     TruncationOrderError,
     UnknownCoefficientField,
     _shift_field,
-    _spread,
     alpha_factorial,
     generate_determining,
     monomials_up_to,
@@ -31,7 +30,7 @@ from jetsym.determining import (
 from jetsym.jets import InvolutivityVerdict, JetContext, PDESystem, restricted_total_derivative, total_derivative
 from jetsym.lie_alg import FieldBasis
 from jetsym.linalg import LinearSolveResult, _Reducer, sparse_rank
-from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_sort_key
+from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_mul, mono_sort_key, mono_weighted_degree
 from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import COEF, W, Z, check_size, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import I, ONE, ZERO, GaussScalar
@@ -172,10 +171,27 @@ def first_difference(a, b):
     return next((k for k, (x, y) in enumerate(zip_longest(a, b, fillvalue=object())) if x != y), None)
 
 
-def system_of_rows(field, groups: dict) -> DeterminingSystem:
+def system_of_rows(field, rows: dict) -> DeterminingSystem:
     """A determining system holding the rows {slot: {monomial: row}} as
-    they are: each slot one block, with an empty jet part."""
-    return DeterminingSystem(field, {slot: {(): rows} for slot, rows in groups.items()})
+    they are, split as ``_blocks`` splits Lie's operator: one block per slot
+    and jet part, keyed by the (x, u) part of each monomial."""
+    is_xu = [vid[0] in (rings.X, rings.U) for vid in field.table.ids]
+    layout, blocks = {}, {}
+    for slot, by_mono in rows.items():
+        keys = layout[slot] = {}
+        for mono, row in by_mono.items():
+            k = keys.setdefault(tuple(f for f in mono if not is_xu[f[0]]), len(blocks))
+            blocks.setdefault(k, {})[tuple(f for f in mono if is_xu[f[0]])] = row
+    return DeterminingSystem(field, layout, blocks)
+
+
+def written_rows(det) -> dict:
+    """Every row of ``det`` written out, {slot: {monomial: row}}, read from
+    ``det.ordered()``; a slot with no rows maps to {}."""
+    out = {slot: {} for slot in det.layout}
+    for prov, row in det.ordered():
+        out[(prov.mu, prov.i, prov.j)][prov.mono] = row
+    return out
 
 
 def sort_all_collect(ansatz, polys: dict) -> dict:
@@ -199,6 +215,72 @@ def ansatz_field(field) -> VectorField:
     return VectorField(JetContext(field.ext_table), theta, eta)
 
 
+# The general spread that ``determining._spread`` specializes to one field
+# and blocks over (x, u), with its power factor: the reference for both.
+def _power_factor(alpha, beta) -> int:
+    """The k of d^beta w^alpha = k w^(alpha - beta)."""
+    return prod(perm(a, b) for a, b in zip(alpha, beta) if b)
+
+
+def reference_spread(source: UnknownCoefficientField, target: UnknownCoefficientField, groups, bounds, cut, factor) -> dict:
+    """Rows {slot: {monomial: {column: coefficient}}} over the unknowns of
+    ``target`` from rows over those of ``source``: the term c m of unknown
+    (f, beta) adds factor(alpha, beta) c w^delta m to unknown (f, alpha)
+    for each alpha = beta + delta of the target with |delta| <= cut.  A
+    term is formed only if its (x, u)-degree is at most ``cut`` and its
+    weighted degree at most the slot's bound."""
+    weights = target.table.weights
+    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in target.table.ids]
+    last_w = max(target.wpos)
+    q = len(target.wpos)
+    deltas = [(delta, target.monomial(delta)) for delta in monomials_up_to(q, min(cut, target.order))]
+    # source column -> [(w^delta, |delta|, its weighted degree, target column,
+    # factor or None for 1)], graded by |delta|
+    shifts: dict[int, list] = {}
+    out = {}
+    for slot, rows in groups.items():
+        bound = bounds[slot]
+        spread = out[slot] = {}
+        for m, row in rows.items():
+            room = cut - mono_weighted_degree(m, xu_weights)
+            limit = inf if bound is None else bound - mono_weighted_degree(m, weights)
+            # x and u sit before every other variable of m: a product is then
+            # a concatenation.
+            concat = not m or m[0][0] > last_w
+            for c, coeff in row.items():
+                targets = shifts.get(c)
+                if targets is None:
+                    _, func, beta = source.unknowns[c]
+                    targets = shifts[c] = []
+                    for delta, dmono in deltas[: comb(q + min(cut, target.order - sum(beta)), q)]:
+                        alpha = tuple(b + d for b, d in zip(beta, delta))
+                        k = factor(alpha, beta)
+                        k = None if k == 1 else GaussScalar(k)
+                        col = target.col[(COEF, func, alpha)]
+                        targets.append((dmono, sum(delta), mono_weighted_degree(dmono, weights), col, k))
+                for dmono, dd, dw, col, k in targets:
+                    if dd > room:
+                        break
+                    if dw > limit:
+                        continue
+                    key = dmono + m if concat else mono_mul(dmono, m)
+                    v = coeff if k is None else coeff * k
+                    out_row = spread.get(key)
+                    if out_row is None:
+                        spread[key] = {col: v}
+                        continue
+                    acc = out_row.get(col)
+                    if acc is not None:
+                        v = acc + v
+                        if v.is_zero():
+                            del out_row[col]
+                            if not out_row:
+                                del spread[key]
+                            continue
+                    out_row[col] = v
+    return out
+
+
 def _inverse_factor(beta, gamma) -> Fraction:
     """The k of k w^(beta - gamma) P_{f,gamma} in A_{f,beta}."""
     delta = tuple(b - g for b, g in zip(beta, gamma))
@@ -215,7 +297,7 @@ def reference_criterion_operator(sys_, quad) -> tuple[dict, dict]:
     X = ansatz_field(quad)
     residuals = lie_criterion_check(X, PDESystem(X.ctx, sys_.entries))
     bounds = {slot: r.bound for slot, r in residuals.items()}
-    return _spread(quad, quad, quad.group(residuals), bounds, inf, _inverse_factor), bounds
+    return reference_spread(quad, quad, quad.group(residuals), bounds, inf, _inverse_factor), bounds
 
 
 def reference_determining(sys_, field):

@@ -17,7 +17,6 @@ from jetsym.determining import (
     UnderdeterminedLayerError,
     UnknownCoefficientField,
     _distinct,
-    _power_factor,
     _shift_field,
     _spread,
     alpha_factorial,
@@ -40,6 +39,7 @@ from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, hyperquadric, segre_system
 
 from helpers import (
+    _power_factor,
     budget,
     first_difference,
     linear_residual,
@@ -52,11 +52,13 @@ from helpers import (
     reference_label,
     reference_monomial_str,
     reference_shift_field,
+    reference_spread,
     reference_symmetry_algebra,
     reference_translated,
     second_order_forms,
     sort_all_collect,
     system_of_rows,
+    written_rows,
     zero_initial_data,
 )
 
@@ -354,8 +356,9 @@ def test_generate_determining_matches_reference_on_truncated_and_edge_cases():
 def test_distinct_blocks_give_the_rows_of_the_full_spread():
     # Each distinct block of Lie's operator is spread once.  Its distinct
     # rows, compared as sets, must be those of the whole operator spread at
-    # once, and written out the blocks must give that spread row for row.
-    # One assertion, so a failure is cheap to report.
+    # once; written out, the blocks must give that spread row for row, and
+    # ``row_count`` its number of rows.  One assertion, so a failure is
+    # cheap to report.
     cases = truncated_and_edge_cases() + [(f"flat {n}x{m} N=3", flat_system(n, m), 3) for n, m in [(3, 3), (4, 2)]]
     cases += [(f"linearizable {n}x{m} N={N}", linearizable_system(n, m), N) for n, m, N in [(1, 1, 4), (2, 1, 5), (2, 2, 4), (3, 2, 3)]]
     got, expected = [], []
@@ -367,10 +370,35 @@ def test_distinct_blocks_give_the_rows_of_the_full_spread():
             continue
         quad = UnknownCoefficientField(sys_.ctx, 2)
         operator, bounds = lie_operator(sys_, quad.column)
-        full = _spread(quad, field, operator, bounds, N - 2, _power_factor)
-        got.append((label, {frozenset(row.items()) for _, row in det.block_rows()}, det.groups))
-        expected.append((label, {frozenset(row.items()) for rows in full.values() for row in rows.values()}, full))
+        full = reference_spread(quad, field, operator, bounds, N - 2, _power_factor)
+        got.append((label, {frozenset(row.items()) for _, row in det.block_rows()}, written_rows(det), det.row_count))
+        expected.append((
+            label,
+            {frozenset(row.items()) for rows in full.values() for row in rows.values()},
+            full,
+            sum(len(rows) for rows in full.values()),
+        ))
     assert (first_difference(got, expected), len(got)) == (None, len(cases) - 16)
+
+
+def test_low_degree_unknowns_lead_every_ansatz():
+    # The unknowns with |beta| <= 2 are the first columns of every ansatz,
+    # in the order of the degree-2 one, so Lie's operator numbered by the
+    # degree-N columns is the operator numbered by the degree-2 ones:
+    # ``generate_determining`` builds no degree-2 field.
+    prefixes = []
+    for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]:
+        ctx = JetContext.create(n, m)
+        quad = UnknownCoefficientField(ctx, 2)
+        for N in range(2, 6):
+            field = UnknownCoefficientField(ctx, N)
+            prefixes.append(((n, m, N), field.unknowns[: len(quad.unknowns)] == quad.unknowns))
+    got, expected = [], []
+    for label, sys_, N in truncated_and_edge_cases():
+        field = UnknownCoefficientField(sys_.ctx, N)
+        got.append((label, lie_operator(sys_, field.column)))
+        expected.append((label, lie_operator(sys_, UnknownCoefficientField(sys_.ctx, 2).column)))
+    assert ([key for key, same in prefixes if not same], first_difference(got, expected)) == ([], None)
 
 
 def test_lie_operator_matches_the_read_off_reference():
@@ -630,9 +658,9 @@ def test_taylor_underdetermined_layer():
     full = generate_determining(sys_, UnknownCoefficientField(sys_.ctx, 2))
     prov, row = next(full.ordered())
     assert row == {full.field.col[(COEF, (ETA, 1), (2, 0))]: GaussScalar(2)}
-    groups = {slot: dict(by_mono) for slot, by_mono in full.groups.items()}
-    del groups[(prov.mu, prov.i, prov.j)][prov.mono]
-    det = system_of_rows(full.field, groups)
+    rows = written_rows(full)
+    del rows[(prov.mu, prov.i, prov.j)][prov.mono]
+    det = system_of_rows(full.field, rows)
     with pytest.raises(UnderdeterminedLayerError) as err:
         taylor_from_initial_data(sys_, zero_initial_data(1, 1), order=2, det=det)
     assert err.value.layer == 2
@@ -676,8 +704,9 @@ def test_propagator_skips_a_repeated_check_row(monkeypatch):
     vec = [ZERO] * InitialData.dimension(2, 1)
     vec[min(form)] = ONE
     omega = InitialData.from_flat(vec, 2, 1)
-    row = det.groups[(prov.mu, prov.i, prov.j)][prov.mono]
-    copied = system_of_rows(det.field, {**det.groups, (2, 1, 1): {prov.mono: dict(row)}})
+    rows = written_rows(det)
+    row = rows[(prov.mu, prov.i, prov.j)][prov.mono]
+    copied = system_of_rows(det.field, {**rows, (2, 1, 1): {prov.mono: dict(row)}})
     seen = {}
     for name in ("reduce", "insert"):
         original = getattr(_Reducer, name)
@@ -736,21 +765,20 @@ def test_symmetry_algebra_orders_no_rows(monkeypatch, tmp_path, capsys):
 
 def test_symmetry_algebra_spreads_each_distinct_block_once(monkeypatch):
     # Flat (3, 3) at N = 3: Lie's operator has 828 rows, one per block, and
-    # 219 distinct blocks; only those are spread.  The 5 796 rows of the
-    # full system are written only when they are read.
+    # 219 distinct blocks; only those are spread.  The full system's 5 796
+    # rows are counted from the layout and written out by ``ordered``.
     spread = []
     original = _spread
 
-    def counting(source, target, groups, *rest):
-        spread.append(sum(len(rows) for rows in groups.values()))
-        return original(source, target, groups, *rest)
+    def counting(field, blocks, *rest):
+        spread.append(sum(len(rows) for rows in blocks.values()))
+        return original(field, blocks, *rest)
 
     monkeypatch.setattr("jetsym.determining._spread", counting)
     alg = symmetry_algebra(flat_system(3, 3), order=3)
-    written = "groups" in alg.determining.__dict__
     det = alg.determining
-    full = sum(len(by_mono) for by_mono in det.groups.values())
-    assert (spread, written, alg.dimension, det.row_count, full) == ([219], False, 48, 5796, 5796)
+    full = sum(len(by_mono) for by_mono in written_rows(det).values())
+    assert (spread, alg.dimension, det.row_count, full) == ([219], 48, 5796, 5796)
 
 
 def test_propagator_values_match_the_dense_forms():
