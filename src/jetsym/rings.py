@@ -11,9 +11,8 @@ with multi-indices I always sorted ascending, so u^mu_{ij} and u^mu_{ji}
 are the same variable.  The table stops at second jets: a system
 u_ij = F_ij(x, u, u_x) needs no more for its involutivity check, its
 symmetry criterion or a second prolongation.  Tables can be extended with
-auxiliary variables (elimination parameters, symbolic coefficients);
-auxiliary variables may carry truncation weight 0 so they do not count
-toward series truncation.
+auxiliary variables, such as a Segre family's elimination parameters; they
+may carry truncation weight 0 so they do not count toward truncation.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ Conjugated variables are independent polynomial variables; reality of a
 defining polynomial is a checked invariant and "Re" is the formal half sum
 under the conjugation involution, so no numerical evaluation ever occurs.
 
-One ``tangency_remainder``, 2 Re X(rho) mod rho, serves both
-``cr_tangency_check`` and the automorphism ansatz, whose Gaussian rows
-``_real_parts`` splits into real equations for ``LinearAnsatz.solutions``.
+``tangency_remainder``, 2 Re X(rho) mod rho for one field, serves
+``cr_tangency_check``; ``_tangency_rows`` writes the automorphism ansatz's
+Gaussian rows column by column, and ``_real_parts`` splits them into real
+equations for ``LinearAnsatz.solutions``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .linalg import sparse_rank
 from .poly import Poly, coefficient_rows, mono_degree, rekey
 from .prolong import VectorField
 from .rings import COEF, VarTable, W, Z, conjugate_id, cr_table, jet_table, jet_var, u_var, x_var, zeta_var
-from .scalars import GaussScalar, I, ZERO
+from .scalars import GaussScalar, I, ONE, ZERO
 from .series import implicit_series_solve
 
 
@@ -145,9 +146,9 @@ def segre_system(defn: DefiningSeries, order: int) -> PDESystem:
 
 
 def conjugate_poly(f: Poly) -> Poly:
-    """Formal conjugation: swap each variable with its conjugate partner,
-    conjugate the coefficients, leave auxiliary (real) unknowns fixed."""
-    g = rekey(f, f.table, lambda vid: vid if vid[0] == COEF else conjugate_id(vid))
+    """Formal conjugation: swap each variable with its conjugate partner and
+    conjugate the coefficients."""
+    g = rekey(f, f.table, conjugate_id)
     return Poly(g.table, {m: c.conjugate() for m, c in g.terms.items()}, g.bound)
 
 
@@ -187,7 +188,7 @@ class HoloField:
             if f.table is not table:
                 raise ValueError("coefficients must share the field's table")
             for vid in f.variables():
-                if vid[0] not in (Z, W, COEF):
+                if vid[0] not in (Z, W):
                     raise ValueError("holomorphic field coefficients live in (z, w) only")
 
     @property
@@ -243,6 +244,40 @@ def cr_tangency_check(X: HoloField, rho: RealDefiningPolynomial) -> bool:
     return tangency_remainder(X, rho).is_zero()
 
 
+def _tangency_rows(ansatz: LinearAnsatz, rho: RealDefiningPolynomial) -> dict:
+    """The Gaussian rows {monomial: {column: coefficient}} of 2 Re X(rho) mod
+    rho over the CR ansatz, whose unknowns are (COEF, (part, comp), alpha).
+
+    The column (aR, comp, alpha) is the field X = w^alpha d/d(zw)_comp, so
+    X(rho) = w^alpha g with g = d rho/d(zw)_comp.  The reduction is the
+    substitution S: w -> -tail/unit, a ring map, and conj(w^alpha) has no
+    w, so the column's remainder is A + B with A = S(w^alpha) S(g) and
+    B = conj(w^alpha) S(conj g); the aI column, i X, gives i (A - B).
+    S(g) and S(conj g) are formed once per component, S(w^alpha) and
+    conj(w^alpha) once per alpha, and A and B once per (comp, alpha).  Rows
+    come in the order their monomials are first met, column by column.
+    """
+    f = rho.rho
+    grads = [f.differentiate(v) for v in ansatz.wvars]
+    s_grads = [reduce_by_rho(g, f) for g in grads]
+    s_conj_grads = [reduce_by_rho(conjugate_poly(g), f) for g in grads]
+    powers = {}  # alpha -> (S(w^alpha), conj(w^alpha))
+    products = {}  # (comp, alpha) -> (A, B), shared by its two columns
+    rows = {}
+    for c, (_, (part, comp), alpha) in enumerate(ansatz.unknowns):
+        if alpha not in powers:
+            w_alpha = Poly(ansatz.table, {ansatz.monomial(alpha): ONE})
+            powers[alpha] = (reduce_by_rho(w_alpha, f), conjugate_poly(w_alpha))
+        if (comp, alpha) not in products:
+            s_w_alpha, conj_w_alpha = powers[alpha]
+            products[comp, alpha] = (s_w_alpha * s_grads[comp], conj_w_alpha * s_conj_grads[comp])
+        A, B = products[comp, alpha]
+        remainder = A + B if part == "aR" else (A - B).scale(I)
+        for mono, v in remainder.terms.items():
+            rows.setdefault(mono, {})[c] = v
+    return rows
+
+
 def _real_parts(row: dict) -> tuple[dict, dict]:
     """The real row and the imaginary row of a sparse {column: GaussScalar}
     row, each holding its nonzero entries only."""
@@ -287,10 +322,8 @@ def cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
         for part in ("aR", "aI")
     ]
     ansatz = LinearAnsatz(base, zw, unknowns)
-    table = ansatz.ext_table
-    X = HoloField(table, [ansatz.poly(("aR", c)) + ansatz.poly(("aI", c)).scale(I) for c in range(n + 1)])
-    remainder = tangency_remainder(X, hyperquadric_rho(signature, table))
-    rows = [part for row in ansatz.group({0: remainder})[0].values() for part in _real_parts(row) if part]
+    rows = _tangency_rows(ansatz, hyperquadric_rho(signature, base))
+    rows = [part for row in rows.values() for part in _real_parts(row) if part]
     basis = []
     for vec in ansatz.solutions(rows):
         polys = ansatz.realize(vec)

@@ -4,6 +4,7 @@ the property tests."""
 from __future__ import annotations
 
 import os
+import weakref
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, inf, perm, prod
@@ -12,7 +13,6 @@ from random import Random
 from hypothesis import settings
 
 from jetsym import rings
-from jetsym.ansatz import split_unknown
 from jetsym.determining import (
     ETA,
     THETA,
@@ -41,7 +41,7 @@ from jetsym.segre import (
     _real_parts,
     defining_table,
     hyperquadric_rho,
-    tangency_remainder,
+    reduce_by_rho,
 )
 from jetsym.series import InconsistentBaseError, _invert_matrix, implicit_series_solve
 
@@ -194,6 +194,82 @@ def written_rows(det) -> dict:
     return out
 
 
+# The symbolic ansatz that ``LinearAnsatz`` built before every caller wrote
+# its rows from a linear operator: the unknowns appended to the table as
+# weight-zero variables, so an expression built from the ansatz stays
+# ordinary polynomial arithmetic, linear in the unknowns.  The references
+# below run the criterion and the tangency condition on it.
+_EXT_TABLES = weakref.WeakKeyDictionary()
+
+
+def ext_table(ansatz):
+    """The ansatz's table extended by its unknowns, in column order; the
+    base positions are kept, so one monomial in wvars serves both tables.
+    Built once per ansatz, since tables are compared by identity."""
+    table = _EXT_TABLES.get(ansatz)
+    if table is None:
+        table = _EXT_TABLES[ansatz] = ansatz.table.extend(ansatz.unknowns, (0,) * len(ansatz.unknowns))
+    return table
+
+
+def ansatz_poly(ansatz, name) -> Poly:
+    """The ansatz polynomial of ``name`` over the extended table."""
+    offset = len(ansatz.table)
+    terms = {mono + ((offset + c, 1),): ONE for c, (nm, mono) in enumerate(ansatz._terms) if nm == name}
+    return Poly(ext_table(ansatz), terms)
+
+
+def group(ansatz, polys: dict) -> dict:
+    """One linear equation per (slot, ordinary monomial) of polys, a map
+    from slot keys to Polys over the extended table that are linear in
+    the unknowns: {slot: {ordinary monomial: {column: coefficient}}}, in
+    the order the terms come."""
+    offset = len(ansatz.table)
+    groups: dict = {}
+    for slot, f in polys.items():
+        by_mono = groups[slot] = {}
+        for mono, coeff in f.terms.items():
+            ordinary, c = split_unknown(mono, offset)
+            # Each (monomial, column) pair is a distinct term of the
+            # slot's polynomial, so no entry is written twice.
+            row = by_mono.get(ordinary)
+            if row is None:
+                by_mono[ordinary] = {c: coeff}
+            else:
+                row[c] = coeff
+    return groups
+
+
+def split_unknown(mono, offset: int):
+    """Split a term's monomial into (ordinary monomial, unknown's column).
+
+    The unknowns sit at table positions offset, offset + 1, ... in column
+    order, after every ordinary variable, so a term's unknown is its last
+    factor.  The term must be linear in the unknowns: exactly one unknown,
+    to the first power, else ArithmeticError.
+    """
+    if not mono or mono[-1][0] < offset:
+        raise ArithmeticError("term has no unknown")
+    p, e = mono[-1]
+    if e != 1 or (len(mono) > 1 and mono[-2][0] >= offset):
+        raise ArithmeticError("term is not linear in the unknowns")
+    return mono[:-1], p - offset
+
+
+def cr_ansatz(n):
+    """The ansatz of ``cr_automorphism_algebra``: columns ordered by
+    component, then exponent, then real and imaginary part."""
+    table = cr_table(n)
+    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
+    unknowns = [
+        (COEF, (part, comp), alpha)
+        for comp in range(n + 1)
+        for alpha in monomials_up_to(n + 1, 2)
+        for part in ("aR", "aI")
+    ]
+    return LinearAnsatz(table, zw, unknowns)
+
+
 def sort_all_collect(ansatz, polys: dict) -> dict:
     """Sorted rows by one sort of everything, the reference for
     ``DeterminingSystem.ordered``: every row of every slot in one dict, then
@@ -210,9 +286,9 @@ def sort_all_collect(ansatz, polys: dict) -> dict:
 def ansatz_field(field) -> VectorField:
     """The ansatz of an ``UnknownCoefficientField`` as a symbolic field over
     its extended table, for the references that run the criterion on it."""
-    theta = tuple(field.poly((THETA, j)) for j in range(1, field.ctx.n + 1))
-    eta = tuple(field.poly((ETA, mu)) for mu in range(1, field.ctx.m + 1))
-    return VectorField(JetContext(field.ext_table), theta, eta)
+    theta = tuple(ansatz_poly(field, (THETA, j)) for j in range(1, field.ctx.n + 1))
+    eta = tuple(ansatz_poly(field, (ETA, mu)) for mu in range(1, field.ctx.m + 1))
+    return VectorField(JetContext(ext_table(field)), theta, eta)
 
 
 # The general spread that ``determining._spread`` specializes to one field
@@ -297,7 +373,7 @@ def reference_criterion_operator(sys_, quad) -> tuple[dict, dict]:
     X = ansatz_field(quad)
     residuals = lie_criterion_check(X, PDESystem(X.ctx, sys_.entries))
     bounds = {slot: r.bound for slot, r in residuals.items()}
-    return reference_spread(quad, quad, quad.group(residuals), bounds, inf, _inverse_factor), bounds
+    return reference_spread(quad, quad, group(quad, residuals), bounds, inf, _inverse_factor), bounds
 
 
 def reference_determining(sys_, field):
@@ -306,7 +382,7 @@ def reference_determining(sys_, field):
     from those residuals' bounds, then ``sort_all_collect``, degree sums per
     row and the N - 2 cut."""
     X = ansatz_field(field)
-    ext_sys = PDESystem(X.ctx, {key: f.convert(field.ext_table) for key, f in sys_.entries.items()})
+    ext_sys = PDESystem(X.ctx, {key: f.convert(ext_table(field)) for key, f in sys_.entries.items()})
     residuals = lie_criterion_check(X, ext_sys)
     N = field.order
     for (mu, i, j) in sorted(residuals):
@@ -316,7 +392,7 @@ def reference_determining(sys_, field):
                 f"residual for (mu={mu}, i={i}, j={j}) is only valid to degree "
                 f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
             )
-    kinds = [vid[0] for vid in field.ext_table.ids]
+    kinds = [vid[0] for vid in ext_table(field).ids]
     rows, provenance = [], []
     for ((mu, i, j), mono), row in sort_all_collect(field, residuals).items():
         xu_deg = sum(e for p, e in mono if kinds[p] in (rings.X, rings.U))
@@ -342,25 +418,19 @@ def reference_symmetry_algebra(sys_, order: int, point: dict | None = None) -> l
 
 
 def reference_cr_automorphism_algebra(signature: Signature) -> CRAutomorphismAlgebra:
-    """``cr_automorphism_algebra`` by the solve it replaced: the rows sorted
-    by slot, then graded-lex monomial, before the real split.  The body is
-    the replaced one, with its row collector by ``sort_all_collect``, which
-    gave the same rows in the same order."""
+    """``cr_automorphism_algebra`` by the solve it replaced: the symbolic
+    ansatz field X over the extended table, 2 Re X(rho) formed by one
+    derivation and a conjugation that keeps the unknowns fixed, reduced
+    modulo rho, then its rows sorted by graded-lex monomial
+    (``sort_all_collect``) before the real split."""
     n = signature.n
     rings.check_size("CR ansatz", 2 * (n + 1) * comb(n + 3, 2))
-    base = cr_table(n)
-    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
-    # Columns: component, then exponent, then real and imaginary part.
-    unknowns = [
-        (COEF, (part, comp), alpha)
-        for comp in range(n + 1)
-        for alpha in monomials_up_to(n + 1, 2)
-        for part in ("aR", "aI")
-    ]
-    ansatz = LinearAnsatz(base, zw, unknowns)
-    table = ansatz.ext_table
-    X = HoloField(table, [ansatz.poly(("aR", c)) + ansatz.poly(("aI", c)).scale(I) for c in range(n + 1)])
-    remainder = tangency_remainder(X, hyperquadric_rho(signature, table))
+    ansatz = cr_ansatz(n)
+    base = ansatz.table
+    rho = hyperquadric_rho(signature, ext_table(ansatz)).rho
+    X = {v: ansatz_poly(ansatz, ("aR", c)) + ansatz_poly(ansatz, ("aI", c)).scale(I) for c, v in enumerate(ansatz.wvars)}
+    xrho = rho.derivation(X)
+    remainder = reduce_by_rho(xrho + reference_conjugate_poly(xrho), rho)
     rows = [part for row in sort_all_collect(ansatz, {0: remainder}).values() for part in _real_parts(row) if part]
     basis = []
     for vec in ansatz.solutions(rows):

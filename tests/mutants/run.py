@@ -13,8 +13,11 @@ run.  One line per mutant reads ``killed`` (a named test failed) or ``survived``
 
 Exit status 0 when every mutant is killed; 1 when one survives, when a
 patch no longer applies (a change rewrote the mutated code: refresh the
-patch), or when the named tests cannot run or fail unpatched.  pytest does
-not collect this file.
+patch), when it applies only at an offset (``git apply -v`` reports a hunk
+that succeeded at another line: a change moved the mutated code, and a
+patch that lands by offset may land on the wrong lines, so refresh it too),
+or when the named tests cannot run or fail unpatched.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -66,10 +69,14 @@ def main() -> int:
             tree = Path(tmp) / mutant["name"]
             copy_tree(tree)
             applied = subprocess.run(
-                ["git", "apply", str(HERE / mutant["patch"])], cwd=tree, capture_output=True, text=True
+                ["git", "apply", "-v", str(HERE / mutant["patch"])], cwd=tree, capture_output=True, text=True
             )
             if applied.returncode != 0:
                 print(f"{mutant['name']}: error: patch does not apply: {applied.stderr.strip()}")
+                failures += 1
+                continue
+            if "(offset" in applied.stdout + applied.stderr:
+                print(f"{mutant['name']}: error: patch applies only at an offset: refresh it")
                 failures += 1
                 continue
             status = run_tests(tree, mutant["tests"])

@@ -1,6 +1,5 @@
 import json
 from fractions import Fraction
-from functools import cached_property
 from random import Random
 
 import pytest
@@ -12,7 +11,6 @@ from jetsym.determining import (
     DeterminingSystem,
     InconsistentLayerError,
     InitialData,
-    LinearAnsatz,
     TruncationOrderError,
     UnderdeterminedLayerError,
     UnknownCoefficientField,
@@ -34,14 +32,18 @@ from jetsym.linalg import LinearSystemExact, _Reducer, solve_linear_exact, spars
 from jetsym.lie_alg import flat_generators, span_equal
 from jetsym.poly import Poly
 from jetsym.prolong import VectorField, lie_criterion_check, lie_operator
-from jetsym.rings import COEF, JET, W, Z, cr_table, jet_var, u_var, x_var, zeta_var
+from jetsym.rings import COEF, JET, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, ONE, ZERO
 from jetsym.segre import DefiningSeries, Signature, defining_table, hyperquadric, segre_system
 
 from helpers import (
     _power_factor,
+    ansatz_poly,
     budget,
+    cr_ansatz,
+    ext_table,
     first_difference,
+    group,
     linear_residual,
     random_point,
     random_perturbation,
@@ -179,7 +181,7 @@ def ansatz_round_trip(ansatz, targets):
     """Solve poly(name) = P for every (name, P), one equation per collected
     row with P's coefficient as its right side, and realize the solution."""
     names = list(targets)
-    groups = ansatz.group({k: ansatz.poly(name) for k, name in enumerate(names)})
+    groups = group(ansatz, {k: ansatz_poly(ansatz, name) for k, name in enumerate(names)})
     rows, rhs = [], []
     for k, by_mono in groups.items():
         for mono, row in by_mono.items():
@@ -204,18 +206,6 @@ def random_target(data, table, wvars, order):
         table,
         {tuple(sorted((p, e) for p, e in zip(pos, a) if e)): c for a, c in terms.items() if not c.is_zero()},
     )
-
-
-def cr_ansatz(n):
-    table = cr_table(n)
-    zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
-    unknowns = [
-        (COEF, (part, comp), alpha)
-        for comp in range(n + 1)
-        for alpha in monomials_up_to(n + 1, 2)
-        for part in ("aR", "aI")
-    ]
-    return LinearAnsatz(table, zw, unknowns)
 
 
 @settings(max_examples=budget(40), deadline=None)
@@ -257,43 +247,38 @@ def random_linear_polys(rng, ansatz, slots):
             rng.choice(pool) + ((offset + rng.randrange(len(ansatz.unknowns)), 1),): rng.choice(coefficients)
             for _ in range(rng.randint(0, 10))
         }
-        polys[slot] = Poly(ansatz.ext_table, terms)
+        polys[slot] = Poly(ext_table(ansatz), terms)
     return polys
 
 
 @settings(max_examples=budget(60), deadline=None)
 @given(
     st.sampled_from([(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2)]),
-    st.sampled_from([1, 2]),
     st.sampled_from([(1, 1, 3), (1, 1, 4), (1, 2, 3), (2, 1, 3), (2, 1, 4), (2, 2, 3)]),
     st.integers(0, 2**32),
 )
-def test_collect_matches_sort_all_reference(lie_shape, cr_n, shape, seed):
+def test_collect_matches_sort_all_reference(lie_shape, shape, seed):
     # Lie slots (mu, i, j), handed over in a random order, through ``group``
-    # and ``DeterminingSystem.ordered``; CR's one slot through ``group``
-    # alone, which need not sort; then the ordered rows and provenance of a
-    # whole determining system, cut included.  One assertion, so a failure
-    # is shrunk once.
+    # and ``DeterminingSystem.ordered``; then the ordered rows and
+    # provenance of a whole determining system, cut included.  One
+    # assertion, so a failure is shrunk once.
     rng = Random(seed)
     n, m, order = lie_shape
     field = UnknownCoefficientField(JetContext.create(n, m), order)
     slots = [(mu, i, j) for mu in range(1, m + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
     rng.shuffle(slots)
     polys = random_linear_polys(rng, field, slots)
-    ordered = system_of_rows(field, field.group(polys)).ordered()
+    ordered = system_of_rows(field, group(field, polys)).ordered()
     lie = first_difference(
         [(((prov.mu, prov.i, prov.j), prov.mono), row) for prov, row in ordered], sort_all_collect(field, polys).items()
     )
-    ansatz = cr_ansatz(cr_n)
-    polys = random_linear_polys(rng, ansatz, [0])
-    cr = {(0, mono): row for mono, row in ansatz.group(polys)[0].items()} == sort_all_collect(ansatz, polys)
     n, m, order = shape
     sys_ = random_first_order_system(rng, n, m)
     field = UnknownCoefficientField(sys_.ctx, order)
     det = generate_determining(sys_, field)
     rows, provenance = reference_determining(sys_, field)
     generated = first_difference([(row, prov) for prov, row in det.ordered()], zip(rows, provenance))
-    assert (lie, cr, generated) == (None, True, None)
+    assert (lie, generated) == (None, None)
 
 
 def determining_outcome(derive, sys_, order):
@@ -730,24 +715,15 @@ def test_propagator_skips_a_repeated_check_row(monkeypatch):
 def test_symmetry_algebra_orders_no_rows(monkeypatch, tmp_path, capsys):
     # Rows are ordered only where they are read in order: never by
     # symmetry_algebra, once by the ``determining`` command, and once by a
-    # propagator however many omegas it evaluates.  No symbolic ansatz
-    # table is built at all: the operator is written from F in closed form.
+    # propagator however many omegas it evaluates.
     calls = []
     ordered = DeterminingSystem.ordered
-    ext_table = LinearAnsatz.__dict__["ext_table"].func
 
     def counting_ordered(self):
         calls.append("ordered")
         return ordered(self)
 
-    def counting_ext_table(self):
-        calls.append(("ext_table", self.order))
-        return ext_table(self)
-
-    counted = cached_property(counting_ext_table)
-    counted.__set_name__(LinearAnsatz, "ext_table")
     monkeypatch.setattr(DeterminingSystem, "ordered", counting_ordered)
-    monkeypatch.setattr(LinearAnsatz, "ext_table", counted)
     symmetry_algebra(flat_system(2, 1), order=3)
     by_algebra = list(calls)
     calls.clear()

@@ -9,13 +9,14 @@ from jetsym.jets import JetContext, involutivity_check
 from jetsym.lie_alg import FieldBasis, closure_check, flat_generators, span_equal
 from jetsym.poly import Poly
 from jetsym.prolong import lie_criterion_check
-from jetsym.rings import COEF, W, WBAR, Z, ZBAR, cr_table, jet_var, u_var, x_var, zeta_var
+from jetsym.rings import W, WBAR, Z, ZBAR, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, I, ONE
 from jetsym.segre import (
     DefiningSeries,
     HoloField,
     RealDefiningPolynomial,
     Signature,
+    _tangency_rows,
     cr_automorphism_algebra,
     conjugate_poly,
     cr_tangency_check,
@@ -24,6 +25,7 @@ from jetsym.segre import (
     hyperquadric_rho,
     reduce_by_rho,
     segre_system,
+    tangency_remainder,
     to_xu_field,
     totally_real_check,
 )
@@ -31,6 +33,7 @@ from jetsym.series import implicit_series_solve
 
 from helpers import (
     budget,
+    cr_ansatz,
     first_difference,
     random_perturbation,
     random_poly,
@@ -346,6 +349,24 @@ def test_cr_solve_matches_sorted_rows_reference(monkeypatch):
     assert (len(got), first_difference(got, expected)) == (4 * 14, None)
 
 
+def test_tangency_rows_match_the_remainder_of_each_column():
+    # Column c of the closed-form rows against the generic remainder of its
+    # field: w^alpha d/d(zw)_comp for an aR column, i times that for aI.
+    got, expected = [], []
+    for text in ("+", "-", "+-", "++-", "-+-"):
+        sig = Signature.parse(text)
+        ansatz = cr_ansatz(sig.n)
+        rho = hyperquadric_rho(sig, ansatz.table)
+        rows = _tangency_rows(ansatz, rho)
+        zero = Poly.zero(ansatz.table)
+        for c, (_, (part, comp), alpha) in enumerate(ansatz.unknowns):
+            w_alpha = Poly(ansatz.table, {ansatz.monomial(alpha): I if part == "aI" else ONE})
+            X = HoloField(ansatz.table, [w_alpha if k == comp else zero for k in range(sig.n + 1)])
+            got.append((text, c, {mono: row[c] for mono, row in rows.items() if c in row}))
+            expected.append((text, c, tangency_remainder(X, rho).terms))
+    assert first_difference(got, expected) is None
+
+
 def test_totally_real_counterexamples():
     t = cr_table(1)
     z = Poly.var(t, (Z, 1))
@@ -416,10 +437,10 @@ def test_hyperquadric_symmetry_algebra_matches_flat():
 @settings(max_examples=budget(150), deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2**32))
 def test_conjugation_and_xu_rewrite_match_reference(n, seed):
-    # Polynomials over a CR table extended by real unknowns, as in the
-    # automorphism solve, exact and truncated, with exponents 1 and above.
+    # Polynomials over a CR table, exact and truncated, with exponents 1
+    # and above.
     rng = Random(seed)
-    table = cr_table(n).extend([(COEF, ("aR", 0), (k,)) for k in range(2)], (0, 0))
+    table = cr_table(n)
     f = random_poly(rng, table, list(table.ids), max_terms=6, max_degree=4).truncate(rng.choice([None, 3, 6]))
     zw = [(Z, j) for j in range(1, n + 1)] + [(W,)]
     X = HoloField(table, [random_poly(rng, table, zw, max_terms=4, max_degree=4) for _ in zw])
