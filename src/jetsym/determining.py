@@ -53,13 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, inf, perm, prod
+from math import comb, perm, prod
 
 from . import rings
 from .ansatz import LinearAnsatz, alpha_factorial, monomials_up_to
 from .jets import JetContext, PDESystem
 from .linalg import _Reducer
-from .poly import mono_mul, mono_sort_key, mono_str, mono_weighted_degree, translate
+from .poly import mono_degree, mono_mul, mono_sort_key, mono_str, translate
 from .prolong import VectorField, lie_operator
 from .rings import COEF, check_size, u_var, x_var
 from .scalars import GaussScalar, ZERO, ONE
@@ -241,7 +241,7 @@ def _blocks(operator, bounds, table):
 
     A block is the rows of one slot whose monomials share a jet part J (the
     factors outside x and u), keyed by their (x, u) part.  Its bound room is
-    the slot's bound less the weighted degree of J, None for no bound.  The
+    the slot's bound less the degree of J, None for no bound.  The
     rows of a block spread to those of the slot at the same J, and two
     blocks with equal rows and equal room spread to equal rows.  Returns
     ({k: block}, {k: room}, {slot: {J: k}}), one k per distinct block."""
@@ -265,7 +265,7 @@ def _blocks(operator, bounds, table):
         bound = bounds[slot]
         keys = layout[slot] = {}
         for jet, block in by_jet.items():
-            room = None if bound is None else bound - mono_weighted_degree(jet, table.weights)
+            room = None if bound is None else bound - mono_degree(jet)
             content = frozenset((mono, frozenset(row.items())) for mono, row in block.items())
             bucket = index.setdefault(hash((room, content)), [])
             k = next((k for k in bucket if rooms[k] == room and blocks[k] == block), None)
@@ -283,21 +283,20 @@ def _spread(field: UnknownCoefficientField, blocks, rooms, cut) -> dict:
     operator spread to, each monomial in x and u only: the term c m of
     unknown (f, beta) adds alpha!/delta! c w^delta m to unknown (f, alpha)
     for each alpha = beta + delta of the ansatz with |delta| <= cut.  A term
-    is formed only if its degree is at most ``cut`` and its weighted degree
-    at most the block's room (None for no bound)."""
-    weights = field.table.weights
+    is formed only if its degree is at most ``cut`` and at most the block's
+    room (None for no bound)."""
     q = len(field.wpos)
     deltas = [(delta, field.monomial(delta)) for delta in monomials_up_to(q, min(cut, field.order))]
-    # column of beta -> [(w^delta, |delta|, its weighted degree, column of
-    # alpha, alpha!/delta! or None for 1)], graded by |delta|
+    # column of beta -> [(w^delta, |delta|, column of alpha, alpha!/delta!
+    # or None for 1)], graded by |delta|
     shifts: dict[int, list] = {}
     out = {}
     for k, rows in blocks.items():
         room = rooms[k]
+        top = cut if room is None else min(cut, room)
         spread = out[k] = {}
         for m, row in rows.items():
-            spare = cut - sum(e for _, e in m)
-            limit = inf if room is None else room - mono_weighted_degree(m, weights)
+            spare = top - mono_degree(m)
             for c, coeff in row.items():
                 targets = shifts.get(c)
                 if targets is None:
@@ -308,12 +307,10 @@ def _spread(field: UnknownCoefficientField, blocks, rooms, cut) -> dict:
                         factor = prod(perm(a, b) for a, b in zip(alpha, beta) if b)
                         factor = None if factor == 1 else GaussScalar(factor)
                         col = field.col[(COEF, func, alpha)]
-                        targets.append((dmono, sum(delta), mono_weighted_degree(dmono, weights), col, factor))
-                for dmono, dd, dw, col, factor in targets:
+                        targets.append((dmono, sum(delta), col, factor))
+                for dmono, dd, col, factor in targets:
                     if dd > spare:
                         break
-                    if dw > limit:
-                        continue
                     key = mono_mul(dmono, m)
                     v = coeff if factor is None else coeff * factor
                     out_row = spread.get(key)

@@ -3,21 +3,19 @@
 A Poly maps monomials to nonzero coefficients.  Monomials are tuples of
 (variable position, exponent) pairs, sorted by position, exponents > 0; the
 empty tuple is the constant monomial.  An optional ``bound`` turns the same
-representation into a truncated power series: terms whose weighted total
-degree exceeds the bound are unknown and never stored.  ``bound=None``
-means the polynomial is exact.
+representation into a truncated power series: terms whose total degree
+exceeds the bound are unknown and never stored.  ``bound=None`` means the
+polynomial is exact.
 
 Truncation bookkeeping: sums and products keep the minimum bound of their
 operands; a derivation sum_v a_v d/dv (``Poly.derivation``) has bound
-min(bound - weight(v) over the vector's variables v, bounds of the a_v with
-a nonzero partial), lower even if every partial vanishes; and substitution
-into a truncated series requires the binding of each replaced variable that
-occurs in it or has positive weight to vanish at the origin (otherwise
+min(bound - 1, bounds of the a_v with a nonzero partial), lower even if
+every partial vanishes; and substitution into a truncated series requires
+the binding of every replaced variable to vanish at the origin (otherwise
 discarded high-degree terms could influence low degrees and no bound would
-be valid).  A product under a bound groups
-each operand's terms by weighted degree, in one pass over each, and
-multiplies only the groups whose degrees sum to at most the bound, so no
-term pair above it is formed.
+be valid).  A product under a bound groups each operand's terms by degree,
+in one pass over each, and multiplies only the groups whose degrees sum to
+at most the bound, so no term pair above it is formed.
 
 Substitution has one path, ``substitute_all``, which replaces variables in a
 list of polynomials at once; ``Poly.substitute`` is its one-polynomial case.
@@ -67,13 +65,11 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 
 def mono_degree(mono: Mono) -> int:
-    return sum(e for _, e in mono)
-
-
-def mono_weighted_degree(mono: Mono, weights) -> int:
+    # A plain loop, with no generator: this is on the sort-key and series
+    # hot paths.
     d = 0
-    for p, e in mono:
-        d += e * weights[p]
+    for _, e in mono:
+        d += e
     return d
 
 
@@ -93,15 +89,15 @@ def _min_bound(*bounds):
     return min(present) if present else None
 
 
-def _by_degree(terms: dict, weights, bound: int) -> dict:
-    """Terms of weighted degree at most ``bound``, as lists keyed by degree."""
+def _by_degree(terms: dict, bound: int) -> dict:
+    """Terms of degree at most ``bound``, as lists keyed by degree."""
     buckets: dict[int, list] = {}
     for m, c in terms.items():
         # Inline, with no generator: this runs once per term of both
         # operands of every bounded product.
         d = 0
-        for p, e in m:
-            d += e * weights[p]
+        for _, e in m:
+            d += e
         if d <= bound:
             buckets.setdefault(d, []).append((m, c))
     return buckets
@@ -223,10 +219,10 @@ class Poly:
         if bound is None:
             blocks = [(small.items(), big.items())]
         else:
-            # Weighted degrees add under multiplication, so only the degree
-            # buckets whose sum stays within the bound can contribute.
-            lo = _by_degree(small, self.table.weights, bound)
-            hi = _by_degree(big, self.table.weights, bound)
+            # Degrees add under multiplication, so only the degree buckets
+            # whose sum stays within the bound can contribute.
+            lo = _by_degree(small, bound)
+            hi = _by_degree(big, bound)
             blocks = [(t1, t2) for d1, t1 in lo.items() for d2, t2 in hi.items() if d1 + d2 <= bound]
         for terms1, terms2 in blocks:
             for m1, c1 in terms1:
@@ -271,8 +267,7 @@ class Poly:
         new_bound = _min_bound(self.bound, bound)
         if new_bound is None or new_bound == self.bound:
             return Poly(self.table, dict(self.terms), new_bound)
-        w = self.table.weights
-        kept = {m: c for m, c in self.terms.items() if mono_weighted_degree(m, w) <= new_bound}
+        kept = {m: c for m, c in self.terms.items() if mono_degree(m) <= new_bound}
         return Poly(self.table, kept, new_bound)
 
     # -- calculus ----------------------------------------------------------------
@@ -295,7 +290,7 @@ class Poly:
             return Poly(table)
         coeffs = {table.index(vid): a for vid, a in vector.items()}
         partials = partial_terms(self.terms, coeffs)
-        bound = _min_bound(derivation_bound(self.bound, table.weights, coeffs), *(coeffs[p].bound for p in partials))
+        bound = _min_bound(derivation_bound(self.bound, coeffs), *(coeffs[p].bound for p in partials))
         out: dict[Mono, GaussScalar] = {}
         for p, d in partials.items():
             if not coeffs[p].is_zero():
@@ -348,14 +343,14 @@ class Poly:
         return f"<Poly {poly_to_str(self)}>"
 
 
-def derivation_bound(bound, weights, positions):
+def derivation_bound(bound, positions):
     """The bound a derivation that moves the variables at ``positions``
     leaves on a series of bound ``bound``, before its coefficients' bounds
-    are taken in: ``bound`` less the largest of their weights, or None when
-    the series is exact or nothing moves."""
+    are taken in: ``bound - 1``, or None when the series is exact or nothing
+    moves."""
     if bound is None or not positions:
         return None
-    return bound - max(weights[p] for p in positions)
+    return bound - 1
 
 
 def partial_terms(terms: dict, positions) -> dict:
@@ -380,12 +375,12 @@ def substitute_all(polys, bindings: dict) -> list:
     polynomials over one table.
 
     Scalars are accepted as constant bindings.  If a polynomial is a
-    truncated series, every replaced variable that occurs in it, and every
-    replaced variable of positive weight, must be bound to a series with
-    zero constant term: its unknown terms above the bound may hold any
-    variable of positive weight, and a shift by a constant would move them
-    down.  Each result's bound is the minimum of its polynomial's bound and
-    the bounds of the bindings of the replaced variables that occur in it.
+    truncated series, every replaced variable must be bound to a series with
+    zero constant term, whether or not it occurs: its unknown terms above
+    the bound may hold any variable, and a shift by a constant would move
+    them down.  Each result's bound is the minimum of its polynomial's bound
+    and the bounds of the bindings of the replaced variables that occur in
+    it.
 
     Each polynomial's terms are grouped by their pattern (the powers of
     replaced variables they carry), and each group is multiplied by those
@@ -408,8 +403,7 @@ def substitute_all(polys, bindings: dict) -> list:
         if val.table is not table:
             raise ValueError("binding polynomial uses a different variable table")
         values[pos] = val
-    shifted = {p for p, val in values.items() if not val.constant_term().is_zero()}
-    shifts_remainder = any(table.weights[p] > 0 for p in shifted)
+    shifted = any(not val.constant_term().is_zero() for val in values.values())
 
     powers: dict[tuple, list] = {}  # (position, bound) -> [v, v^2, ..] truncated at bound
 
@@ -423,17 +417,17 @@ def substitute_all(polys, bindings: dict) -> list:
     for f in polys:
         if f.table is not table:
             raise ValueError("polynomials must share one variable table")
+        if f.bound is not None and shifted:
+            raise ValueError(
+                "cannot substitute a series with nonzero constant term into a "
+                "truncated series"
+            )
         groups: dict[Mono, dict] = {}
         for m, c in f.terms.items():
             pattern = tuple(pe for pe in m if pe[0] in values)
             # m -> kept is one-to-one within a pattern, so nothing collides.
             groups.setdefault(pattern, {})[tuple(pe for pe in m if pe[0] not in values)] = c
         occurring = {p for pattern in groups for p, _ in pattern}
-        if f.bound is not None and (shifts_remainder or not shifted.isdisjoint(occurring)):
-            raise ValueError(
-                "cannot substitute a series with nonzero constant term into a "
-                "truncated series"
-            )
         bound = f.bound
         for p in occurring:
             bound = _min_bound(bound, values[p].bound)

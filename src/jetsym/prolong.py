@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 
 from . import rings
 from .jets import JetContext, PDESystem, jet_order_of_poly, restricted_total_derivative, total_derivative
-from .poly import Poly, _add_into, _min_bound, derivation_bound, mono_mul, mono_weighted_degree, partial_terms
+from .poly import Poly, _add_into, _min_bound, derivation_bound, mono_degree, mono_mul, partial_terms
 from .rings import JET, jet_var
 from .scalars import GaussScalar, ONE
 
@@ -208,7 +208,7 @@ def lie_operator(sys: PDESystem, column) -> tuple[dict, dict]:
         bound = bounds[(mu, i, j)] = _min_bound(
             *(sys.F(nu, i, j).bound for nu in range(1, m + 1)),
             *(sys.F(mu, k, l).bound for k in (i, j) for l in range(1, n + 1)),
-            derivation_bound(f.bound, table.weights, moved),
+            derivation_bound(f.bound, moved),
         )
         terms_of = {}  # (monomial, column) -> coefficient
 
@@ -243,6 +243,6 @@ def lie_operator(sys: PDESystem, column) -> tuple[dict, dict]:
             put(a, (0,) * (n + m), [(t, -c) for t, c in partials.get(v, {}).items()])
         rows = operator[(mu, i, j)] = {}
         for (t, col), c in terms_of.items():
-            if bound is None or mono_weighted_degree(t, table.weights) <= bound:
+            if bound is None or mono_degree(t) <= bound:
                 rows.setdefault(t, {})[col] = c
     return operator, bounds

@@ -11,8 +11,7 @@ with multi-indices I always sorted ascending, so u^mu_{ij} and u^mu_{ji}
 are the same variable.  The table stops at second jets: a system
 u_ij = F_ij(x, u, u_x) needs no more for its involutivity check, its
 symmetry criterion or a second prolongation.  Tables can be extended with
-auxiliary variables, such as a Segre family's elimination parameters; they
-may carry truncation weight 0 so they do not count toward truncation.
+auxiliary variables, such as a Segre family's elimination parameters.
 """
 
 from __future__ import annotations
@@ -87,20 +86,18 @@ def default_name(vid: VarId) -> str:
 
 
 class VarTable:
-    """An immutable ordered collection of variables with truncation weights."""
+    """An immutable ordered collection of variables.  ``weights`` is all
+    ones, kept only for outside readers: every truncation bound counts the
+    total degree."""
 
     __slots__ = ("ids", "pos", "weights", "names", "_by_name")
 
-    def __init__(self, ids, weights=None):
+    def __init__(self, ids):
         self.ids: tuple[VarId, ...] = tuple(ids)
         self.pos: dict[VarId, int] = {v: k for k, v in enumerate(self.ids)}
         if len(self.pos) != len(self.ids):
             raise ValueError("duplicate variable ids")
-        self.weights: tuple[int, ...] = (
-            tuple(weights) if weights is not None else (1,) * len(self.ids)
-        )
-        if len(self.weights) != len(self.ids):
-            raise ValueError("weights length mismatch")
+        self.weights: tuple[int, ...] = (1,) * len(self.ids)
         self.names: tuple[str, ...] = tuple(default_name(v) for v in self.ids)
         self._by_name = {name: vid for name, vid in zip(self.names, self.ids)}
 
@@ -119,12 +116,9 @@ class VarTable:
         except KeyError:
             raise KeyError(f"variable {vid!r} not in table") from None
 
-    def extend(self, extra_ids, extra_weights=None) -> "VarTable":
+    def extend(self, extra_ids) -> "VarTable":
         """A new table with extra variables appended after the current ones."""
-        extra_ids = tuple(extra_ids)
-        if extra_weights is None:
-            extra_weights = (1,) * len(extra_ids)
-        return VarTable(self.ids + extra_ids, self.weights + tuple(extra_weights))
+        return VarTable(self.ids + tuple(extra_ids))
 
 
 def jet_table(n: int, m: int) -> VarTable:

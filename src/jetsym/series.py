@@ -7,7 +7,7 @@ The solution is built one homogeneous layer at a time by a relaxed recursion
 Jacobian J at the base point, read off the equations' own terms: the entry
 for equation g and unknown v is the coefficient of the monomial v alone.
 Each equation is split once into terms c * kept * pattern, where ``kept``
-is a monomial in the remaining variables, of weighted degree k, and
+is a monomial in the remaining variables, of degree k, and
 ``pattern`` a product of powers of the unknowns.
 Sweep b = 1 .. order forms only the degree-b layer of the residual,
 
@@ -25,20 +25,17 @@ once over all sweeps, not once per sweep and equation as a substitution of
 the whole series would (the cost model of Brent and Kung, "Fast algorithms
 for manipulating formal power series", J. ACM 1978).
 
-This needs the remaining variables to have positive weight: with a weight-0
-variable, a term of kept degree 0 other than a Jacobian entry never enters
-a sweep.  The result is verified by a back-substitution at the full order
-before it is returned, which catches any case where the layers do not close.
-The check substitutes the series into all equations in one
-``substitute_all`` call, so each power of an unknown that several equations
-name is formed once for all of them.  It reads nothing from the memo of the
-sweeps.
+The result is verified by a back-substitution at the full order before it
+is returned, which catches any case where the layers do not close.  The
+check substitutes the series into all equations in one ``substitute_all``
+call, so each power of an unknown that several equations name is formed
+once for all of them.  It reads nothing from the memo of the sweeps.
 """
 
 from __future__ import annotations
 
 from .linalg import span_coordinates
-from .poly import Poly, _add_into, mono_degree, mono_weighted_degree, substitute_all
+from .poly import Poly, _add_into, mono_degree, substitute_all
 from .rings import check_size
 from .scalars import GaussScalar, ONE, ZERO
 
@@ -106,7 +103,7 @@ def _relaxed_layers(equations, unknowns, jac_inv, order: int) -> dict:
         for mono, c in g.terms.items():
             kept = tuple(pe for pe in mono if pe[0] not in unknown)
             pattern = tuple(pe for pe in mono if pe[0] in unknown)
-            k = mono_weighted_degree(kept, table.weights)
+            k = mono_degree(kept)
             if k == 0 and len(pattern) == 1 and pattern[0][1] == 1:
                 continue  # a Jacobian entry
             parts.setdefault((pattern, k), {})[kept] = c

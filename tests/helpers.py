@@ -30,7 +30,7 @@ from jetsym.determining import (
 from jetsym.jets import InvolutivityVerdict, JetContext, PDESystem, restricted_total_derivative, total_derivative
 from jetsym.lie_alg import FieldBasis
 from jetsym.linalg import LinearSolveResult, _Reducer, sparse_rank
-from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_mul, mono_sort_key, mono_weighted_degree
+from jetsym.poly import Poly, _add_into, _min_bound, coefficient_rows, mono_degree, mono_mul, mono_sort_key
 from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import COEF, W, Z, check_size, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import I, ONE, ZERO, GaussScalar
@@ -196,9 +196,9 @@ def written_rows(det) -> dict:
 
 # The symbolic ansatz that ``LinearAnsatz`` built before every caller wrote
 # its rows from a linear operator: the unknowns appended to the table as
-# weight-zero variables, so an expression built from the ansatz stays
-# ordinary polynomial arithmetic, linear in the unknowns.  The references
-# below run the criterion and the tangency condition on it.
+# variables, so an expression built from the ansatz stays ordinary
+# polynomial arithmetic, linear in the unknowns.  The references below run
+# the criterion and the tangency condition on it.
 _EXT_TABLES = weakref.WeakKeyDictionary()
 
 
@@ -208,8 +208,22 @@ def ext_table(ansatz):
     Built once per ansatz, since tables are compared by identity."""
     table = _EXT_TABLES.get(ansatz)
     if table is None:
-        table = _EXT_TABLES[ansatz] = ansatz.table.extend(ansatz.unknowns, (0,) * len(ansatz.unknowns))
+        table = _EXT_TABLES[ansatz] = ansatz.table.extend(ansatz.unknowns)
     return table
+
+
+def ext_system(sys_, field) -> PDESystem:
+    """The system's F on the extended table of ``field``, each bound raised
+    by one.  Every term of the criterion on the ansatz holds exactly one
+    unknown, of degree 1, so a residual over this system is known to one
+    degree above its bound in the ordinary variables: the references read
+    each residual bound back lowered by one."""
+    table = ext_table(field)
+    entries = {}
+    for key, f in sys_.entries.items():
+        f = f.convert(table)
+        entries[key] = Poly(table, f.terms, None if f.bound is None else f.bound + 1)
+    return PDESystem(JetContext(table), entries)
 
 
 def ansatz_poly(ansatz, name) -> Poly:
@@ -304,22 +318,21 @@ def reference_spread(source: UnknownCoefficientField, target: UnknownCoefficient
     (f, beta) adds factor(alpha, beta) c w^delta m to unknown (f, alpha)
     for each alpha = beta + delta of the target with |delta| <= cut.  A
     term is formed only if its (x, u)-degree is at most ``cut`` and its
-    weighted degree at most the slot's bound."""
-    weights = target.table.weights
-    xu_weights = [int(vid[0] in (rings.X, rings.U)) for vid in target.table.ids]
+    degree at most the slot's bound."""
+    is_xu = [vid[0] in (rings.X, rings.U) for vid in target.table.ids]
     last_w = max(target.wpos)
     q = len(target.wpos)
     deltas = [(delta, target.monomial(delta)) for delta in monomials_up_to(q, min(cut, target.order))]
-    # source column -> [(w^delta, |delta|, its weighted degree, target column,
-    # factor or None for 1)], graded by |delta|
+    # source column -> [(w^delta, |delta|, target column, factor or None
+    # for 1)], graded by |delta|
     shifts: dict[int, list] = {}
     out = {}
     for slot, rows in groups.items():
         bound = bounds[slot]
         spread = out[slot] = {}
         for m, row in rows.items():
-            room = cut - mono_weighted_degree(m, xu_weights)
-            limit = inf if bound is None else bound - mono_weighted_degree(m, weights)
+            room = cut - sum(e for p, e in m if is_xu[p])
+            limit = inf if bound is None else bound - mono_degree(m)
             # x and u sit before every other variable of m: a product is then
             # a concatenation.
             concat = not m or m[0][0] > last_w
@@ -333,11 +346,11 @@ def reference_spread(source: UnknownCoefficientField, target: UnknownCoefficient
                         k = factor(alpha, beta)
                         k = None if k == 1 else GaussScalar(k)
                         col = target.col[(COEF, func, alpha)]
-                        targets.append((dmono, sum(delta), mono_weighted_degree(dmono, weights), col, k))
-                for dmono, dd, dw, col, k in targets:
+                        targets.append((dmono, sum(delta), col, k))
+                for dmono, dd, col, k in targets:
                     if dd > room:
                         break
-                    if dw > limit:
+                    if dd > limit:
                         continue
                     key = dmono + m if concat else mono_mul(dmono, m)
                     v = coeff if k is None else coeff * k
@@ -370,9 +383,8 @@ def reference_criterion_operator(sys_, quad) -> tuple[dict, dict]:
     P_{f,beta} = sum_{gamma <= beta} A_{f,gamma} d^gamma w^beta, so
     A_{f,beta} = sum_{gamma <= beta} (-w)^delta P_{f,gamma} / (gamma! delta!)
     with delta = beta - gamma, each term to the residual's bound."""
-    X = ansatz_field(quad)
-    residuals = lie_criterion_check(X, PDESystem(X.ctx, sys_.entries))
-    bounds = {slot: r.bound for slot, r in residuals.items()}
+    residuals = lie_criterion_check(ansatz_field(quad), ext_system(sys_, quad))
+    bounds = {slot: None if r.bound is None else r.bound - 1 for slot, r in residuals.items()}
     return reference_spread(quad, quad, group(quad, residuals), bounds, inf, _inverse_factor), bounds
 
 
@@ -381,16 +393,14 @@ def reference_determining(sys_, field):
     the whole degree-N ansatz through the criterion, TruncationOrderError
     from those residuals' bounds, then ``sort_all_collect``, degree sums per
     row and the N - 2 cut."""
-    X = ansatz_field(field)
-    ext_sys = PDESystem(X.ctx, {key: f.convert(ext_table(field)) for key, f in sys_.entries.items()})
-    residuals = lie_criterion_check(X, ext_sys)
+    residuals = lie_criterion_check(ansatz_field(field), ext_system(sys_, field))
     N = field.order
     for (mu, i, j) in sorted(residuals):
-        r = residuals[(mu, i, j)]
-        if r.bound is not None and r.bound < N + 1:
+        bound = residuals[(mu, i, j)].bound
+        if bound is not None and bound - 1 < N + 1:
             raise TruncationOrderError(
                 f"residual for (mu={mu}, i={i}, j={j}) is only valid to degree "
-                f"{r.bound}; the degree-{N} ansatz needs {N + 1}"
+                f"{bound - 1}; the degree-{N} ansatz needs {N + 1}"
             )
     kinds = [vid[0] for vid in ext_table(field).ids]
     rows, provenance = [], []
@@ -548,19 +558,13 @@ def reference_substitute(f: Poly, bindings: dict) -> Poly:
         for p, _ in m:
             if p in polys:
                 occurring.add(p)
-    bound = f.bound
-    # A variable of positive weight shifted by a constant is refused too,
-    # whether or not it occurs.
-    if f.bound is not None and any(table.weights[p] > 0 and not b.constant_term().is_zero() for p, b in polys.items()):
+    # A replaced variable shifted by a constant is refused whether or not it
+    # occurs.
+    if f.bound is not None and any(not b.constant_term().is_zero() for b in polys.values()):
         raise ValueError("cannot substitute a series with nonzero constant term into a truncated series")
+    bound = f.bound
     for p in occurring:
-        b = polys[p]
-        if f.bound is not None and not b.constant_term().is_zero():
-            raise ValueError(
-                "cannot substitute a series with nonzero constant term into a "
-                "truncated series"
-            )
-        bound = _min_bound(bound, b.bound)
+        bound = _min_bound(bound, polys[p].bound)
 
     if not occurring:
         return f.truncate(bound)

@@ -141,7 +141,6 @@ NVARS = 4
 def naive_product(f, g):
     """Form every term pair on dense exponent vectors, then drop the products
     above the smaller bound."""
-    w = f.table.weights
     bound = min((b for b in (f.bound, g.bound) if b is not None), default=None)
     dense = {}
     for m1, c1 in f.terms.items():
@@ -153,7 +152,7 @@ def naive_product(f, g):
             dense[key] = dense.get(key, ZERO) + c1 * c2
     out = {}
     for exps, c in dense.items():
-        if c.is_zero() or (bound is not None and sum(e * wp for e, wp in zip(exps, w)) > bound):
+        if c.is_zero() or (bound is not None and sum(exps) > bound):
             continue
         out[tuple((p, e) for p, e in enumerate(exps) if e)] = c
     return out, bound
@@ -173,14 +172,13 @@ bounds = st.one_of(st.none(), st.integers(0, 10))
 
 @settings(max_examples=budget(300), deadline=None)
 @given(
-    st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS),
     st.dictionaries(monomials, coefficients, max_size=8),
     st.dictionaries(monomials, coefficients, max_size=8),
     bounds,
     bounds,
 )
-def test_bucketed_product_matches_naive(weights, terms_f, terms_g, bound_f, bound_g):
-    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+def test_bucketed_product_matches_naive(terms_f, terms_g, bound_f, bound_g):
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)))
     f = Poly(table, terms_f).truncate(bound_f)
     g = Poly(table, terms_g).truncate(bound_g)
     expected, bound = naive_product(f, g)
@@ -203,16 +201,15 @@ def loop_differentiate(f, pos):
                 nm = m[:k] + m[k + 1:] if e == 1 else m[:k] + ((p, e - 1),) + m[k + 1:]
                 out[nm] = c * GaussScalar(e)
                 break
-    return Poly(f.table, out, None if f.bound is None else f.bound - f.table.weights[pos])
+    return Poly(f.table, out, None if f.bound is None else f.bound - 1)
 
 
 def loop_derivation(f, vector):
     """Differentiate once per variable, multiply by the coefficient, add.
     Its bound is the rule Poly.derivation states: the minimum of
-    f.bound - weight(v) over the vector's variables v and the bounds of the
+    f.bound - 1, when the vector moves any variable, and the bounds of the
     coefficients of nonzero partials."""
-    weights = [f.table.weights[f.table.index(vid)] for vid in vector]
-    out = Poly.zero(f.table, None if f.bound is None or not weights else f.bound - max(weights))
+    out = Poly.zero(f.table, None if f.bound is None or not vector else f.bound - 1)
     for vid, a in vector.items():
         d = loop_differentiate(f, f.table.index(vid))
         if not d.is_zero():
@@ -225,7 +222,6 @@ small_bounds = st.one_of(st.none(), st.integers(0, 6))
 
 @settings(max_examples=budget(300), deadline=None)
 @given(
-    st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS),
     st.dictionaries(monomials, coefficients, max_size=8),
     small_bounds,
     st.dictionaries(
@@ -233,8 +229,8 @@ small_bounds = st.one_of(st.none(), st.integers(0, 6))
         st.tuples(st.dictionaries(monomials, coefficients, max_size=4), small_bounds),
     ),
 )
-def test_derivation_matches_per_variable_loop(weights, terms_f, bound_f, vector_terms):
-    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+def test_derivation_matches_per_variable_loop(terms_f, bound_f, vector_terms):
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)))
     f = Poly(table, terms_f).truncate(bound_f)
     vector = {table.ids[p]: Poly(table, t).truncate(b) for p, (t, b) in vector_terms.items()}
     expected = loop_derivation(f, vector)
@@ -260,11 +256,11 @@ def stored_zeros(f):
 
 
 @settings(max_examples=budget(200), deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS), st.data())
-def test_no_operation_stores_a_zero_coefficient(weights, data):
+@given(st.data())
+def test_no_operation_stores_a_zero_coefficient(data):
     # _add_into takes a term dict unchanged into an empty accumulator, which
     # is sound only while no Poly stores a zero coefficient.
-    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)))
 
     def draw(monos=few_monomials, max_size=6):
         terms = data.draw(st.dictionaries(monos, unit_coefficients, max_size=max_size))
@@ -279,7 +275,7 @@ def test_no_operation_stores_a_zero_coefficient(weights, data):
     vector = {table.ids[p]: draw(max_size=3) for p in data.draw(positions)}
     nonconstant = few_monomials.filter(bool)
     bindings = {table.ids[p]: draw(nonconstant, max_size=3) for p in data.draw(positions)}
-    target = VarTable(tuple(reversed(table.ids)), tuple(reversed(weights)))
+    target = VarTable(tuple(reversed(table.ids)))
     results = [
         f + g, g + f, f - g, g - f, f - f, exact_f + exact_g,
         f * g, g * f, (f + g) * (f - g), exact_f * exact_g, (exact_f + exact_g) * (exact_f - exact_g),
@@ -340,15 +336,15 @@ def substitution_outcome(run):
 
 
 @settings(max_examples=budget(200), deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS), st.integers(0, 2**32))
-def test_substitute_all_matches_per_polynomial_reference(weights, seed):
+@given(st.integers(0, 2**32))
+def test_substitute_all_matches_per_polynomial_reference(seed):
     # Two to four polynomials with mixed bounds over a few variables, so
     # that they share powers of replaced variables under different bounds;
     # bindings are series, exact polynomials, ints and scalars, sometimes
     # with a constant term, and now and then one on another table.  One
     # assertion, so a failure is shrunk once.
     rng = Random(seed)
-    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)))
     vids = list(table.ids)
 
     polys = [random_poly(rng, table, vids, max_terms=8).truncate(rng.choice([None, *range(6)])) for _ in range(rng.randint(2, 4))]
@@ -365,7 +361,7 @@ def test_substitute_all_matches_per_polynomial_reference(weights, seed):
                 value = value - Poly.const(table, value.constant_term())
             bindings[vid] = value.truncate(rng.choice([None, None, 4, 6, 8]))
     if bindings and rng.random() < 0.05:
-        other = VarTable(table.ids, weights)
+        other = VarTable(table.ids)
         bindings[rng.choice(sorted(bindings))] = Poly.var(other, vids[0])
     got = substitution_outcome(lambda: substitute_all(polys, bindings))
     expected = substitution_outcome(lambda: [reference_substitute(f, bindings) for f in polys])
@@ -405,27 +401,14 @@ def test_truncated_substitution_requires_positive_valuation():
         f.substitute({x_var(1): x1 + ctx.const(1)})
 
 
-def test_truncated_series_refuses_a_constant_shift_of_any_positive_weight_variable():
+def test_truncated_series_refuses_a_constant_shift_of_any_variable():
     # u1 does not occur in x1 + O(3), but the unknown terms above degree 2
-    # may hold it (say x1*u1^2), and u1 -> u1 + 1 would move them to degree
-    # 1.  A weight-0 variable shifted by a constant moves no degree.
+    # may hold it (say x1*u1^2), and u1 -> u1 + 1 would move them to
+    # degree 1.
     ctx = JetContext.create(1, 1)
     x1 = ctx.x(1)
     with pytest.raises(ValueError, match="nonzero constant term"):
         translate([(x1 + x1 ** 3).truncate(2)], {u_var(1): 1})
-    table = VarTable(((AUX, "x"), (AUX, "v")), (1, 0))
-    x = Poly.var(table, (AUX, "x"))
-    (shifted,) = translate([(x + x ** 3).truncate(2)], {(AUX, "v"): 1})
-    assert (shifted.terms, shifted.bound) == (x.terms, 2)
-
-
-def test_derivation_bound_follows_the_weight():
-    """A partial along a variable of weight w loses w degrees, not one."""
-    table = VarTable(((AUX, "v"), (AUX, "x")), (2, 1))
-    v, x = Poly.var(table, (AUX, "v")), Poly.var(table, (AUX, "x"))
-    d = (v * x).truncate(3).differentiate((AUX, "v"))
-    assert (d.terms, d.bound) == (x.terms, 1)
-    assert (v * x).truncate(3).differentiate((AUX, "x")).bound == 2
 
 
 def test_differentiate_lowers_bound():
@@ -459,10 +442,10 @@ def test_evaluate():
 
 
 @settings(max_examples=budget(200), deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS), st.integers(0, 2**32))
-def test_translate_there_and_back_is_the_identity(weights, seed):
+@given(st.integers(0, 2**32))
+def test_translate_there_and_back_is_the_identity(seed):
     rng = Random(seed)
-    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)))
     vids = list(table.ids)
     polys = [random_poly(rng, table, vids, max_terms=6, max_degree=4) for _ in range(rng.randint(1, 4))]
     point = random_point(rng, vids)
@@ -471,12 +454,12 @@ def test_translate_there_and_back_is_the_identity(weights, seed):
 
 
 @settings(max_examples=budget(200), deadline=None)
-@given(st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS), st.integers(0, 2**32))
-def test_convert_matches_reference(weights, seed):
+@given(st.integers(0, 2**32))
+def test_convert_matches_reference(seed):
     # The target holds f's variables in another order, among variables f's
     # table lacks, and lacks the source variables that f does not use.
     rng = Random(seed)
-    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)))
     used = rng.sample(list(table.ids), rng.randint(1, NVARS))
     f = random_poly(rng, table, used, max_terms=6, max_degree=4).truncate(rng.choice([None, 2, 5]))
     target_ids = used + [(AUX, f"t{k}") for k in range(rng.randint(0, 3))]
@@ -505,16 +488,15 @@ def test_rekey_renames_only_occurring_variables():
 
 @settings(max_examples=budget(300), deadline=None)
 @given(
-    st.lists(st.integers(0, 2), min_size=NVARS, max_size=NVARS),
     st.dictionaries(few_monomials, unit_coefficients, max_size=6),
     st.dictionaries(few_monomials, unit_coefficients, max_size=6),
     small_bounds,
     small_bounds,
 )
-def test_sub_matches_reference(weights, terms_f, terms_g, bound_f, bound_g):
+def test_sub_matches_reference(terms_f, terms_g, bound_f, bound_g):
     # Bounded and exact operands over a small monomial pool, so that many
     # differences cancel; the terms are compared in their stored order.
-    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)), weights)
+    table = VarTable(tuple((AUX, f"v{p}") for p in range(NVARS)))
     f, g = Poly(table, terms_f).truncate(bound_f), Poly(table, terms_g).truncate(bound_g)
     exact_f, exact_g = Poly(table, dict(f.terms)), Poly(table, dict(g.terms))
     pairs = [(f, g), (g, f), (f, f), (f, exact_f), (exact_f, f), (exact_f, exact_g), (f, Poly.zero(table)), (Poly.zero(table), g)]

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetsym import series
 from jetsym.linalg import sparse_rank
 from jetsym.poly import Poly
 from jetsym.rings import AUX, VarTable, jet_var, zeta_var
@@ -162,15 +163,14 @@ def random_scalar_coefficient(rng):
 
 
 def random_implicit_system(rng):
-    """1 to 3 unknowns z_k in the remaining variables x, y of weight 1 or 2:
-    a random linear part in z (a singular one must be refused) and in x, y;
-    terms of degree >= 2 with exponents up to 3; in about half of the
-    equations a product of two unknowns whose kept part is 1, x or y; and in
-    about a third a truncation bound, which may lie below the order."""
+    """1 to 3 unknowns z_k in the remaining variables x, y: a random linear
+    part in z (a singular one must be refused) and in x, y; terms of degree
+    >= 2 with exponents up to 3; in about half of the equations a product of
+    two unknowns whose kept part is 1, x or y; and in about a third a
+    truncation bound, which may lie below the order."""
     k = rng.randint(1, 3)
     names = [f"z{i}" for i in range(k)] + ["x", "y"]
-    weights = (1,) * k + (rng.randint(1, 2), rng.randint(1, 2))
-    t = VarTable(tuple((AUX, n) for n in names), weights)
+    t = plain_table(*names)
     variables = [Poly.var(t, (AUX, n)) for n in names]
     zs = variables[:k]
     equations = []
@@ -237,12 +237,17 @@ def test_relaxed_solve_matches_resubstitution_reference(system, order):
     )
 
 
-def test_weight_zero_variable_fails_back_substitution():
-    # a has weight 0, so the term -a*z has kept degree 0 without being a
-    # Jacobian entry, and the layers do not close: the back-substitution must
-    # refuse the result, as it did after the re-substitution sweeps.
-    t = VarTable(((AUX, "z"), (AUX, "a"), (AUX, "x")), (1, 0, 1))
-    z, a, x = (Poly.var(t, (AUX, n)) for n in ("z", "a", "x"))
-    for solve in (implicit_series_solve, resubstitution_series_solve):
-        with pytest.raises(ArithmeticError, match="^implicit solve failed back-substitution at equation 1$"):
-            solve([z - a * z - x], [(AUX, "z")], 4)
+def test_back_substitution_refuses_a_corrupted_layer(monkeypatch):
+    # The layers of z - x - z^2 = 0 with x^2 added to the solved series: the
+    # full-order back-substitution must refuse the result.
+    t = plain_table("z", "x")
+    z, x = (Poly.var(t, (AUX, n)) for n in ("z", "x"))
+    relaxed = series._relaxed_layers
+
+    def corrupted(*args):
+        layers = relaxed(*args)
+        return {v: f + (x * x).truncate(f.bound) for v, f in layers.items()}
+
+    monkeypatch.setattr(series, "_relaxed_layers", corrupted)
+    with pytest.raises(ArithmeticError, match="^implicit solve failed back-substitution at equation 1$"):
+        implicit_series_solve([z - x - z * z], [(AUX, "z")], 4)
