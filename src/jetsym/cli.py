@@ -30,7 +30,7 @@ from .jets import JetContext, PDESystem, check_involutivity_size, involutivity_c
 from .lie_alg import FieldBasis, bracket, closure_check, flat_generators
 from .poly import mono_str, poly_to_str
 from .prolong import VectorField, lie_criterion_check
-from .rings import check_size, u_var, x_var
+from .rings import check_size
 from .segre import (
     DefiningSeries,
     Signature,
@@ -130,8 +130,7 @@ def parse_point(text: str | None, ctx: JetContext) -> dict:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != ctx.n + ctx.m:
         raise CliError(f"point needs {ctx.n + ctx.m} coordinates, got {len(parts)}")
-    vids = [x_var(i) for i in range(1, ctx.n + 1)] + [u_var(mu) for mu in range(1, ctx.m + 1)]
-    return {vid: parse_scalar(p) for vid, p in zip(vids, parts)}
+    return {vid: parse_scalar(p) for vid, p in zip(ctx.coords, parts)}
 
 
 def field_doc(X: VectorField) -> dict:

@@ -61,7 +61,7 @@ from .jets import JetContext, PDESystem
 from .linalg import _Reducer
 from .poly import mono_degree, mono_mul, mono_sort_key, mono_str, translate
 from .prolong import VectorField, lie_operator
-from .rings import COEF, check_size, u_var, x_var
+from .rings import COEF, check_size
 from .scalars import GaussScalar, ZERO, ONE
 
 
@@ -101,11 +101,10 @@ class UnknownCoefficientField(LinearAnsatz):
         check_size("symmetry ansatz", (n + m) * comb(n + m + order, order))
         self.ctx = ctx
         self.order = order
-        wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
         funcs = self.funcs = [(THETA, j) for j in range(1, n + 1)] + [(ETA, mu) for mu in range(1, m + 1)]
         unknowns = [(COEF, func, alpha) for alpha in monomials_up_to(n + m, order) for func in funcs]
         unknowns.sort(key=lambda cid: (sum(cid[2]), funcs.index(cid[1]), cid[2]))
-        super().__init__(ctx.table, wvars, unknowns)
+        super().__init__(ctx.table, ctx.coords, unknowns)
 
     def column(self, f: int, alpha) -> int:
         """The column of the unknown (f, alpha), f indexing theta_1 ..
@@ -126,9 +125,7 @@ class UnknownCoefficientField(LinearAnsatz):
         only its entries are read (``realize``).
         """
         polys = self.realize(values)
-        theta = tuple(polys[(THETA, j)] for j in range(1, self.ctx.n + 1))
-        eta = tuple(polys[(ETA, mu)] for mu in range(1, self.ctx.m + 1))
-        return VectorField(self.ctx, theta, eta)
+        return VectorField.on(self.table, self.wvars, [polys[f] for f in self.funcs], self.ctx)
 
 
 @dataclass
@@ -415,13 +412,12 @@ def initial_data_of(X: VectorField, point: dict | None = None) -> InitialData:
     """Read off (alpha, beta, gamma, delta, epsilon) of a field at a point."""
     n, m = X.ctx.n, X.ctx.m
     point = point or {}
-    wvars = [x_var(i) for i in range(1, n + 1)] + [u_var(mu) for mu in range(1, m + 1)]
-    funcs = {(THETA, j): f for j, f in enumerate(X.theta, start=1)}
-    funcs.update(((ETA, k), f) for k, f in enumerate(X.eta, start=1))
+    funcs = [(THETA, j) for j in range(1, n + 1)] + [(ETA, k) for k in range(1, m + 1)]
+    coeff_of = dict(zip(funcs, X.coeffs))
     values = []
     for func, alpha in omega_ids(n, m):
-        f = funcs[func]
-        for v, e in zip(wvars, alpha):
+        f = coeff_of[func]
+        for v, e in zip(X.coords, alpha):
             for _ in range(e):
                 f = f.differentiate(v)
         values.append(f.evaluate(point))
@@ -613,9 +609,8 @@ def taylor_from_initial_data(
 def _shift_field(X: VectorField, point: dict) -> VectorField:
     """Move a field built at the origin back to the base point: each
     variable v becomes v - point[v]."""
-    n = X.ctx.n
-    moved = translate(X.theta + X.eta, {vid: -val for vid, val in point.items()})
-    return VectorField(X.ctx, moved[:n], moved[n:])
+    moved = translate(X.coeffs, {vid: -val for vid, val in point.items()})
+    return VectorField.on(X.table, X.coords, moved, X.ctx)
 
 
 @dataclass

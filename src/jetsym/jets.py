@@ -38,6 +38,9 @@ class JetContext:
         if any(jet_var(mu, ij) not in table for ij in seconds for mu in range(1, self.m + 1)):
             raise ValueError("jet context needs a table with the second jets")
         self.table = table
+        # x_1..x_n, u^1..u^m: the coordinates of a point field, in order.
+        xs = tuple(x_var(i) for i in range(1, self.n + 1))
+        self.coords = xs + tuple(u_var(mu) for mu in range(1, self.m + 1))
 
     @staticmethod
     def create(n: int, m: int) -> "JetContext":

@@ -20,12 +20,11 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
     component; a zero component (most of them, for the sparse generators
     of a closure check) is derived at no cost.
     """
-    if X.ctx.table is not Y.ctx.table:
-        raise ValueError("fields must share a context")
+    if X.table is not Y.table or X.coords != Y.coords:
+        raise ValueError("fields must share a table and coordinates")
     vx, vy = X.vector(), Y.vector()
-    comps = [g.derivation(vx) - f.derivation(vy) for f, g in zip(X.theta + X.eta, Y.theta + Y.eta)]
-    n = X.ctx.n
-    return VectorField(X.ctx, comps[:n], comps[n:])
+    comps = [g.derivation(vx) - f.derivation(vy) for f, g in zip(X.coeffs, Y.coeffs)]
+    return VectorField.on(X.table, X.coords, comps, X.ctx)
 
 
 def field_rows(fields):
@@ -36,7 +35,7 @@ def field_rows(fields):
     given fields.  Nothing is sorted: ranks do not depend on the column
     order, nor do the coordinates of a vector in an independent basis.
     """
-    return coefficient_rows([X.theta + X.eta for X in fields])
+    return coefficient_rows([X.coeffs for X in fields])
 
 
 def span_dimension(fields) -> int:

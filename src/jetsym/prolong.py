@@ -1,5 +1,6 @@
-"""Point vector fields on (x, u)-space, their prolongations to jet space, and
-the tangency criterion singling out infinitesimal symmetries.
+"""Vector fields over any table, the prolongations of point fields on
+(x, u)-space to jet space, and the tangency criterion singling out
+infinitesimal symmetries.
 
 The prolongation coefficients follow the total-derivative recursion
 
@@ -22,73 +23,93 @@ from itertools import combinations_with_replacement
 
 from . import rings
 from .jets import JetContext, PDESystem, jet_order_of_poly, restricted_total_derivative, total_derivative
-from .poly import Poly, _add_into, _min_bound, derivation_bound, mono_degree, mono_mul, partial_terms
-from .rings import JET, jet_var
+from .poly import Poly, _add_into, _min_bound, derivation_bound, mono_degree, mono_mul, partial_terms, rekey
+from .rings import JET, WBAR, ZBAR, VarTable, jet_var
 from .scalars import GaussScalar, ONE
 
 
 class VectorField:
-    """theta_j d/dx_j + eta^mu d/du^mu with jet-free polynomial coefficients."""
+    """sum_k coeffs[k] d/d coords[k] over ``table``, with coefficients free
+    of jet and conjugate variables.  A point field theta_j d/dx_j + eta^mu
+    d/du^mu holds its jet context ``ctx`` and the coordinates ``ctx.coords``;
+    ``VectorField.on`` builds any other field, such as ``segre.HoloField``."""
 
     def __init__(self, ctx: JetContext, theta, eta):
-        self.ctx = ctx
-        theta = tuple(theta)
-        eta = tuple(eta)
+        theta, eta = tuple(theta), tuple(eta)
         if len(theta) != ctx.n or len(eta) != ctx.m:
             raise ValueError("coefficient counts must match (n, m)")
-        ids = ctx.table.ids
-        for f in theta + eta:
-            if f.table is not ctx.table:
-                raise ValueError("coefficients must live on the context's table")
-            if any(ids[p][0] == JET for m in f.terms for p, _ in m):
+        self._hold(ctx.table, ctx.coords, theta + eta, ctx)
+
+    @classmethod
+    def on(cls, table: VarTable, coords, coeffs, ctx: JetContext | None = None) -> "VectorField":
+        """The field sum_k coeffs[k] d/d coords[k] on table; with ctx, a
+        point field on that jet context."""
+        X = cls.__new__(cls)
+        X._hold(table, tuple(coords), tuple(coeffs), ctx)
+        return X
+
+    def _hold(self, table: VarTable, coords: tuple, coeffs: tuple, ctx: JetContext | None) -> None:
+        if len(coords) != len(coeffs):
+            raise ValueError("a field needs one coefficient per coordinate")
+        if ctx is not None and (ctx.table is not table or coords != ctx.coords):
+            raise ValueError("a point field's coordinates are x_1..x_n, u^1..u^m of its context's table")
+        ids = table.ids
+        for f in coeffs:
+            if f.table is not table:
+                raise ValueError("coefficients must live on the field's table")
+            kinds = {ids[p][0] for m in f.terms for p, _ in m}
+            if JET in kinds:
                 raise ValueError("point field coefficients cannot mention jet variables")
-        self.theta = theta
-        self.eta = eta
+            if ZBAR in kinds or WBAR in kinds:
+                raise ValueError("field coefficients cannot mention conjugate variables")
+        self.table, self.coords, self.coeffs, self.ctx = table, coords, coeffs, ctx
 
     @staticmethod
     def zero(ctx: JetContext) -> "VectorField":
         z = Poly.zero(ctx.table)
         return VectorField(ctx, (z,) * ctx.n, (z,) * ctx.m)
 
+    @property
+    def theta(self) -> tuple:
+        return self.coeffs[: self.ctx.n]
+
+    @property
+    def eta(self) -> tuple:
+        return self.coeffs[self.ctx.n :]
+
     def vector(self) -> dict:
-        """The field as a map from (x, u) variable ids to coefficients."""
-        out = {rings.x_var(j): f for j, f in enumerate(self.theta, start=1)}
-        out.update((rings.u_var(mu), f) for mu, f in enumerate(self.eta, start=1))
-        return out
+        """The field as a map from coordinate ids to coefficients."""
+        return dict(zip(self.coords, self.coeffs))
 
     def apply_to(self, f: Poly) -> Poly:
-        """Derivation action on a jet-free function of (x, u)."""
+        """Derivation action on a function of the coordinates."""
         return f.derivation(self.vector())
 
+    def rekey(self, table: VarTable, rename, ctx: JetContext | None = None) -> "VectorField":
+        """The same field on ``table``, each variable v becoming ``rename(v)``
+        (see ``poly.rekey``); ctx as for ``VectorField.on``."""
+        coeffs = [rekey(f, table, rename) for f in self.coeffs]
+        return VectorField.on(table, map(rename, self.coords), coeffs, ctx)
+
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            self.ctx,
-            tuple(a + b for a, b in zip(self.theta, other.theta)),
-            tuple(a + b for a, b in zip(self.eta, other.eta)),
-        )
+        return VectorField.on(self.table, self.coords, (a + b for a, b in zip(self.coeffs, other.coeffs)), self.ctx)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return self + other.scale(GaussScalar(-1))
 
     def scale(self, s: GaussScalar) -> "VectorField":
-        return VectorField(
-            self.ctx,
-            tuple(f.scale(s) for f in self.theta),
-            tuple(f.scale(s) for f in self.eta),
-        )
+        return VectorField.on(self.table, self.coords, (f.scale(s) for f in self.coeffs), self.ctx)
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.theta + self.eta)
+        return all(f.is_zero() for f in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.theta == other.theta and self.eta == other.eta
+        return self.coords == other.coords and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
-        thetas = ", ".join(str(f) for f in self.theta)
-        etas = ", ".join(str(f) for f in self.eta)
-        return f"<VectorField theta=({thetas}) eta=({etas})>"
+        return "<VectorField " + ", ".join(f"{rings.default_name(v)}: {f}" for v, f in self.vector().items()) + ">"
 
 
 class ProlongedField:
@@ -193,8 +214,7 @@ def lie_operator(sys: PDESystem, column) -> tuple[dict, dict]:
     """
     table, n, m = sys.ctx.table, sys.ctx.n, sys.ctx.m
     p = {(nu, k): ((table.index(jet_var(nu, (k,))), 1),) for nu in range(1, m + 1) for k in range(1, n + 1)}
-    w = [table.index(rings.x_var(i)) for i in range(1, n + 1)]
-    w += [table.index(rings.u_var(nu)) for nu in range(1, m + 1)]
+    w = [table.index(v) for v in sys.ctx.coords]
     # The prolonged field moves every x, u and first jet: X^(1) F is a
     # derivation in them.
     moved = set(w) | {mono[0][0] for mono in p.values()}

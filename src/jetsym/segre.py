@@ -17,6 +17,8 @@ Conjugated variables are independent polynomial variables; reality of a
 defining polynomial is a checked invariant and "Re" is the formal half sum
 under the conjugation involution, so no numerical evaluation ever occurs.
 
+A holomorphic field (``HoloField``) is a ``prolong.VectorField`` on (z, w);
+``to_xu_field`` rekeys it to the Segre coordinates (x, u) = (z, w).
 ``tangency_remainder``, 2 Re X(rho) mod rho for one field, serves
 ``cr_tangency_check``; ``_tangency_rows`` writes the automorphism ansatz's
 Gaussian rows column by column, and ``_real_parts`` splits them into real
@@ -178,39 +180,10 @@ def hyperquadric_rho(signature: Signature, table: VarTable | None = None) -> Rea
     return RealDefiningPolynomial(rho)
 
 
-class HoloField:
+def HoloField(table: VarTable, coeffs) -> VectorField:
     """sum_j a_j(z, w) d/dz_j + b(z, w) d/dw on parameter space."""
-
-    def __init__(self, table: VarTable, coeffs):
-        self.table = table
-        self.coeffs = tuple(coeffs)
-        for f in self.coeffs:
-            if f.table is not table:
-                raise ValueError("coefficients must share the field's table")
-            for vid in f.variables():
-                if vid[0] not in (Z, W):
-                    raise ValueError("holomorphic field coefficients live in (z, w) only")
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
-
-    def apply_to(self, f: Poly) -> Poly:
-        vector = {(Z, j): a for j, a in enumerate(self.coeffs[:-1], start=1)}
-        vector[(W,)] = self.coeffs[-1]
-        return f.derivation(vector)
-
-    def scale(self, s: GaussScalar) -> "HoloField":
-        return HoloField(self.table, tuple(f.scale(s) for f in self.coeffs))
-
-    def __add__(self, other: "HoloField") -> "HoloField":
-        return HoloField(self.table, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs)
-
-    def __repr__(self) -> str:
-        return "<HoloField " + ", ".join(str(f) for f in self.coeffs) + ">"
+    coeffs = tuple(coeffs)
+    return VectorField.on(table, [(Z, j) for j in range(1, len(coeffs))] + [(W,)], coeffs)
 
 
 def reduce_by_rho(f: Poly, rho: Poly) -> Poly:
@@ -231,14 +204,14 @@ def reduce_by_rho(f: Poly, rho: Poly) -> Poly:
     return f.substitute({(W,): tail.scale(-unit.inverse())})
 
 
-def tangency_remainder(X: HoloField, rho: RealDefiningPolynomial) -> Poly:
+def tangency_remainder(X: VectorField, rho: RealDefiningPolynomial) -> Poly:
     """Twice the real part of X(rho), reduced modulo rho: zero exactly when
     the real part of X is tangent to the hypersurface."""
     xrho = X.apply_to(rho.rho)
     return reduce_by_rho(xrho + conjugate_poly(xrho), rho.rho)
 
 
-def cr_tangency_check(X: HoloField, rho: RealDefiningPolynomial) -> bool:
+def cr_tangency_check(X: VectorField, rho: RealDefiningPolynomial) -> bool:
     """True iff twice the real part of X(rho) lies in the ideal (rho), i.e.
     the real part of X is tangent to the hypersurface."""
     return tangency_remainder(X, rho).is_zero()
@@ -294,7 +267,7 @@ def _real_parts(row: dict) -> tuple[dict, dict]:
 @dataclass
 class CRAutomorphismAlgebra:
     signature: Signature
-    basis: list[HoloField]
+    basis: list[VectorField]
     table: VarTable
 
     @property
@@ -344,10 +317,7 @@ def totally_real_check(fields) -> bool:
     return sparse_rank(rows) == sparse_rank(real_rows)
 
 
-def to_xu_field(X: HoloField, ctx: JetContext):
+def to_xu_field(X: VectorField, ctx: JetContext) -> VectorField:
     """Rewrite a field on (z, w) parameter space in the (x, u) variables of
     the associated second-order system (x_j = z_j, u = w)."""
-    n = X.n
-    rename = _segre_coordinates(n).__getitem__
-    moved = [rekey(f, ctx.table, rename) for f in X.coeffs]
-    return VectorField(ctx, moved[:n], moved[n:])
+    return X.rekey(ctx.table, _segre_coordinates(ctx.n).__getitem__, ctx)

@@ -678,7 +678,7 @@ def reference_conjugate_poly(f: Poly) -> Poly:
 def reference_to_xu_field(X, ctx) -> VectorField:
     """The ``segre.to_xu_field`` whose ``move`` rebuilt each monomial from a
     position map of z_j -> x_j and w -> u1."""
-    n = X.n
+    n = len(X.coeffs) - 1
     mapping = {}
     for j in range(1, n + 1):
         mapping[X.table.index((rings.Z, j))] = ctx.table.index(rings.x_var(j))

@@ -107,6 +107,12 @@ def test_symmetry_check_oversized_exponent_exits_one(capsys, tmp_path, where):
     assert err.startswith("error: exponent 99999999 exceeds the limit 32 at offset 3")
 
 
+def test_symmetry_check_field_with_a_jet_variable_exits_one(capsys, flat_system_file, tmp_path):
+    field = write_json(tmp_path / "field.json", {"n": 1, "m": 1, "theta": ["1"], "eta": ["p1_1"]})
+    rc, out, err = run_cli(capsys, ["symmetry-check", "--system", flat_system_file, "--field", field])
+    assert (rc, out, err) == (1, "", "error: point field coefficients cannot mention jet variables\n")
+
+
 @pytest.mark.parametrize("exponent, rc", [(16, 1), (8, 0)])
 def test_oversized_expansion_exits_one_quickly(capsys, tmp_path, exponent, rc):
     F = f"(x1+x2+u1+u2+p1_1+p2_2)^{exponent}"

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from jetsym.determining import LinearAnsatz, symmetry_algebra
 from jetsym.jets import JetContext, involutivity_check
-from jetsym.lie_alg import FieldBasis, closure_check, flat_generators, span_equal
+from jetsym.lie_alg import FieldBasis, bracket, closure_check, flat_generators, span_equal
 from jetsym.poly import Poly
-from jetsym.prolong import lie_criterion_check
+from jetsym.prolong import VectorField, lie_criterion_check
 from jetsym.rings import W, WBAR, Z, ZBAR, cr_table, jet_var, u_var, x_var, zeta_var
 from jetsym.scalars import GaussScalar, I, ONE
 from jetsym.segre import (
@@ -306,8 +306,7 @@ def test_killing_form_certifies_the_real_form():
     for n in (1, 2, 3):
         for eps in product((1, -1), repeat=n):
             sig = Signature(eps)
-            ctx = JetContext.create(n, 1)
-            basis = FieldBasis([to_xu_field(X, ctx) for X in cr_automorphism_algebra(sig).basis])
+            basis = FieldBasis(cr_automorphism_algebra(sig).basis)
             p, q = eps.count(1), eps.count(-1)
             got.append((str(sig), killing_form(basis)))
             expected.append((str(sig), (True, (2 * (p + 1) * (q + 1), (p + 1) ** 2 + (q + 1) ** 2 - 1, 0))))
@@ -316,6 +315,58 @@ def test_killing_form_certifies_the_real_form():
         got.append(((n, m), killing_form(flat_generators(n, m))))
         expected.append(((n, m), (True, (N * (N + 1) // 2 - 1, N * (N - 1) // 2, 0))))
     assert first_difference(got, expected) is None
+
+
+def test_zw_closure_matches_the_xu_rewrite():
+    # All 14 signatures with n <= 3: closure takes the (z, w) basis as it
+    # is, and its structure constants are those of the (x, u) rewrite.
+    got, expected = [], []
+    for n in (1, 2, 3):
+        ctx = JetContext.create(n, 1)
+        for eps in product((1, -1), repeat=n):
+            basis = cr_automorphism_algebra(Signature(eps)).basis
+            zw = closure_check(FieldBasis(basis))
+            xu = closure_check(FieldBasis([to_xu_field(X, ctx) for X in basis]))
+            got.append((eps, zw.closes, xu.closes, zw.structure_constants))
+            expected.append((eps, True, True, xu.structure_constants))
+    assert (len(got), first_difference(got, expected)) == (14, None)
+
+
+def test_cr_automorphisms_span_the_flat_symmetry_algebra():
+    # The theorem as an equality for every n <= 3: the Segre system of a
+    # hyperquadric is flat, and the (x, u) rewrite of the real automorphism
+    # basis spans its symmetry algebra over the Gaussian rationals.
+    got = []
+    for n in (1, 2, 3):
+        ctx = JetContext.create(n, 1)
+        for eps in product((1, -1), repeat=n):
+            basis = cr_automorphism_algebra(Signature(eps)).basis
+            got.append((eps, span_equal([to_xu_field(X, ctx) for X in basis], flat_generators(n, 1, ctx))))
+    assert (len(got), first_difference(got, [(eps, True) for eps, _ in got])) == (14, None)
+
+
+def test_field_api_read_by_the_benchmark():
+    # bench/workloads.py and bench/layertrace.py build and read fields
+    # through these names.
+    ctx = JetContext.create(2, 1)
+    x1, u1, zero = ctx.x(1), ctx.u(1), ctx.zero()
+    X = VectorField(ctx, [x1, u1], [x1 * u1])
+    assert X.ctx is ctx and (X.theta, X.eta) == ((x1, u1), (x1 * u1,))
+    Z0 = VectorField.zero(ctx)
+    assert Z0.ctx is ctx and (Z0.theta, Z0.eta) == ((zero, zero), (zero,))
+    assert Z0 + X.scale(GaussScalar(3)) - X.scale(GaussScalar(2)) == X
+    table = cr_table(2)
+    z1, w = Poly.var(table, (Z, 1)), Poly.var(table, (W,))
+    H = HoloField(table, [z1, Poly.zero(table), w])
+    assert H.coeffs == (z1, Poly.zero(table), w)
+    moved = to_xu_field(H, ctx)
+    assert moved.ctx is ctx and (moved.theta, moved.eta) == ((x1, zero), (u1,))
+    back = {x_var(1): (Z, 1), x_var(2): (Z, 2), u_var(1): (W,)}
+    assert moved.rekey(table, back.__getitem__) == H
+    with pytest.raises(ValueError, match="^fields must share a table and coordinates$"):
+        bracket(H, moved)
+    with pytest.raises(ValueError, match="^field coefficients cannot mention conjugate variables$"):
+        HoloField(table, [Poly.var(table, (ZBAR, 1)), Poly.zero(table), Poly.zero(table)])
 
 
 def test_cr_solve_matches_sorted_rows_reference(monkeypatch):
